@@ -1,48 +1,41 @@
 """Command-line driver for the burn-detection pipeline.
 
-Subcommands mirror the pipeline stages so each step can run on its own
-artifacts; `run` executes everything into a fresh run directory. A JSON config
-file supplies RunConfig fields, individual flags override it, and the
-PLOTBURN_OUT environment variable sets the default output root.
+Stage subcommands load their flags and upstream files into a pipeline.RunState
+whose run directory is --out, then call the pipeline's own stage functions, so
+each step can run on its own artifacts and writes the same bytes as `run`;
+`run` executes everything into a fresh run directory. A JSON config file
+supplies RunConfig fields, individual flags override it, and the PLOTBURN_OUT
+environment variable sets the default output root.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
-from .cv import LABEL_TO_CLASS, loocv_plot
-from .forest import apply_impute, fit_impute_medians, save_forest, top_k_features, train_forest
-from .gridio import (read_endmembers_csv, read_events_csv, read_plots_csv,
-                     read_rows_csv, read_scene_manifest, write_rows_csv)
-from .scene import gap_statistics
-from .separability import CURVE_CSV_HEADER, separability_curve
-from .thresholds import (aggregate_plot, balanced_accuracy_threshold, cohens_kappa,
-                         make_predictions, max_accuracy_threshold, prediction_summary)
+from .gridio import read_rows_csv, write_rows_csv
+from .separability import CURVE_CSV_HEADER
+from .thresholds import PlotPrediction
 
 DEFAULT_OUT = os.environ.get("PLOTBURN_OUT", "runs")
 
 
 def _load_run_config(args) -> pipe.RunConfig:
     doc = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
     doc.setdefault("out_root", DEFAULT_OUT)
     for key in ("out_root", "name", "sensor_mode", "cv_mode", "selection",
-                "manifest_path", "plots_path", "events_path", "endmembers_path"):
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
-    for key in ("seed", "n_trees", "top_k_features", "min_leaf"):
+                "manifest_path", "plots_path", "events_path", "endmembers_path",
+                "seed", "n_trees", "top_k_features", "min_leaf", "max_offset"):
         value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
@@ -78,171 +71,84 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_cubes_and_plots(args):
-    cubes = read_scene_manifest(args.manifest)
-    geoms = {c.geom for c in cubes.values()}
-    finest = min(geoms, key=lambda g: g.cellsize)
-    if len(geoms) > 1:
-        cubes = read_scene_manifest(args.manifest, target_geom=finest)
-    plots = read_plots_csv(args.plots, finest)
-    return cubes, plots
+def _stage_state(args, config: pipe.RunConfig | None = None) -> pipe.RunState:
+    """A RunState whose run directory is the stage command's --out."""
+    os.makedirs(args.out, exist_ok=True)
+    return pipe.RunState(config, args.out)
 
 
 def cmd_ingest(args) -> int:
-    cubes, plots = _load_cubes_and_plots(args)
-    report = gap_statistics(cubes, plots)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for plot_id in sorted(report.per_plot):
-        for sensor in sorted(cubes):
-            entry = report.per_plot[plot_id].get(sensor)
-            rows.append([plot_id, sensor, *(entry if entry else (0, None, None))])
-    for sensor in sorted(report.summary):
-        for key, value in report.summary[sensor].items():
-            rows.append([f"summary_{key}", sensor, "", value, ""])
-    path = os.path.join(args.out, "gaps.csv")
-    write_rows_csv(path, ["plot_id", "sensor", "n_obs", "mean_gap", "max_gap"], rows)
-    n_obs = {s: len(c.observations) for s, c in cubes.items()}
-    print(f"ingested {len(plots)} plots; observations per sensor: {n_obs}")
-    print(f"gap report: {path}")
+    state = _stage_state(args, _load_run_config(args))
+    pipe.stage_ingest(state)
+    pipe.stage_gaps(state)
+    n_obs = {s: len(c.observations) for s, c in state.cubes.items()}
+    print(f"ingested {len(state.plots)} plots; observations per sensor: {n_obs}")
+    print(f"gap report: {os.path.join(args.out, 'gaps.csv')}")
     return 0
 
 
 def cmd_features(args) -> int:
-    from .indices import ALL_INDICES
-
-    cubes, plots = _load_cubes_and_plots(args)
-    if args.sensor_mode == "A_only":
-        cubes.pop("B", None)
-    elif args.sensor_mode == "B_only":
-        cubes.pop("A", None)
-    endmembers = (read_endmembers_csv(args.endmembers) if args.endmembers
-                  else synthmod.default_endmembers())
-    rows = feats.build_feature_table(cubes.get("A"), cubes.get("B"), plots,
-                                     list(ALL_INDICES),
-                                     include_border=not args.no_border,
-                                     endmembers=endmembers)
-    feats.write_feature_csv(args.out, rows)
-    print(f"wrote {len(rows)} feature rows to {args.out}")
+    state = _stage_state(args, _load_run_config(args))
+    pipe.stage_ingest(state)
+    pipe.stage_features(state)
+    print(f"wrote {len(state.rows)} feature rows to "
+          f"{os.path.join(args.out, 'features.csv')}")
     return 0
 
 
 def cmd_separability(args) -> int:
-    cubes, plots = _load_cubes_and_plots(args)
-    events = read_events_csv(args.events)
-    by_id = {p.plot_id: p for p in plots}
-    burn_events = [(by_id[pid], date) for pid, kind, date in events
-                   if kind == "burn" and pid in by_id]
-    endmembers = (read_endmembers_csv(args.endmembers) if args.endmembers
-                  else synthmod.default_endmembers())
-    sensor, source = args.source.split("_", 1)
-    curve = separability_curve(burn_events, cubes[sensor], source,
-                               args.max_offset, endmembers=endmembers)
+    state = pipe.RunState(_load_run_config(args),
+                          os.path.dirname(os.path.abspath(args.out)))
+    pipe.stage_ingest(state)
+    sensor, _, source = args.source.partition("_")
+    if sensor not in state.cubes:
+        raise ValueError(f"--source {args.source}: sensor {sensor!r} is not loaded "
+                         f"(loaded: {', '.join(sorted(state.cubes))})")
     write_rows_csv(args.out, CURVE_CSV_HEADER,
-                   [[args.source, *row[1:]] for row in curve.rows()])
+                   pipe.curve_rows(state, [(sensor, source)]))
     print(f"wrote separability curve for {args.source} to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    rows = feats.read_feature_csv(args.features)
-    plots_header, plot_rows = read_rows_csv(args.plots)
-    cols = {name: i for i, name in enumerate(plots_header)}
-    labels = {r[cols["plot_id"]]: r[cols["label"]] for r in plot_rows}
-    groups = {r[cols["plot_id"]]: r[cols["group"]] for r in plot_rows}
-
-    schema = feats.table_schema(rows)
-    X = feats.table_matrix(rows, schema)
-    labeled_idx = np.asarray([i for i, r in enumerate(rows)
-                              if labels.get(r.plot_id) in LABEL_TO_CLASS])
-    y = np.asarray([LABEL_TO_CLASS[labels[rows[i].plot_id]] for i in labeled_idx])
-    from .forest import ForestParams
-
-    params = ForestParams(n_trees=args.n_trees, seed=args.seed)
-    medians = fit_impute_medians(X[labeled_idx])
-    ranking = train_forest(apply_impute(X[labeled_idx], medians), y, schema, params)
-    selected = sorted(top_k_features(ranking, args.top_k_features))
-    cv = loocv_plot(rows, labels, params, mode=args.cv_mode, schema=selected)
-
-    os.makedirs(args.out, exist_ok=True)
-    sel_cols = [schema.index(n) for n in selected]
-    model = train_forest(apply_impute(X[labeled_idx][:, sel_cols], medians[sel_cols]),
-                         y, selected, params)
-    save_forest(os.path.join(args.out, "model.txt"), model)
-    write_rows_csv(os.path.join(args.out, "importance.csv"),
-                   ["feature", "gini_importance"],
-                   sorted(zip(model.schema, map(float, model.importance)),
-                          key=lambda kv: (-kv[1], kv[0])))
-
-    from .forest import predict_scores
-
-    all_scores = predict_scores(model, apply_impute(X[:, sel_cols], medians[sel_cols]))
-    rows_by_plot = {}
-    for i, r in enumerate(rows):
-        rows_by_plot.setdefault(r.plot_id, []).append(i)
-    score_rows = []
-    for plot_id in sorted(rows_by_plot):
-        idx = rows_by_plot[plot_id]
-        border = np.asarray([rows[i].border for i in idx], dtype=bool)
-        if plot_id in cv.pixel_scores:
-            scores = np.asarray(cv.pixel_scores[plot_id])
-        else:
-            scores = all_scores[idx]
-        keep = scores[~border] if (~border).any() else scores
-        score_rows.append([plot_id, aggregate_plot(keep),
-                           labels.get(plot_id, "unlabeled"),
-                           groups.get(plot_id, "none")])
+    state = _stage_state(args, _load_run_config(args))
+    state.rows = feats.read_feature_csv(args.features)
+    state.schema = feats.table_schema(state.rows)
+    with open(args.plots_path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            state.labels[rec["plot_id"]] = rec["label"]
+            state.groups[rec["plot_id"]] = rec["group"]
+    pipe.stage_train(state)
     write_rows_csv(os.path.join(args.out, "scores.csv"),
-                   ["plot_id", "mean_score", "label", "group"], score_rows)
-    print(f"trained on {labeled_idx.size} rows from "
-          f"{len(cv.pixel_scores)} labeled plots; artifacts in {args.out}")
+                   ["plot_id", "mean_score", "label", "group"],
+                   [[pid, score, state.labels[pid], state.groups[pid]]
+                    for pid, score in sorted(state.plot_scores.items())])
+    print(f"trained on {len(state.cv_result.pixel_scores)} labeled plots; "
+          f"artifacts in {args.out}")
     return 0
 
 
 def cmd_threshold(args) -> int:
+    state = _stage_state(args)
     _, rows = read_rows_csv(args.scores)
-    scores = {r[0]: float(r[1]) for r in rows}
-    labels = {r[0]: r[2] for r in rows}
-    groups = {r[0]: r[3] for r in rows}
-    labeled = [(scores[p], LABEL_TO_CLASS[labels[p]])
-               for p in sorted(scores) if labels[p] in LABEL_TO_CLASS]
-    choice_max = max_accuracy_threshold(labeled)
-    choice_bal = balanced_accuracy_threshold(labeled)
-    os.makedirs(args.out, exist_ok=True)
-    for name, choice in (("max", choice_max), ("balanced", choice_bal)):
-        write_rows_csv(os.path.join(args.out, f"confusion_{name}.csv"),
-                       ["measure", "value"],
-                       pipe._confusion_rows(choice, cohens_kappa(choice.counts)))
-    preds = make_predictions(scores, choice_max, choice_bal, labels, groups)
-    write_rows_csv(os.path.join(args.out, "predictions.csv"),
-                   ["plot_id", "mean_score", "call_max", "call_balanced",
-                    "label", "group"],
-                   [[p.plot_id, p.mean_score, p.call_max, p.call_balanced,
-                     p.label, p.group] for p in preds])
-    print(f"thresholds: max={choice_max.threshold!r} "
-          f"(percentile {choice_max.percentile}), "
-          f"balanced={choice_bal.threshold!r} "
-          f"(percentile {choice_bal.percentile}); artifacts in {args.out}")
+    for plot_id, score, label, group in rows:
+        state.plot_scores[plot_id] = float(score)
+        state.labels[plot_id] = label
+        state.groups[plot_id] = group
+    pipe.stage_threshold(state)
+    print(f"thresholds: max={state.choice_max.threshold!r} "
+          f"(percentile {state.choice_max.percentile}), "
+          f"balanced={state.choice_balanced.threshold!r} "
+          f"(percentile {state.choice_balanced.percentile}); artifacts in {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    from .thresholds import PlotPrediction
-
+    state = _stage_state(args)
     _, rows = read_rows_csv(args.predictions)
-    preds = [PlotPrediction(r[0], float(r[1]), int(r[2]), int(r[3]), r[4], r[5])
-             for r in rows]
-    unlabeled = [p for p in preds if p.label == "unlabeled"]
-    tables = prediction_summary(unlabeled if unlabeled else preds)
-    os.makedirs(args.out, exist_ok=True)
-    write_rows_csv(os.path.join(args.out, "summary.csv"),
-                   ["measure", "n", "mean", "sd", "max", "min"], tables["summary"])
-    write_rows_csv(os.path.join(args.out, "crosstab.csv"),
-                   ["balanced_call", "max_call", "n_plots"],
-                   [[b, m, tables["crosstab"][(b, m)]] for b in (0, 1) for m in (0, 1)])
-    write_rows_csv(os.path.join(args.out, "density.csv"),
-                   ["policy", "call", "group", "bin_left", "bin_right",
-                    "count", "density"], tables["density"])
+    state.predictions = [PlotPrediction(r[0], float(r[1]), int(r[2]), int(r[3]),
+                                        r[4], r[5]) for r in rows]
+    pipe.stage_report(state)
     print(f"report tables in {args.out}")
     return 0
 
@@ -280,39 +186,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("ingest", help="validate inputs and emit the gap report")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--plots", required=True)
+    p.add_argument("--manifest", required=True, dest="manifest_path")
+    p.add_argument("--plots", required=True, dest="plots_path")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("features", help="build the pixel feature table")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--plots", required=True)
-    p.add_argument("--endmembers")
+    p.add_argument("--manifest", required=True, dest="manifest_path")
+    p.add_argument("--plots", required=True, dest="plots_path")
+    p.add_argument("--endmembers", dest="endmembers_path")
     p.add_argument("--sensor-mode", default="combined", choices=pipe.SENSOR_MODES,
                    dest="sensor_mode")
     p.add_argument("--no-border", action="store_true", dest="no_border")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="directory for features.csv")
     p.set_defaults(fn=cmd_features)
 
     p = sub.add_parser("separability", help="emit an M-value decay curve")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--plots", required=True)
-    p.add_argument("--events", required=True)
-    p.add_argument("--endmembers")
+    p.add_argument("--manifest", required=True, dest="manifest_path")
+    p.add_argument("--plots", required=True, dest="plots_path")
+    p.add_argument("--events", required=True, dest="events_path")
+    p.add_argument("--endmembers", dest="endmembers_path")
     p.add_argument("--source", default="A_CI",
                    help="sensor_source, e.g. A_CI or B_MIRBI")
-    p.add_argument("--max-offset", type=int, default=8, dest="max_offset")
+    p.add_argument("--max-offset", type=int, dest="max_offset")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_separability)
 
     p = sub.add_parser("train", help="train the forest with plot-holdout CV")
     p.add_argument("--features", required=True)
-    p.add_argument("--plots", required=True)
-    p.add_argument("--n-trees", type=int, default=300, dest="n_trees")
-    p.add_argument("--top-k-features", type=int, default=50, dest="top_k_features")
-    p.add_argument("--cv-mode", default="auto", dest="cv_mode")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--plots", required=True, dest="plots_path")
+    p.add_argument("--n-trees", type=int, dest="n_trees")
+    p.add_argument("--top-k-features", type=int, dest="top_k_features")
+    p.add_argument("--cv-mode", dest="cv_mode")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import INDEX_REGISTRY, EndmemberSet, compute_index, indices_for_bands
+from .indices import (ALL_INDICES, INDEX_REGISTRY, EndmemberSet, compute_index,
+                      indices_for_bands)
 from .scene import SENSOR_BANDS, Plot, SceneCube
 
 STAT_NAMES = ("min", "max", "mean", "median", "p10", "p20", "p80", "p90")
@@ -271,10 +272,21 @@ def write_feature_csv(path, rows: list[FeatureRow]) -> None:
 
 
 def read_feature_csv(path) -> list[FeatureRow]:
+    """Rows of a feature CSV, with feature keys back in build order.
+
+    The file stores feature columns sorted by name; reading them back in the
+    canonical order of feature_schema gives table_schema the same column
+    order as the table that was written.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            features = {k: float(v) for k, v in rec.items() if k not in FEATURE_CSV_FIXED}
+        reader = csv.DictReader(fh)
+        names = [k for k in reader.fieldnames or () if k not in FEATURE_CSV_FIXED]
+        sensors = sorted({n.split("_", 1)[0] for n in names} & SENSOR_BANDS.keys())
+        rank = {n: i for i, n in enumerate(feature_schema(sensors, ALL_INDICES, False))}
+        names.sort(key=lambda n: rank.get(n, len(rank)))
+        for rec in reader:
+            features = {k: float(rec[k]) for k in names}
             rows.append(FeatureRow(rec["plot_id"], rec["pixel_id"],
                                    rec["border"] == "1", features,
                                    int(rec["n_obs_A"]), int(rec["n_obs_B"])))

@@ -69,8 +69,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sensor_mode not in SENSOR_MODES:
             raise ValueError(f"sensor_mode must be one of {SENSOR_MODES}")
-        if self.scenario is None and not (self.manifest_path and self.plots_path):
-            raise ValueError("need either a scenario or manifest/plot paths")
+        if self.scenario is None and not self.plots_path:
+            raise ValueError("need either a scenario or a plots path")
 
     def forest_params(self) -> ForestParams:
         return ForestParams(self.n_trees, self.max_features, self.min_leaf,
@@ -119,7 +119,7 @@ def allocate_run_dir(config: RunConfig) -> str:
 
 @dataclass
 class RunState:
-    config: RunConfig
+    config: RunConfig | None
     run_dir: str
     cubes: dict = field(default_factory=dict)
     plots: list = field(default_factory=list)
@@ -164,6 +164,8 @@ def stage_ingest(state: RunState) -> None:
         state.events = scenario.truth.events()
         state.endmembers = scenario.endmembers
     else:
+        if not cfg.manifest_path:
+            raise ValueError("a run from files needs a scene manifest (manifest_path)")
         cubes = read_scene_manifest(cfg.manifest_path)
         geoms = {c.geom for c in cubes.values()}
         finest = min(geoms, key=lambda g: g.cellsize)
@@ -217,15 +219,13 @@ DEFAULT_CURVE_SOURCES = (("A", "CI"), ("A", "NIR"), ("B", "MIRBI"),
                          ("B", "NBR"), ("B", "BASMA"))
 
 
-def stage_separability(state: RunState) -> None:
-    burn_events = [(pid, date) for pid, kind, date in state.events if kind == "burn"]
-    if not burn_events:
-        state.manifest["separability"] = "skipped: no burn events supplied"
-        return
+def curve_rows(state: RunState, sources) -> list[list]:
+    """Separability-curve CSV rows for each loaded (sensor, source) pair."""
     by_id = {p.plot_id: p for p in state.plots}
-    events = [(by_id[pid], date) for pid, date in burn_events if pid in by_id]
+    events = [(by_id[pid], date) for pid, kind, date in state.events
+              if kind == "burn" and pid in by_id]
     rows = []
-    for sensor, source in DEFAULT_CURVE_SOURCES:
+    for sensor, source in sources:
         cube = state.cubes.get(sensor)
         if cube is None:
             continue
@@ -234,8 +234,15 @@ def stage_separability(state: RunState) -> None:
                                    bsi_exponent=state.config.bsi_exponent)
         for row in curve.rows():
             rows.append([f"{sensor}_{source}", *row[1:]])
+    return rows
+
+
+def stage_separability(state: RunState) -> None:
+    if not any(kind == "burn" for _, kind, _ in state.events):
+        state.manifest["separability"] = "skipped: no burn events supplied"
+        return
     write_rows_csv(os.path.join(state.run_dir, "separability.csv"),
-                   CURVE_CSV_HEADER, rows)
+                   CURVE_CSV_HEADER, curve_rows(state, DEFAULT_CURVE_SOURCES))
 
 
 def stage_train(state: RunState) -> None:
@@ -249,6 +256,9 @@ def stage_train(state: RunState) -> None:
         raise ValueError("no labeled plots with feature rows")
     y = np.asarray([LABEL_TO_CLASS[state.labels[state.rows[i].plot_id]]
                     for i in labeled_idx], dtype=np.int64)
+    rows_by_plot: dict[str, list[int]] = {}
+    for i, r in enumerate(state.rows):
+        rows_by_plot.setdefault(r.plot_id, []).append(i)
 
     medians = fit_impute_medians(X[labeled_idx])
     X_lab = apply_impute(X[labeled_idx], medians)
@@ -267,10 +277,11 @@ def stage_train(state: RunState) -> None:
         train_plots, val_plots = stratified_plot_split(
             {p: state.labels[p] for p in state.labels
              if state.labels[p] in LABEL_TO_CLASS}, 0.3, cfg.seed)
+        train_set, val_set = set(train_plots), set(val_plots)
         tr = np.asarray([j for j, i in enumerate(labeled_idx)
-                         if state.rows[i].plot_id in set(train_plots)])
+                         if state.rows[i].plot_id in train_set])
         va = np.asarray([j for j, i in enumerate(labeled_idx)
-                         if state.rows[i].plot_id in set(val_plots)])
+                         if state.rows[i].plot_id in val_set])
         sel_params = ForestParams(25, params.max_features, params.min_leaf,
                                   None, params.seed)
         names, _ = sequential_select(X_lab, y, state.schema, k, [(tr, va)], sel_params)
@@ -280,13 +291,11 @@ def stage_train(state: RunState) -> None:
 
     state.cv_result = loocv_plot(state.rows, state.labels, params,
                                  mode=cfg.cv_mode, schema=state.selected)
-    rows_of: dict[str, list] = {}
-    for r in state.rows:
-        rows_of.setdefault(r.plot_id, []).append(r)
     cv_rows = []
     for plot_id in sorted(state.cv_result.pixel_scores):
         scores = state.cv_result.pixel_scores[plot_id]
-        for row, score in zip(rows_of[plot_id], scores):
+        for i, score in zip(rows_by_plot[plot_id], scores):
+            row = state.rows[i]
             cv_rows.append([plot_id, row.pixel_id, int(row.border), float(score)])
     write_rows_csv(os.path.join(state.run_dir, "cv_scores.csv"),
                    ["plot_id", "pixel_id", "border", "score"], cv_rows)
@@ -303,28 +312,20 @@ def stage_train(state: RunState) -> None:
 
     # Plot-level scores: out-of-fold means for labeled plots, final-model
     # scores elsewhere; border pixels are excluded from the aggregation.
-    border_by_plot: dict[str, list[bool]] = {}
-    for r in state.rows:
-        border_by_plot.setdefault(r.plot_id, []).append(r.border)
     state.plot_scores = {}
     state.manifest.setdefault("flagged_plots", [])
     all_scores = predict_scores(
         state.model, apply_impute(X[:, sel_cols], medians_sel))
-    rows_by_plot: dict[str, list[int]] = {}
-    for i, r in enumerate(state.rows):
-        rows_by_plot.setdefault(r.plot_id, []).append(i)
-    for plot in state.plots:
-        pid = plot.plot_id
-        if pid in state.cv_result.pixel_scores:
-            scores = np.asarray(state.cv_result.pixel_scores[pid])
-            border = np.asarray(border_by_plot[pid], dtype=bool)
-        elif pid in rows_by_plot:
-            idx = rows_by_plot[pid]
-            scores = all_scores[idx]
-            border = np.asarray([state.rows[i].border for i in idx], dtype=bool)
-        else:
+    for pid in state.labels:
+        idx = rows_by_plot.get(pid)
+        if idx is None:
             state.manifest["flagged_plots"].append(pid)
             continue
+        if pid in state.cv_result.pixel_scores:
+            scores = np.asarray(state.cv_result.pixel_scores[pid])
+        else:
+            scores = all_scores[idx]
+        border = np.asarray([state.rows[i].border for i in idx], dtype=bool)
         keep = scores[~border] if (~border).any() else scores
         state.plot_scores[pid] = aggregate_plot(keep)
 
@@ -339,6 +340,14 @@ def stage_threshold(state: RunState) -> None:
         kappa = cohens_kappa(choice.counts)
         write_rows_csv(os.path.join(state.run_dir, f"confusion_{name}.csv"),
                        ["measure", "value"], _confusion_rows(choice, kappa))
+    state.predictions = make_predictions(state.plot_scores, state.choice_max,
+                                         state.choice_balanced, state.labels,
+                                         state.groups)
+    write_rows_csv(os.path.join(state.run_dir, "predictions.csv"),
+                   ["plot_id", "mean_score", "call_max", "call_balanced",
+                    "label", "group"],
+                   [[p.plot_id, p.mean_score, p.call_max, p.call_balanced,
+                     p.label, p.group] for p in state.predictions])
     state.manifest["thresholds"] = {
         "max": {"score": state.choice_max.threshold,
                 "percentile": state.choice_max.percentile},
@@ -348,14 +357,6 @@ def stage_threshold(state: RunState) -> None:
 
 
 def stage_report(state: RunState) -> None:
-    state.predictions = make_predictions(state.plot_scores, state.choice_max,
-                                         state.choice_balanced, state.labels,
-                                         state.groups)
-    write_rows_csv(os.path.join(state.run_dir, "predictions.csv"),
-                   ["plot_id", "mean_score", "call_max", "call_balanced",
-                    "label", "group"],
-                   [[p.plot_id, p.mean_score, p.call_max, p.call_balanced,
-                     p.label, p.group] for p in state.predictions])
     unlabeled = [p for p in state.predictions if p.label == "unlabeled"]
     subset = unlabeled if unlabeled else state.predictions
     tables = prediction_summary(subset)

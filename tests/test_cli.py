@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from plotburn.cli import main
-from plotburn.gridio import read_rows_csv
+from plotburn.gridio import read_rows_csv, write_rows_csv
 
 SCENARIO_DOC = {"n_plots": 12, "plot_area_mean_ha": 0.02,
                 "plot_area_median_ha": 0.018, "seed": 5,
@@ -33,17 +33,21 @@ class TestStageCommands:
         assert any(r[0].startswith("summary_") for r in rows)
 
     def test_feature_and_model_chain(self, scene_dir, tmp_path):
-        features = tmp_path / "features.csv"
-        rc = main(["features", "--manifest", str(scene_dir / "scene_manifest.json"),
-                   "--plots", str(scene_dir / "plots.csv"),
-                   "--endmembers", str(scene_dir / "endmembers.csv"),
-                   "--out", str(features)])
-        assert rc == 0 and features.exists()
+        manifest = str(scene_dir / "scene_manifest.json")
+        plots = str(scene_dir / "plots.csv")
+        endmembers = str(scene_dir / "endmembers.csv")
+        ingest_out = tmp_path / "ingest"
+        assert main(["ingest", "--manifest", manifest, "--plots", plots,
+                     "--out", str(ingest_out)]) == 0
+
+        feat_out = tmp_path / "features"
+        rc = main(["features", "--manifest", manifest, "--plots", plots,
+                   "--endmembers", endmembers, "--out", str(feat_out)])
+        assert rc == 0 and (feat_out / "features.csv").exists()
 
         train_out = tmp_path / "model"
-        rc = main(["train", "--features", str(features),
-                   "--plots", str(scene_dir / "plots.csv"),
-                   "--n-trees", "15", "--cv-mode", "grouped:4",
+        rc = main(["train", "--features", str(feat_out / "features.csv"),
+                   "--plots", plots, "--n-trees", "15", "--cv-mode", "grouped:4",
                    "--out", str(train_out)])
         assert rc == 0
         assert (train_out / "model.txt").exists()
@@ -63,6 +67,23 @@ class TestStageCommands:
         for name in ("summary.csv", "crosstab.csv", "density.csv"):
             assert (rep_out / name).exists()
 
+        # The stage commands run the pipeline's own stages, so `run` on the
+        # same files and flags gives the same bytes.
+        runs = tmp_path / "runs"
+        assert main(["run", "--manifest", manifest, "--plots", plots,
+                     "--endmembers", endmembers, "--n-trees", "15",
+                     "--cv-mode", "grouped:4", "--out-root", str(runs)]) == 0
+        run_dir = runs / os.listdir(runs)[0]
+        chain = {"gaps.csv": ingest_out, "features.csv": feat_out,
+                 "importance.csv": train_out, "cv_scores.csv": train_out,
+                 "model.txt": train_out, "confusion_max.csv": thr_out,
+                 "confusion_balanced.csv": thr_out, "predictions.csv": thr_out,
+                 "summary.csv": rep_out, "crosstab.csv": rep_out,
+                 "density.csv": rep_out}
+        for name, stage_dir in chain.items():
+            assert ((stage_dir / name).read_bytes()
+                    == (run_dir / name).read_bytes()), name
+
     def test_separability_command(self, scene_dir, tmp_path):
         out = tmp_path / "curve.csv"
         rc = main(["separability",
@@ -74,6 +95,35 @@ class TestStageCommands:
         header, rows = read_rows_csv(out)
         assert header == ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
         assert len(rows) == 5
+
+
+    def test_separability_unloaded_sensor_is_an_error(self, scene_dir, tmp_path,
+                                                      capsys):
+        rc = main(["separability",
+                   "--manifest", str(scene_dir / "scene_manifest.json"),
+                   "--plots", str(scene_dir / "plots.csv"),
+                   "--events", str(scene_dir / "events.csv"),
+                   "--source", "C_CI", "--out", str(tmp_path / "curve.csv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_train_without_labeled_plots_is_an_error(self, scene_dir, tmp_path,
+                                                     capsys):
+        feat_out = tmp_path / "features"
+        assert main(["features", "--manifest", str(scene_dir / "scene_manifest.json"),
+                     "--plots", str(scene_dir / "plots.csv"),
+                     "--out", str(feat_out)]) == 0
+        header, rows = read_rows_csv(scene_dir / "plots.csv")
+        label = header.index("label")
+        unlabeled = tmp_path / "plots.csv"
+        write_rows_csv(unlabeled, header,
+                       [r[:label] + ["unlabeled"] + r[label + 1:] for r in rows])
+        rc = main(["train", "--features", str(feat_out / "features.csv"),
+                   "--plots", str(unlabeled), "--n-trees", "5",
+                   "--out", str(tmp_path / "model")])
+        assert rc == 1
+        assert "error: no labeled plots with feature rows" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -223,6 +223,7 @@ class TestTableRoundTrip:
         write_feature_csv(path, rows)
         back = read_feature_csv(path)
         assert len(back) == len(rows)
+        assert table_schema(back) == table_schema(rows)
         for a, b in zip(rows, back):
             assert a.plot_id == b.plot_id and a.pixel_id == b.pixel_id
             assert a.border == b.border

@@ -90,6 +90,22 @@ class TestRunPipeline:
         assert manifest["incomplete"] is True
         assert manifest["stages"]["train"].startswith("failed")
 
+    def test_file_run_without_manifest_fails_at_ingest(self, tmp_path):
+        from plotburn.synth import generate, write_scenario
+
+        scenario = generate(dataclasses.replace(SCENARIO, n_plots=4))
+        paths = write_scenario(tmp_path / "scene", scenario)
+        config = RunConfig(out_root=str(tmp_path / "runs"), plots_path=paths["plots"])
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "ingest"
+        assert "manifest" in str(err.value)
+        (run_dir,) = os.listdir(tmp_path / "runs")
+        with open(tmp_path / "runs" / run_dir / "run_manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["incomplete"] is True
+        assert manifest["stages"]["ingest"].startswith("failed")
+
     def test_predictions_cover_all_plots(self, completed_run):
         _, run_dir = completed_run
         from plotburn.gridio import read_rows_csv
