@@ -1,6 +1,6 @@
 """Plot-level crop-residue burn detection from two-sensor reflectance stacks."""
 
-from .features import FeatureRow, VdiffSpec, build_feature_table, temporal_stats, vdiff
+from .features import FeatureTable, VdiffSpec, build_feature_table, temporal_stats, vdiff
 from .forest import ForestModel, ForestParams, predict_score, predict_scores, train_forest
 from .indices import EndmemberSet, compute_index, unmix_char_fraction
 from .pipeline import RunConfig, compare_ablations, run_pipeline

@@ -91,7 +91,7 @@ def cmd_features(args) -> int:
     state = _stage_state(args, _load_run_config(args))
     pipe.stage_ingest(state)
     pipe.stage_features(state)
-    print(f"wrote {len(state.rows)} feature rows to "
+    print(f"wrote {len(state.table)} feature rows to "
           f"{os.path.join(args.out, 'features.csv')}")
     return 0
 
@@ -112,8 +112,7 @@ def cmd_separability(args) -> int:
 
 def cmd_train(args) -> int:
     state = _stage_state(args, _load_run_config(args))
-    state.rows = feats.read_feature_csv(args.features)
-    state.schema = feats.table_schema(state.rows)
+    state.table = feats.read_feature_csv(args.features)
     with open(args.plots_path, newline="") as fh:
         for rec in csv.DictReader(fh):
             state.labels[rec["plot_id"]] = rec["label"]

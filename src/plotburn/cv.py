@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureRow, table_matrix, table_schema
+from .features import FeatureTable, table_matrix
 from .forest import (ForestParams, apply_impute, fit_impute_medians,
                      predict_scores, train_forest)
 
@@ -50,7 +50,7 @@ def grouped_plot_folds(plot_ids: list[str], n_groups: int, seed: int) -> list[tu
     return [g for g in groups if g]
 
 
-def loocv_plot(rows: list[FeatureRow], labels: dict[str, str],
+def loocv_plot(table: FeatureTable, labels: dict[str, str],
                params: ForestParams = ForestParams(), *,
                mode: str = "auto",
                folds: list[tuple[tuple[str, ...], np.ndarray]] | None = None,
@@ -61,25 +61,24 @@ def loocv_plot(rows: list[FeatureRow], labels: dict[str, str],
     plot sets, grouped otherwise). Custom folds may be supplied as
     (holdout_plot_ids, train_row_indices) pairs; the leakage guard always
     re-checks the actual training rows. Imputation medians are fit on each
-    fold's training rows only.
+    fold's training rows only. schema names the table columns to train on
+    (default: all of them).
     """
-    plot_rows: dict[str, list[int]] = {}
-    for i, row in enumerate(rows):
-        plot_rows.setdefault(row.plot_id, []).append(i)
+    plot_rows = table.plot_rows()
 
     labeled_plots = sorted(p for p, lab in labels.items() if lab in LABEL_TO_CLASS)
     result = CvResult()
     usable = []
     for p in labeled_plots:
-        if plot_rows.get(p):
+        if p in plot_rows:
             usable.append(p)
         else:
             result.excluded.append(p)
             warnings.warn(f"labeled plot {p} has no feature rows; excluded from CV")
 
     if schema is None:
-        schema = table_schema(rows)
-    X_all = table_matrix(rows, schema)
+        schema = table.schema
+    X_all = table_matrix(table, schema)
     classes = {p: LABEL_TO_CLASS[labels[p]] for p in usable}
 
     if folds is None:
@@ -94,23 +93,22 @@ def loocv_plot(rows: list[FeatureRow], labels: dict[str, str],
         folds = []
         for holdout in holdout_groups:
             hold = set(holdout)
-            train_idx = np.asarray([i for p in usable if p not in hold
-                                    for i in plot_rows[p]], dtype=np.int64)
+            train_idx = np.concatenate([np.empty(0, dtype=np.int64)] +
+                                       [plot_rows[p] for p in usable if p not in hold])
             folds.append((holdout, train_idx))
 
     scored = set()
     for holdout, train_idx in folds:
-        train_plot_ids = [rows[i].plot_id for i in train_idx]
+        train_plot_ids = table.plot_id[train_idx]
         check_fold_leakage(train_plot_ids, holdout)
         y_train = np.asarray([classes[p] for p in train_plot_ids], dtype=np.int64)
         medians = fit_impute_medians(X_all[train_idx])
         X_train = apply_impute(X_all[train_idx], medians)
         model = train_forest(X_train, y_train, schema, params)
         for p in holdout:
-            if p not in plot_rows or not plot_rows[p]:
+            if p not in plot_rows:
                 continue
-            hold_idx = np.asarray(plot_rows[p], dtype=np.int64)
-            X_hold = apply_impute(X_all[hold_idx], medians)
+            X_hold = apply_impute(X_all[plot_rows[p]], medians)
             scores = predict_scores(model, X_hold)
             result.pixel_scores[p] = scores
             result.plot_means[p] = float(scores.mean())

@@ -10,6 +10,7 @@ both directions are emitted and feature selection arbitrates between them.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .scene import SENSOR_BANDS, Plot, SceneCube
 
 STAT_NAMES = ("min", "max", "mean", "median", "p10", "p20", "p80", "p90")
 VDIFF_NAMES = ("drop0", "drop1", "drop2", "spike0", "spike1", "spike2")
+TEMPORAL_NAMES = STAT_NAMES + VDIFF_NAMES
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,32 @@ def vdiff(series, spec: VdiffSpec) -> float:
     return float(steps[ok].max()) if ok.any() else 0.0
 
 
-@dataclass
-class FeatureRow:
-    plot_id: str
-    pixel_id: str
-    border: bool
-    features: dict[str, float]
-    n_obs_a: int
-    n_obs_b: int
+@dataclass(eq=False)
+class FeatureTable:
+    """Design matrix X, one row per (plot, pixel) and one column per schema
+    name (features, n_obs_<sensor>, the 0/1 border flag); NaN marks missing.
+    """
+    X: np.ndarray
+    schema: list[str]
+    plot_id: np.ndarray
+    pixel_id: np.ndarray
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def border(self) -> np.ndarray:
+        """Border flag per row; all False in a table without a border column."""
+        if "border" not in self.schema:
+            return np.zeros(len(self), dtype=bool)
+        return self.X[:, self.schema.index("border")] == 1.0
+
+    def plot_rows(self) -> dict[str, np.ndarray]:
+        """Row indices of each plot, plots in order of first appearance."""
+        rows: dict[str, list[int]] = {}
+        for i, plot_id in enumerate(self.plot_id):
+            rows.setdefault(plot_id, []).append(i)
+        return {p: np.asarray(idx, dtype=np.int64) for p, idx in rows.items()}
 
 
 def _source_matrix(cube: SceneCube, plot: Plot, source: str,
@@ -108,52 +128,69 @@ def _source_matrix(cube: SceneCube, plot: Plot, source: str,
     return np.asarray(cols, dtype=float)
 
 
-def _stats_matrix(matrix: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized temporal_stats over the observation axis of (n_obs, n_px)."""
-    n_px = matrix.shape[1]
-    out = {name: np.full(n_px, np.nan) for name in STAT_NAMES}
-    counts = np.isfinite(matrix).sum(axis=0)
+def temporal_columns(matrix: np.ndarray) -> np.ndarray:
+    """(n_px, 14) columns, in TEMPORAL_NAMES order, of an (n_obs, n_px) matrix.
+
+    Non-finite values are missing. Every column equals temporal_stats or vdiff
+    of the pixel's series bit for bit, except mean: that is np.nanmean over
+    the observation axis, which sums in time order rather than pairwise.
+    """
+    finite = np.isfinite(matrix)
+    counts = finite.sum(axis=0)
+    out = np.full((matrix.shape[1], len(TEMPORAL_NAMES)), np.nan)
+    # Valid values to the front of each pixel's series, in time order; then
+    # the pixels with n valid values form one contiguous (g, n) block.
+    order = np.argsort(~finite, axis=0, kind="stable")
+    series = np.take_along_axis(matrix, order, axis=0).T
     some = counts > 0
-    if not some.any():
-        return out
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        out["min"][some] = np.nanmin(matrix[:, some], axis=0)
-        out["max"][some] = np.nanmax(matrix[:, some], axis=0)
-        out["mean"][some] = np.nanmean(matrix[:, some], axis=0)
-        q = np.nanpercentile(matrix[:, some], [10, 20, 50, 80, 90], axis=0)
-    out["p10"][some], out["p20"][some], out["median"][some] = q[0], q[1], q[2]
-    out["p80"][some], out["p90"][some] = q[3], q[4]
+    for n in np.unique(counts[some]):
+        cols = np.flatnonzero(counts == n)
+        out[cols] = _block_columns(np.ascontiguousarray(series[cols, :n]))
+    out[some, 2] = np.nanmean(np.where(finite, matrix, np.nan)[:, some], axis=0)
     return out
 
 
-def _vdiff_columns(matrix: np.ndarray) -> dict[str, np.ndarray]:
-    n_px = matrix.shape[1]
-    out = {name: np.full(n_px, np.nan) for name in VDIFF_NAMES}
-    for px in range(n_px):
-        col = matrix[:, px]
-        col = col[np.isfinite(col)]
-        for b in (0, 1, 2):
-            out[f"drop{b}"][px] = vdiff(col, VdiffSpec("drop", b))
-            out[f"spike{b}"][px] = vdiff(col, VdiffSpec("spike", b))
+def _block_columns(sub: np.ndarray) -> np.ndarray:
+    """TEMPORAL_NAMES columns of (g, n) valid series, mean left missing."""
+    out = np.full((sub.shape[0], len(TEMPORAL_NAMES)), np.nan)
+    out[:, 0], out[:, 1] = sub.min(axis=1), sub.max(axis=1)
+    out[:, 3:8] = np.percentile(sub, [50, 10, 20, 80, 90], axis=1).T
+    # vdiff per buffer b: steps t < n - 1 - b whose landing values
+    # v[t+1] .. v[t+1+b] all stay past the series mean.
+    threshold = sub.mean(axis=1)[:, None]
+    steps = np.diff(sub, axis=1)
+    below, above = sub[:, 1:] < threshold, sub[:, 1:] > threshold
+    for b in range(min(3, sub.shape[1] - 1)):
+        m = sub.shape[1] - 1 - b
+        drop, spike = steps[:, :m] < 0, steps[:, :m] > 0
+        for k in range(b + 1):
+            drop &= below[:, k:k + m]
+            spike &= above[:, k:k + m]
+        out[:, 8 + b] = np.where(
+            drop.any(axis=1), np.where(drop, steps[:, :m], np.inf).min(axis=1), 0.0)
+        out[:, 11 + b] = np.where(
+            spike.any(axis=1), np.where(spike, steps[:, :m], -np.inf).max(axis=1), 0.0)
     return out
 
 
-def sources_for_cube(cube: SceneCube, indices) -> list[str]:
-    bands = SENSOR_BANDS[cube.sensor]
+def _sources(sensor: str, indices) -> list[str]:
+    bands = SENSOR_BANDS[sensor]
     return list(bands) + indices_for_bands(bands, indices)
 
 
-def feature_schema(sensors: list[str], indices, include_border: bool) -> list[str]:
-    """Stable column order for the design matrix of a sensor configuration."""
-    names = []
-    for sensor in sorted(sensors):
-        bands = SENSOR_BANDS[sensor]
-        for source in list(bands) + indices_for_bands(bands, indices):
-            for stat in STAT_NAMES + VDIFF_NAMES:
-                names.append(f"{sensor}_{source}_{stat}")
-        names.append(f"n_obs_{sensor}")
-    if include_border:
+def feature_schema(sensors, indices, has_border: bool) -> list[str]:
+    """Column order of the design matrix of a sensor configuration.
+
+    Every <sensor>_<source>_<stat>, sensors sorted and each source's
+    TEMPORAL_NAMES contiguous; then n_obs_<sensor>; then border when the
+    table has border pixels. A CSV records no more than the border flags,
+    so build and read both take the border column from them.
+    """
+    sensors = sorted(sensors)
+    names = [f"{sensor}_{source}_{stat}" for sensor in sensors
+             for source in _sources(sensor, indices) for stat in TEMPORAL_NAMES]
+    names += [f"n_obs_{sensor}" for sensor in sensors]
+    if has_border:
         names.append("border")
     return names
 
@@ -161,7 +198,7 @@ def feature_schema(sensors: list[str], indices, include_border: bool) -> list[st
 def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
                         plots: list[Plot], indices, include_border: bool = True,
                         *, endmembers: EndmemberSet | None = None,
-                        bsi_exponent: float = 1.0) -> list[FeatureRow]:
+                        bsi_exponent: float = 1.0) -> FeatureTable:
     """One row per (plot, pixel) with every temporal statistic of every source.
 
     Border pixels are dropped entirely when include_border is False; otherwise
@@ -175,119 +212,88 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
     if not cubes:
         raise ValueError("at least one sensor cube is required")
 
-    rows: list[FeatureRow] = []
+    if not include_border:
+        plots = [Plot(p.plot_id, p.polygon, p.rows[~p.border], p.cols[~p.border],
+                      p.border[~p.border], p.label, p.group)
+                 for p in plots if not p.border.all()]
+    plots = [p for p in plots if p.n_pixels]
+    has_border = any(p.border.any() for p in plots)
+    schema = feature_schema([c.sensor for c in cubes], indices, has_border)
+    col = {name: j for j, name in enumerate(schema)}
+    n_rows = sum(p.n_pixels for p in plots)
+    X = np.full((n_rows, len(schema)), np.nan)
+    plot_id = np.empty(n_rows, dtype=object)
+    pixel_id = np.empty(n_rows, dtype=object)
+    start = 0
     for plot in plots:
-        keep = np.ones(plot.n_pixels, dtype=bool) if include_border else ~plot.border
-        n_keep = int(keep.sum())
-        if n_keep == 0:
-            continue
-        sub_rows, sub_cols = plot.rows[keep], plot.cols[keep]
-        sub_border = plot.border[keep]
-        pixel_ids = [f"{plot.plot_id}_{r}_{c}" for r, c in zip(sub_rows, sub_cols)]
-        sub_plot = Plot(plot.plot_id, plot.polygon, sub_rows, sub_cols, sub_border,
-                        plot.label, plot.group)
-
-        features = [dict() for _ in range(n_keep)]
-        n_obs = {"A": np.zeros(n_keep, dtype=int), "B": np.zeros(n_keep, dtype=int)}
+        rows = slice(start, start + plot.n_pixels)
+        start = rows.stop
+        plot_id[rows] = plot.plot_id
+        pixel_id[rows] = [f"{plot.plot_id}_{r}_{c}" for r, c in zip(plot.rows, plot.cols)]
+        if has_border:
+            X[rows, col["border"]] = plot.border
+        observed = False
         for cube in cubes:
-            sensor = cube.sensor
-            valid_any = np.zeros(n_keep, dtype=int)
-            for obs in cube.observations:
-                valid_any += obs.valid[sub_rows, sub_cols]
-            n_obs[sensor] = valid_any
-            for source in sources_for_cube(cube, indices):
-                matrix = _source_matrix(cube, sub_plot, source, endmembers, bsi_exponent)
-                stats = _stats_matrix(matrix)
-                stats.update(_vdiff_columns(matrix))
-                for stat, col in stats.items():
-                    name = f"{sensor}_{source}_{stat}"
-                    for i in range(n_keep):
-                        features[i][name] = float(col[i])
-        if all(n_obs[c.sensor].max() == 0 for c in cubes):
+            n_obs = sum((obs.valid[plot.rows, plot.cols] for obs in cube.observations),
+                        np.zeros(plot.n_pixels, dtype=int))
+            X[rows, col[f"n_obs_{cube.sensor}"]] = n_obs
+            observed |= bool(n_obs.any())
+            for source in _sources(cube.sensor, indices):
+                first = col[f"{cube.sensor}_{source}_{TEMPORAL_NAMES[0]}"]
+                matrix = _source_matrix(cube, plot, source, endmembers, bsi_exponent)
+                X[rows, first:first + len(TEMPORAL_NAMES)] = temporal_columns(matrix)
+        if not observed:
             warnings.warn(f"plot {plot.plot_id} has no valid observations; "
                           "emitting all-missing rows")
-        for i in range(n_keep):
-            rows.append(FeatureRow(plot.plot_id, pixel_ids[i], bool(sub_border[i]),
-                                   features[i], int(n_obs["A"][i]), int(n_obs["B"][i])))
-    return rows
+    return FeatureTable(X, schema, plot_id, pixel_id)
 
 
-def row_values(row: FeatureRow) -> dict[str, float]:
-    """Feature map of one row including the count and border columns."""
-    values = dict(row.features)
-    sensors = {n.split("_", 1)[0] for n in row.features}
-    if "A" in sensors:
-        values["n_obs_A"] = float(row.n_obs_a)
-    if "B" in sensors:
-        values["n_obs_B"] = float(row.n_obs_b)
-    values["border"] = 1.0 if row.border else 0.0
-    return values
+def table_matrix(table: FeatureTable, names: list[str]) -> np.ndarray:
+    """Columns of table.X in the order of names; an unknown name is an error."""
+    col = {name: j for j, name in enumerate(table.schema)}
+    unknown = [name for name in names if name not in col]
+    if unknown:
+        raise ValueError(f"feature table has no column(s) {unknown}")
+    return table.X[:, [col[name] for name in names]]
 
 
-def table_matrix(rows: list[FeatureRow], schema: list[str]) -> np.ndarray:
-    """Design matrix (n_rows, n_features) in schema order; NaN marks missing."""
-    X = np.full((len(rows), len(schema)), np.nan)
-    for j, name in enumerate(schema):
-        if name == "border":
-            X[:, j] = [1.0 if r.border else 0.0 for r in rows]
-        elif name == "n_obs_A":
-            X[:, j] = [r.n_obs_a for r in rows]
-        elif name == "n_obs_B":
-            X[:, j] = [r.n_obs_b for r in rows]
-        else:
-            X[:, j] = [r.features.get(name, np.nan) for r in rows]
-    return X
-
-
-def table_schema(rows: list[FeatureRow]) -> list[str]:
-    """Schema inferred from rows: feature keys plus count/border columns.
-
-    The border column appears only when border pixels were kept; every plot
-    has at least one border pixel, so an all-interior table means they were
-    dropped deliberately.
-    """
-    if not rows:
-        return []
-    names = list(rows[0].features)
-    sensors = sorted({n.split("_", 1)[0] for n in names})
-    for sensor in sensors:
-        names.append(f"n_obs_{sensor}")
-    if any(r.border for r in rows):
-        names.append("border")
-    return names
+def table_schema(table: FeatureTable) -> list[str]:
+    return list(table.schema)
 
 
 FEATURE_CSV_FIXED = ["plot_id", "pixel_id", "border", "n_obs_A", "n_obs_B"]
 
 
-def write_feature_csv(path, rows: list[FeatureRow]) -> None:
-    names = sorted(rows[0].features) if rows else []
+def write_feature_csv(path, table: FeatureTable) -> None:
+    """Fixed columns (0 for a column the table lacks), then features by name."""
+    col = {name: j for j, name in enumerate(table.schema)}
+    names = sorted(n for n in table.schema if n not in FEATURE_CSV_FIXED)
+    fixed = [col.get(name) for name in FEATURE_CSV_FIXED[2:]]
+    order = [col[name] for name in names]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(FEATURE_CSV_FIXED + names)
-        for r in rows:
-            rec = [r.plot_id, r.pixel_id, int(r.border), r.n_obs_a, r.n_obs_b]
-            rec += [repr(r.features[n]) for n in names]
-            w.writerow(rec)
+        for i, values in enumerate(table.X):
+            w.writerow([table.plot_id[i], table.pixel_id[i],
+                        *(0 if j is None else int(values[j]) for j in fixed),
+                        *values[order].tolist()])
 
 
-def read_feature_csv(path) -> list[FeatureRow]:
-    """Rows of a feature CSV, with feature keys back in build order.
-
-    The file stores feature columns sorted by name; reading them back in the
-    canonical order of feature_schema gives table_schema the same column
-    order as the table that was written.
-    """
-    rows = []
+def read_feature_csv(path) -> FeatureTable:
+    """The table of a feature CSV, columns back in feature_schema order."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = [k for k in reader.fieldnames or () if k not in FEATURE_CSV_FIXED]
-        sensors = sorted({n.split("_", 1)[0] for n in names} & SENSOR_BANDS.keys())
-        rank = {n: i for i, n in enumerate(feature_schema(sensors, ALL_INDICES, False))}
-        names.sort(key=lambda n: rank.get(n, len(rank)))
-        for rec in reader:
-            features = {k: float(rec[k]) for k in names}
-            rows.append(FeatureRow(rec["plot_id"], rec["pixel_id"],
-                                   rec["border"] == "1", features,
-                                   int(rec["n_obs_A"]), int(rec["n_obs_B"])))
-    return rows
+        file_cols = next(csv.reader(fh))[2:]
+    load = functools.partial(np.loadtxt, path, delimiter=",", quotechar='"',
+                             skiprows=1, ndmin=2)
+    data = load(usecols=range(2, 2 + len(file_cols)))
+    ids = load(usecols=(0, 1), dtype=str).astype(object)
+    names = file_cols[len(FEATURE_CSV_FIXED) - 2:]
+    sensors = {n.split("_", 1)[0] for n in names} & SENSOR_BANDS.keys()
+    has_border = bool((data[:, file_cols.index("border")] == 1.0).any())
+    schema = [n for n in feature_schema(sensors, ALL_INDICES, has_border)
+              if n in file_cols]
+    unknown = sorted(set(names) - set(schema))
+    if unknown:
+        raise ValueError(f"{path}: unknown feature column(s) {unknown}")
+    return FeatureTable(data[:, [file_cols.index(n) for n in schema]], schema,
+                        ids[:, 0], ids[:, 1])

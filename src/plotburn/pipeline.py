@@ -126,8 +126,7 @@ class RunState:
     truth: synthmod.GroundTruth | None = None
     events: list = field(default_factory=list)
     endmembers: object = None
-    rows: list = field(default_factory=list)
-    schema: list = field(default_factory=list)
+    table: feats.FeatureTable | None = None
     selected: list = field(default_factory=list)
     cv_result: object = None
     model: object = None
@@ -207,12 +206,11 @@ def stage_features(state: RunState) -> None:
     cfg = state.config
     from .indices import ALL_INDICES
 
-    state.rows = feats.build_feature_table(
+    state.table = feats.build_feature_table(
         state.cubes.get("A"), state.cubes.get("B"), state.plots,
         list(ALL_INDICES), include_border=cfg.include_border,
         endmembers=state.endmembers, bsi_exponent=cfg.bsi_exponent)
-    feats.write_feature_csv(os.path.join(state.run_dir, "features.csv"), state.rows)
-    state.schema = feats.table_schema(state.rows)
+    feats.write_feature_csv(os.path.join(state.run_dir, "features.csv"), state.table)
 
 
 DEFAULT_CURVE_SOURCES = (("A", "CI"), ("A", "NIR"), ("B", "MIRBI"),
@@ -248,28 +246,26 @@ def stage_separability(state: RunState) -> None:
 def stage_train(state: RunState) -> None:
     cfg = state.config
     params = cfg.forest_params()
-    X = feats.table_matrix(state.rows, state.schema)
-    labeled_idx = np.asarray([i for i, r in enumerate(state.rows)
-                              if state.labels.get(r.plot_id) in LABEL_TO_CLASS],
-                             dtype=np.int64)
+    table = state.table
+    X = table.X
+    rows_by_plot = table.plot_rows()
+    row_class = np.asarray([LABEL_TO_CLASS.get(state.labels.get(p), -1)
+                            for p in table.plot_id], dtype=np.int64)
+    labeled_idx = np.flatnonzero(row_class >= 0)
     if labeled_idx.size == 0:
         raise ValueError("no labeled plots with feature rows")
-    y = np.asarray([LABEL_TO_CLASS[state.labels[state.rows[i].plot_id]]
-                    for i in labeled_idx], dtype=np.int64)
-    rows_by_plot: dict[str, list[int]] = {}
-    for i, r in enumerate(state.rows):
-        rows_by_plot.setdefault(r.plot_id, []).append(i)
+    y = row_class[labeled_idx]
 
     medians = fit_impute_medians(X[labeled_idx])
     X_lab = apply_impute(X[labeled_idx], medians)
-    ranking = train_forest(X_lab, y, state.schema, params)
+    ranking = train_forest(X_lab, y, table.schema, params)
     write_rows_csv(os.path.join(state.run_dir, "importance_full.csv"),
                    ["feature", "gini_importance"],
                    sorted(zip(ranking.schema, map(float, ranking.importance)),
                           key=lambda kv: (-kv[1], kv[0])))
 
     if cfg.selection == "none":
-        state.selected = list(state.schema)
+        state.selected = list(table.schema)
     elif cfg.selection == "importance":
         state.selected = sorted(top_k_features(ranking, cfg.top_k_features))
     elif cfg.selection.startswith("sequential:"):
@@ -277,30 +273,28 @@ def stage_train(state: RunState) -> None:
         train_plots, val_plots = stratified_plot_split(
             {p: state.labels[p] for p in state.labels
              if state.labels[p] in LABEL_TO_CLASS}, 0.3, cfg.seed)
-        train_set, val_set = set(train_plots), set(val_plots)
-        tr = np.asarray([j for j, i in enumerate(labeled_idx)
-                         if state.rows[i].plot_id in train_set])
-        va = np.asarray([j for j, i in enumerate(labeled_idx)
-                         if state.rows[i].plot_id in val_set])
+        labeled_plot_ids = table.plot_id[labeled_idx]
+        tr = np.flatnonzero(np.isin(labeled_plot_ids, train_plots))
+        va = np.flatnonzero(np.isin(labeled_plot_ids, val_plots))
         sel_params = ForestParams(25, params.max_features, params.min_leaf,
                                   None, params.seed)
-        names, _ = sequential_select(X_lab, y, state.schema, k, [(tr, va)], sel_params)
+        names, _ = sequential_select(X_lab, y, table.schema, k, [(tr, va)], sel_params)
         state.selected = sorted(names)
     else:
         raise ValueError(f"unknown selection mode {cfg.selection!r}")
 
-    state.cv_result = loocv_plot(state.rows, state.labels, params,
+    state.cv_result = loocv_plot(table, state.labels, params,
                                  mode=cfg.cv_mode, schema=state.selected)
+    border = table.border
     cv_rows = []
     for plot_id in sorted(state.cv_result.pixel_scores):
         scores = state.cv_result.pixel_scores[plot_id]
         for i, score in zip(rows_by_plot[plot_id], scores):
-            row = state.rows[i]
-            cv_rows.append([plot_id, row.pixel_id, int(row.border), float(score)])
+            cv_rows.append([plot_id, table.pixel_id[i], int(border[i]), float(score)])
     write_rows_csv(os.path.join(state.run_dir, "cv_scores.csv"),
                    ["plot_id", "pixel_id", "border", "score"], cv_rows)
 
-    sel_cols = [state.schema.index(n) for n in state.selected]
+    sel_cols = [table.schema.index(n) for n in state.selected]
     medians_sel = medians[sel_cols]
     state.model = train_forest(apply_impute(X[labeled_idx][:, sel_cols], medians_sel),
                                y, state.selected, params)
@@ -325,8 +319,8 @@ def stage_train(state: RunState) -> None:
             scores = np.asarray(state.cv_result.pixel_scores[pid])
         else:
             scores = all_scores[idx]
-        border = np.asarray([state.rows[i].border for i in idx], dtype=bool)
-        keep = scores[~border] if (~border).any() else scores
+        interior = ~border[idx]
+        keep = scores[interior] if interior.any() else scores
         state.plot_scores[pid] = aggregate_plot(keep)
 
 

@@ -275,22 +275,22 @@ PERMUTATION_SEED = 9
 
 
 @pytest.fixture(scope="module")
-def chance_rows():
+def chance_table():
     scenario = generate(CHANCE_SCENARIO)
-    rows = build_feature_table(scenario.cube_a, scenario.cube_b, scenario.plots,
-                               list(ALL_INDICES), endmembers=scenario.endmembers)
-    return scenario, rows
+    table = build_feature_table(scenario.cube_a, scenario.cube_b, scenario.plots,
+                                list(ALL_INDICES), endmembers=scenario.endmembers)
+    return scenario, table
 
 
-def test_criterion_6_permuted_labels_score_at_chance(chance_rows):
+def test_criterion_6_permuted_labels_score_at_chance(chance_table):
     t0 = time.monotonic()
-    scenario, rows = chance_rows
+    scenario, table = chance_table
     labels = scenario.labels()
     ids = sorted(labels)
     values = [labels[i] for i in ids]
     perm = np.random.default_rng(PERMUTATION_SEED).permutation(len(ids))
     permuted = {ids[i]: values[perm[i]] for i in range(len(ids))}
-    result = loocv_plot(rows, permuted, ForestParams(n_trees=40, seed=11),
+    result = loocv_plot(table, permuted, ForestParams(n_trees=40, seed=11),
                         mode="loocv")
     assert len(result.folds) == 50
     calls = {p: int(m > 0.5) for p, m in result.plot_means.items()}
@@ -300,19 +300,17 @@ def test_criterion_6_permuted_labels_score_at_chance(chance_rows):
     assert time.monotonic() - t0 < 300.0
 
 
-def test_criterion_6_leakage_probe_trips(chance_rows):
-    scenario, rows = chance_rows
+def test_criterion_6_leakage_probe_trips(chance_table):
+    scenario, table = chance_table
     labels = scenario.labels()
-    plot_rows = {}
-    for i, r in enumerate(rows):
-        plot_rows.setdefault(r.plot_id, []).append(i)
+    plot_rows = table.plot_rows()
     plots = sorted(labels)
     holdout = plots[0]
     train_idx = [i for p in plots[1:] for i in plot_rows[p]]
     train_idx.append(plot_rows[holdout][0])   # the duplicated holdout pixel
     folds = [((holdout,), np.asarray(train_idx))]
     with pytest.raises(LeakageError):
-        loocv_plot(rows, labels, ForestParams(n_trees=5, seed=0), folds=folds)
+        loocv_plot(table, labels, ForestParams(n_trees=5, seed=0), folds=folds)
 
 
 # --------------------------------------------------------------------------
@@ -336,10 +334,10 @@ def _event_mask_schedule(truth, days):
 
 
 def _burned_recall(scenario):
-    rows = build_feature_table(scenario.cube_a, scenario.cube_b, scenario.plots,
-                               list(ALL_INDICES), endmembers=scenario.endmembers)
+    table = build_feature_table(scenario.cube_a, scenario.cube_b, scenario.plots,
+                                list(ALL_INDICES), endmembers=scenario.endmembers)
     labels = scenario.labels()
-    result = loocv_plot(rows, labels, ForestParams(n_trees=40, seed=21),
+    result = loocv_plot(table, labels, ForestParams(n_trees=40, seed=21),
                         mode="grouped:10")
     labeled = [(result.plot_means[p], 1 if labels[p] == "burned" else 0)
                for p in sorted(result.plot_means)]

@@ -3,26 +3,28 @@ import pytest
 
 from plotburn.cv import (LeakageError, check_fold_leakage, grouped_plot_folds,
                          loocv_plot, sequential_select, stratified_plot_split)
-from plotburn.features import FeatureRow
+from plotburn.features import FeatureTable
 from plotburn.forest import ForestParams
 
 
 def toy_rows(n_plots=10, px_per_plot=6, n_features=4, signal=3.0, seed=0):
-    """Plot-structured rows where feature s0 carries the class signal."""
+    """Plot-structured table where feature s0 carries the class signal."""
     rng = np.random.default_rng(seed)
-    rows, labels = [], {}
+    values, plot_ids, pixel_ids, labels = [], [], [], {}
     for p in range(n_plots):
         plot_id = f"plot{p:03d}"
         cls = p % 2
         labels[plot_id] = "burned" if cls else "not_burned"
         level = cls * signal + rng.normal(0, 0.3)
         for px in range(px_per_plot):
-            features = {"s0": level + rng.normal(0, 0.5)}
-            for f in range(1, n_features):
-                features[f"s{f}"] = rng.normal(0, 1)
-            rows.append(FeatureRow(plot_id, f"{plot_id}_{px}", px == 0,
-                                   features, 5, 3))
-    return rows, labels
+            features = [level + rng.normal(0, 0.5)]
+            features += [rng.normal(0, 1) for _ in range(1, n_features)]
+            values.append(features + [5.0, 3.0, float(px == 0)])
+            plot_ids.append(plot_id)
+            pixel_ids.append(f"{plot_id}_{px}")
+    schema = [f"s{f}" for f in range(n_features)] + ["n_obs_A", "n_obs_B", "border"]
+    return FeatureTable(np.asarray(values), schema, np.asarray(plot_ids, dtype=object),
+                        np.asarray(pixel_ids, dtype=object)), labels
 
 
 PARAMS = ForestParams(n_trees=20, min_leaf=2, seed=0)
@@ -54,21 +56,20 @@ class TestLoocv:
         assert sorted(held) == sorted(labels)
 
     def test_leakage_probe_trips_assertion(self):
-        rows, labels = toy_rows(n_plots=10)
-        plot_rows = {}
-        for i, r in enumerate(rows):
-            plot_rows.setdefault(r.plot_id, []).append(i)
+        table, labels = toy_rows(n_plots=10)
+        plot_rows = table.plot_rows()
         plots = sorted(labels)
         holdout = plots[0]
         train_idx = [i for p in plots[1:] for i in plot_rows[p]]
         # Duplicate one holdout pixel into training with a flipped label.
-        leaked = FeatureRow(holdout, "leaked_px", False,
-                            dict(rows[plot_rows[holdout][0]].features), 5, 3)
-        bad_rows = rows + [leaked]
-        bad_train = train_idx + [len(bad_rows) - 1]
+        src = plot_rows[holdout][0]
+        bad = FeatureTable(np.vstack([table.X, table.X[src]]), table.schema,
+                           np.append(table.plot_id, holdout),
+                           np.append(table.pixel_id, "leaked_px"))
+        bad_train = train_idx + [len(bad) - 1]
         folds = [((holdout,), np.asarray(bad_train))]
         with pytest.raises(LeakageError):
-            loocv_plot(bad_rows, labels, PARAMS, folds=folds)
+            loocv_plot(bad, labels, PARAMS, folds=folds)
 
     def test_fold_guard_direct(self):
         with pytest.raises(LeakageError):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import day, make_cube
-from plotburn.features import (VdiffSpec, build_feature_table,
+from plotburn.features import (STAT_NAMES, TEMPORAL_NAMES, VdiffSpec,
+                               build_feature_table, feature_schema,
                                read_feature_csv, table_matrix, table_schema,
-                               temporal_stats, vdiff, write_feature_csv)
+                               temporal_columns, temporal_stats, vdiff,
+                               write_feature_csv)
 from plotburn.scene import SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot
 
 
@@ -119,26 +121,123 @@ def one_pixel_cubes(series_a, series_b):
     return cubes[0], cubes[1], plot
 
 
+def row_map(table, i=0):
+    """Column name -> value of one table row."""
+    return dict(zip(table.schema, table.X[i]))
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns (so 0.0 != -0.0), NaN payloads aside."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def assert_same_table(a, b):
+    assert a.schema == b.schema
+    assert np.array_equal(a.X, b.X, equal_nan=True)
+    assert list(a.plot_id) == list(b.plot_id)
+    assert list(a.pixel_id) == list(b.pixel_id)
+
+
+def oracle_columns(series):
+    """TEMPORAL_NAMES values of one series from the scalar functions."""
+    stats = temporal_stats(series)
+    return ([stats[name] for name in STAT_NAMES]
+            + [vdiff(series, VdiffSpec(d, b)) for d in ("drop", "spike") for b in (0, 1, 2)])
+
+
+class TestTemporalColumns:
+    def test_matches_scalar_oracles_bitwise(self):
+        # All-missing pixels, 0-3 valid values (short-series vdiff is NaN),
+        # constant series that tie their own mean, and NaN/inf holes.
+        rng = np.random.default_rng(12)
+        mean_col = STAT_NAMES.index("mean")
+        seen_counts = set()
+        for _ in range(150):
+            n_obs, n_px = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            m = rng.normal(0.3, 0.2, size=(n_obs, n_px))
+            const = rng.random(n_px) < 0.2
+            m[:, const] = rng.choice([0.1, 0.3, 1 / 3], size=const.sum())
+            holes = rng.random(m.shape) < rng.uniform(0.0, 0.95)
+            m[holes] = rng.choice([np.nan, np.inf, -np.inf], size=holes.sum())
+            m[:, rng.random(n_px) < 0.1] = np.nan
+            seen_counts.update(np.isfinite(m).sum(axis=0).tolist())
+            got = temporal_columns(m)
+            assert got.shape == (n_px, len(TEMPORAL_NAMES))
+            # numpy's summation order depends on the reduced array's shape,
+            # so the reference mean reduces the same (n_obs, n_observed) array.
+            some = np.isfinite(m).any(axis=0)
+            mean = np.full(n_px, np.nan)
+            mean[some] = np.nanmean(np.where(np.isfinite(m), m, np.nan)[:, some], axis=0)
+            for px in range(n_px):
+                want = oracle_columns(m[:, px])
+                want[mean_col] = mean[px]
+                assert_same_bits(got[px], want)
+        assert {0, 1, 2, 3} <= seen_counts and max(seen_counts) >= 30
+
+
 class TestBuildFeatureTable:
     def test_single_pixel_composes_unit_operations(self):
         series_a = [0.50, 0.48, 0.10, 0.12, 0.11, 0.13]
         series_b = [0.40, 0.09, 0.11]
         cube_a, cube_b, plot = one_pixel_cubes(series_a, series_b)
-        rows = build_feature_table(cube_a, cube_b, [plot], ["NDVI"])
-        assert len(rows) == 1
-        row = rows[0]
+        table = build_feature_table(cube_a, cube_b, [plot], ["NDVI"])
+        assert len(table) == 1
+        row = row_map(table)
         stats = temporal_stats(series_a)
         for stat, value in stats.items():
-            assert row.features[f"A_Red_{stat}"] == pytest.approx(value, abs=1e-12)
+            assert row[f"A_Red_{stat}"] == pytest.approx(value, abs=1e-12)
         for b in (0, 1, 2):
-            assert row.features[f"A_Red_drop{b}"] == vdiff(series_a, VdiffSpec("drop", b))
+            assert row[f"A_Red_drop{b}"] == vdiff(series_a, VdiffSpec("drop", b))
             want = vdiff(series_b, VdiffSpec("spike", b))
-            got = row.features[f"B_Red_spike{b}"]
+            got = row[f"B_Red_spike{b}"]
             assert got == want or (math.isnan(got) and math.isnan(want))
         ndvi_series = [(0.3 - v) / (0.3 + v) for v in series_a]
-        assert row.features["A_NDVI_mean"] == pytest.approx(
+        assert row["A_NDVI_mean"] == pytest.approx(
             temporal_stats(ndvi_series)["mean"], abs=1e-12)
-        assert row.n_obs_a == 6 and row.n_obs_b == 3
+        assert row["n_obs_A"] == 6 and row["n_obs_B"] == 3
+
+    def test_valid_flagged_inf_is_missing_in_every_statistic(self):
+        series_a = [0.5, np.inf, 0.1, 0.12]
+        cube_a, cube_b, plot = one_pixel_cubes(series_a, [0.4, 0.1, 0.2])
+        table = build_feature_table(cube_a, cube_b, [plot], [])
+        row = row_map(table)
+        got = [row[f"A_Red_{name}"] for name in TEMPORAL_NAMES]
+        assert_same_bits(got, oracle_columns(series_a))
+        assert row["A_Red_max"] == 0.5 and row["A_Red_p90"] == pytest.approx(0.424)
+        assert row["n_obs_A"] == 4    # counts valid flags, not finite values
+
+    def test_count_and_border_columns(self):
+        cube_a, _, plot = one_pixel_cubes([0.2, 0.3, 0.4], [0.5])
+        table = build_feature_table(cube_a, None, [plot], [])
+        assert "n_obs_A" in table.schema and "n_obs_B" not in table.schema
+        row = row_map(table)
+        assert row["n_obs_A"] == 3.0
+        assert row["border"] == 1.0 and table.border.tolist() == [True]
+
+    def test_schema_is_feature_schema(self):
+        cube_a, cube_b, plot = one_pixel_cubes([0.2, 0.3], [0.4, 0.5])
+        geom = cube_a.geom
+        inner = make_plot("p1", [(1.6, 1.6), (3.4, 1.6), (3.4, 3.4), (1.6, 3.4)], geom)
+        assert plot.border.all() and not inner.border.any()
+        for cubes, sensors in (((cube_a, cube_b), ["A", "B"]), ((None, cube_b), ["B"])):
+            for plots, border in (([plot], True), ([plot, inner], True), ([inner], False)):
+                table = build_feature_table(*cubes, plots, ["NBR", "CI"])
+                schema = feature_schema(sensors, ["NBR", "CI"], border)
+                assert table.schema == schema
+                assert schema[-1] == ("border" if border else f"n_obs_{sensors[-1]}")
+
+    def test_csv_round_trip_keeps_schema_without_border_pixels(self, tmp_path):
+        cube_a, _, _ = one_pixel_cubes([0.2, 0.3], [0.4])
+        inner = make_plot("p1", [(1.6, 1.6), (3.4, 1.6), (3.4, 3.4), (1.6, 3.4)],
+                          cube_a.geom)
+        table = build_feature_table(cube_a, None, [inner], [], include_border=True)
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, table)
+        assert_same_table(read_feature_csv(path), table)
 
     def test_border_exclusion_counts(self):
         geom = GridGeometry(12, 12, 0.0, 0.0, 1.0)
@@ -149,16 +248,15 @@ class TestBuildFeatureTable:
         inner_rows = build_feature_table(cube, None, [plot], [], include_border=False)
         assert len(all_rows) == 81
         assert len(inner_rows) == 49
-        assert sum(r.border for r in all_rows) == 32
-        assert not any(r.border for r in inner_rows)
+        assert all_rows.border.sum() == 32
+        assert "border" not in inner_rows.schema and not inner_rows.border.any()
 
     def test_sensor_b_only_has_no_a_names(self):
         _, cube_b, plot = one_pixel_cubes([0.2, 0.3], [0.4, 0.5, 0.6])
-        rows = build_feature_table(None, cube_b, [plot], ["NDVI", "NBR"])
-        names = set(rows[0].features)
+        table = build_feature_table(None, cube_b, [plot], ["NDVI", "NBR"])
+        names = [n for n in table.schema if n not in ("n_obs_B", "border")]
         assert names and all(n.startswith("B_") for n in names)
-        schema = table_schema(rows)
-        assert "n_obs_B" in schema and "n_obs_A" not in schema
+        assert "n_obs_B" in table.schema and "n_obs_A" not in table.schema
 
     def test_masking_one_observation_is_local(self):
         geom = GridGeometry(14, 8, 0.0, 0.0, 1.0)
@@ -171,12 +269,13 @@ class TestBuildFeatureTable:
         cube2 = make_cube("A", geom, {0: 0.2, 1: 0.3, 2: 0.25, 3: 0.28},
                           valid_by_date={1: masked})
         shadowed = build_feature_table(cube2, None, [p0, p1], [])
-        base_p0 = [r for r in baseline if r.plot_id == "p0"]
-        shad_p0 = [r for r in shadowed if r.plot_id == "p0"]
-        for a, b in zip(base_p0, shad_p0):
-            assert a.features == b.features
-        shad_p1 = [r for r in shadowed if r.plot_id == "p1"]
-        assert all(r.n_obs_a == 3 for r in shad_p1)
+        assert baseline.schema == shadowed.schema
+        base_p0, shad_p0 = baseline.plot_id == "p0", shadowed.plot_id == "p0"
+        assert base_p0.sum() == p0.n_pixels
+        assert np.array_equal(baseline.X[base_p0], shadowed.X[shad_p0], equal_nan=True)
+        assert list(baseline.pixel_id[base_p0]) == list(shadowed.pixel_id[shad_p0])
+        shad_p1 = shadowed.X[shadowed.plot_id == "p1", shadowed.schema.index("n_obs_A")]
+        assert shad_p1.size == p1.n_pixels and (shad_p1 == 3).all()
 
     def test_no_masked_value_ever_feeds_a_feature(self):
         # Poison masked cells with a huge finite number instead of NaN; the
@@ -187,20 +286,18 @@ class TestBuildFeatureTable:
         hole[plot.rows[:10], plot.cols[:10]] = False
         cube_nan = make_cube("A", geom, {0: 0.2, 1: 0.4, 2: 0.3},
                              valid_by_date={1: hole})
-        rows_nan = build_feature_table(cube_nan, None, [plot], ["NDVI", "CI"])
+        table_nan = build_feature_table(cube_nan, None, [plot], ["NDVI", "CI"])
 
         cube_poison = make_cube("A", geom, {0: 0.2, 1: 0.4, 2: 0.3},
                                 valid_by_date={1: hole})
         for obs in cube_poison.observations:
             for grid in obs.bands.values():
                 grid[~obs.valid] = 1e30
-        rows_poison = build_feature_table(cube_poison, None, [plot], ["NDVI", "CI"])
-        for a, b in zip(rows_nan, rows_poison):
-            for name, value in a.features.items():
-                other = b.features[name]
-                assert (math.isnan(value) and math.isnan(other)) or value == other
-                if not math.isnan(other):
-                    assert abs(other) < 1e29
+        table_poison = build_feature_table(cube_poison, None, [plot], ["NDVI", "CI"])
+        assert len(table_nan) == plot.n_pixels
+        assert_same_table(table_nan, table_poison)
+        finite = table_poison.X[np.isfinite(table_poison.X)]
+        assert (np.abs(finite) < 1e29).all()
 
     def test_plot_without_observations_warns(self):
         geom = GridGeometry(8, 8, 0.0, 0.0, 1.0)
@@ -209,36 +306,50 @@ class TestBuildFeatureTable:
         cube = make_cube("A", geom, {0: 0.2, 1: 0.3},
                          valid_by_date={0: nothing, 1: nothing})
         with pytest.warns(UserWarning, match="no valid observations"):
-            rows = build_feature_table(cube, None, [plot], [])
-        assert all(math.isnan(v) for r in rows for v in r.features.values())
-        assert all(r.n_obs_a == 0 for r in rows)
+            table = build_feature_table(cube, None, [plot], [])
+        features = [j for j, n in enumerate(table.schema) if n not in ("n_obs_A", "border")]
+        assert len(table) == plot.n_pixels
+        assert np.isnan(table.X[:, features]).all()
+        assert (table.X[:, table.schema.index("n_obs_A")] == 0).all()
 
 
 class TestTableRoundTrip:
     def test_csv_round_trip_exact(self, tmp_path):
         series_a = [0.51, 0.47, 0.13, 0.12]
         cube_a, cube_b, plot = one_pixel_cubes(series_a, [0.4, 0.1, 0.2])
-        rows = build_feature_table(cube_a, cube_b, [plot], ["NDVI", "MIRBI"])
+        table = build_feature_table(cube_a, cube_b, [plot], ["NDVI", "MIRBI"])
         path = tmp_path / "features.csv"
-        write_feature_csv(path, rows)
+        write_feature_csv(path, table)
         back = read_feature_csv(path)
-        assert len(back) == len(rows)
-        assert table_schema(back) == table_schema(rows)
-        for a, b in zip(rows, back):
-            assert a.plot_id == b.plot_id and a.pixel_id == b.pixel_id
-            assert a.border == b.border
-            assert a.n_obs_a == b.n_obs_a and a.n_obs_b == b.n_obs_b
-            for name, value in a.features.items():
-                if math.isnan(value):
-                    assert math.isnan(b.features[name])
-                else:
-                    assert b.features[name] == value
+        assert len(back) == len(table) == 1
+        assert table_schema(back) == table_schema(table)
+        assert_same_table(back, table)
+        again = tmp_path / "again.csv"
+        write_feature_csv(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_csv_without_border_pixels(self, tmp_path):
+        geom = GridGeometry(12, 12, 0.0, 0.0, 1.0)
+        plot = make_plot("p0", [(1.0, 1.0), (10.0, 1.0), (10.0, 10.0), (1.0, 10.0)], geom)
+        cube = make_cube("B", geom, {0: 0.2, 1: 0.25, 2: 0.22})
+        table = build_feature_table(None, cube, [plot], ["NBR"], include_border=False)
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, table)
+        header, first = path.read_text().splitlines()[:2]
+        assert header.startswith("plot_id,pixel_id,border,n_obs_A,n_obs_B,B_")
+        assert first.split(",")[2:5] == ["0", "0", "3"]
+        assert_same_table(read_feature_csv(path), table)
 
     def test_matrix_layout(self):
         cube_a, cube_b, plot = one_pixel_cubes([0.2, 0.3, 0.4], [0.5, 0.6])
-        rows = build_feature_table(cube_a, cube_b, [plot], [])
-        schema = table_schema(rows)
-        X = table_matrix(rows, schema)
+        table = build_feature_table(cube_a, cube_b, [plot], [])
+        schema = table_schema(table)
+        X = table_matrix(table, schema)
         assert X.shape == (1, len(schema))
+        assert np.array_equal(X, table.X, equal_nan=True)
         assert X[0, schema.index("n_obs_A")] == 3
         assert X[0, schema.index("border")] == 1.0
+        sub = table_matrix(table, ["border", "A_Red_max"])
+        assert sub.tolist() == [[1.0, 0.4]]
+        with pytest.raises(ValueError, match="A_Nope_max"):
+            table_matrix(table, ["A_Red_max", "A_Nope_max"])

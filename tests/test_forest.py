@@ -132,20 +132,18 @@ class TestPrediction:
         assert 0.0 <= value <= 1.0
 
     def test_feature_row_scoring(self):
-        from plotburn.features import FeatureRow, row_values
+        from plotburn.features import FeatureTable
 
-        row = FeatureRow("p0", "p0_0_0", True,
-                         {"A_Red_min": 0.1, "A_Red_max": 0.4}, 7, 0)
-        values = row_values(row)
-        assert values["n_obs_A"] == 7.0
-        assert values["border"] == 1.0
-        assert "n_obs_B" not in values
+        schema = ["A_Red_min", "A_Red_max", "n_obs_A", "border"]
+        table = FeatureTable(np.array([[0.1, 0.4, 7.0, 1.0]]), schema,
+                             np.array(["p0"], dtype=object),
+                             np.array(["p0_0_0"], dtype=object))
         X = np.random.default_rng(5).normal(0, 1, size=(60, 4))
         y = (X[:, 0] > 0).astype(np.int64)
-        model = train_forest(X, y, ["A_Red_min", "A_Red_max", "n_obs_A", "border"],
-                             ForestParams(10, min_leaf=2, seed=2))
-        score = predict_score(model, values)
+        model = train_forest(X, y, schema, ForestParams(10, min_leaf=2, seed=2))
+        score = predict_score(model, dict(zip(table.schema, table.X[0])))
         assert 0.0 <= score <= 1.0
+        assert score == predict_scores(model, table.X)[0]
 
 
 class TestPersistence:

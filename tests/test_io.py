@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from test_features import assert_same_table
+
 from plotburn.features import build_feature_table
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_endmembers_csv, read_events_csv, read_grid,
@@ -89,10 +91,10 @@ class TestManifest:
         cubes_a = read_scene_manifest(paths["manifest"])
         cubes_b = read_scene_manifest(shuffled)
         plots = read_plots_csv(paths["plots"], scenario.cube_a.geom)
-        rows_a = build_feature_table(cubes_a["A"], cubes_a["B"], plots, ["NDVI"])
-        rows_b = build_feature_table(cubes_b["A"], cubes_b["B"], plots, ["NDVI"])
-        for ra, rb in zip(rows_a, rows_b):
-            assert ra.features == rb.features
+        table_a = build_feature_table(cubes_a["A"], cubes_a["B"], plots, ["NDVI"])
+        table_b = build_feature_table(cubes_b["A"], cubes_b["B"], plots, ["NDVI"])
+        assert len(table_a) == sum(p.n_pixels for p in plots)
+        assert_same_table(table_a, table_b)
 
     def test_duplicate_entry_rejected(self, tmp_path):
         scenario = generate(SMALL)
