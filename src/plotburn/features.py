@@ -111,29 +111,36 @@ class FeatureTable:
         return {p: np.asarray(idx, dtype=np.int64) for p, idx in rows.items()}
 
 
-def _source_matrix(cube: SceneCube, plot: Plot, source: str,
-                   endmembers, bsi_exponent) -> np.ndarray:
-    """(n_obs, n_pixels) values for one band or index, NaN where invalid."""
-    cols = []
-    for obs in cube.observations:
-        ok = obs.valid[plot.rows, plot.cols]
-        if source in obs.bands:
-            vals = np.where(ok, obs.bands[source][plot.rows, plot.cols], np.nan)
-        else:
-            bands = {b: obs.bands[b][plot.rows, plot.cols] for b in obs.bands}
-            vals = np.asarray(compute_index(source, bands, endmembers=endmembers,
-                                            bsi_exponent=bsi_exponent), dtype=float)
-            vals = np.where(ok, vals, np.nan)
-        cols.append(vals)
-    return np.asarray(cols, dtype=float)
+# Rows per block of build_feature_table; bounds BASMA's (n_obs * rows, 9) stacks.
+BLOCK_ROWS = 1 << 14
+
+
+def pixel_stack(cube: SceneCube, rows, cols):
+    """(valid, bands) at the pixels, each (n_obs, n_px); bands keep the cube's
+    dtype, because index formulas compute in it and upcasting changes values.
+    """
+    obs = cube.observations
+    valid = np.stack([o.valid[rows, cols] for o in obs])
+    bands = {b: np.stack([o.bands[b][rows, cols] for o in obs]) for b in obs[0].bands}
+    return valid, bands
+
+
+def source_values(valid, bands, source: str, endmembers, bsi_exponent) -> np.ndarray:
+    """One band or index over a pixel stack, float64, NaN where invalid."""
+    if source in bands:
+        values = bands[source]
+    else:
+        values = compute_index(source, bands, endmembers=endmembers,
+                               bsi_exponent=bsi_exponent)
+    return np.where(valid, np.asarray(values, dtype=float), np.nan)
 
 
 def temporal_columns(matrix: np.ndarray) -> np.ndarray:
     """(n_px, 14) columns, in TEMPORAL_NAMES order, of an (n_obs, n_px) matrix.
 
     Non-finite values are missing. Every column equals temporal_stats or vdiff
-    of the pixel's series bit for bit, except mean: that is np.nanmean over
-    the observation axis, which sums in time order rather than pairwise.
+    of the pixel's series bit for bit, except mean: the pairwise sum of the
+    pixel's series with missing values as 0, over its count.
     """
     finite = np.isfinite(matrix)
     counts = finite.sum(axis=0)
@@ -146,7 +153,8 @@ def temporal_columns(matrix: np.ndarray) -> np.ndarray:
     for n in np.unique(counts[some]):
         cols = np.flatnonzero(counts == n)
         out[cols] = _block_columns(np.ascontiguousarray(series[cols, :n]))
-    out[some, 2] = np.nanmean(np.where(finite, matrix, np.nan)[:, some], axis=0)
+    sums = np.ascontiguousarray(np.where(finite, matrix, 0.0).T).sum(axis=1)
+    out[some, 2] = sums[some] / counts[some]
     return out
 
 
@@ -220,29 +228,28 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
     has_border = any(p.border.any() for p in plots)
     schema = feature_schema([c.sensor for c in cubes], indices, has_border)
     col = {name: j for j, name in enumerate(schema)}
-    n_rows = sum(p.n_pixels for p in plots)
-    X = np.full((n_rows, len(schema)), np.nan)
-    plot_id = np.empty(n_rows, dtype=object)
-    pixel_id = np.empty(n_rows, dtype=object)
-    start = 0
-    for plot in plots:
-        rows = slice(start, start + plot.n_pixels)
-        start = rows.stop
-        plot_id[rows] = plot.plot_id
-        pixel_id[rows] = [f"{plot.plot_id}_{r}_{c}" for r, c in zip(plot.rows, plot.cols)]
-        if has_border:
-            X[rows, col["border"]] = plot.border
-        observed = False
+    n_px = [p.n_pixels for p in plots]
+    empty = [np.zeros(0, dtype=np.int64)]
+    rows = np.concatenate([p.rows for p in plots] or empty)
+    cols = np.concatenate([p.cols for p in plots] or empty)
+    plot_id = np.repeat(np.array([p.plot_id for p in plots], dtype=object), n_px)
+    pixel_id = np.array([f"{p}_{r}_{c}" for p, r, c in
+                         zip(plot_id, rows.tolist(), cols.tolist())], dtype=object)
+    X = np.full((rows.size, len(schema)), np.nan)
+    if has_border:
+        X[:, col["border"]] = np.concatenate([p.border for p in plots])
+    for start in range(0, rows.size, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         for cube in cubes:
-            n_obs = sum((obs.valid[plot.rows, plot.cols] for obs in cube.observations),
-                        np.zeros(plot.n_pixels, dtype=int))
-            X[rows, col[f"n_obs_{cube.sensor}"]] = n_obs
-            observed |= bool(n_obs.any())
+            valid, bands = pixel_stack(cube, rows[block], cols[block])
+            X[block, col[f"n_obs_{cube.sensor}"]] = valid.sum(axis=0)
             for source in _sources(cube.sensor, indices):
                 first = col[f"{cube.sensor}_{source}_{TEMPORAL_NAMES[0]}"]
-                matrix = _source_matrix(cube, plot, source, endmembers, bsi_exponent)
-                X[rows, first:first + len(TEMPORAL_NAMES)] = temporal_columns(matrix)
-        if not observed:
+                X[block, first:first + len(TEMPORAL_NAMES)] = temporal_columns(
+                    source_values(valid, bands, source, endmembers, bsi_exponent))
+    n_obs = X[:, [col[f"n_obs_{c.sensor}"] for c in cubes]]
+    for plot, stop in zip(plots, np.cumsum(n_px)):
+        if not n_obs[stop - plot.n_pixels:stop].any():
             warnings.warn(f"plot {plot.plot_id} has no valid observations; "
                           "emitting all-missing rows")
     return FeatureTable(X, schema, plot_id, pixel_id)

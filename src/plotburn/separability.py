@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indices import INDEX_REGISTRY, EndmemberSet, compute_index
+from .features import pixel_stack, source_values
+from .indices import EndmemberSet
 from .scene import PLOT_VALID_FRACTION, Plot, SceneCube
 
 
@@ -56,33 +57,22 @@ class SeparabilityCurve:
 CURVE_CSV_HEADER = ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
 
 
-def _plot_mean_source(obs, plot: Plot, source: str, endmembers: EndmemberSet | None,
-                      bsi_exponent: float):
-    """Plot-mean band or index value at one observation, NaN when under-observed."""
-    ok = obs.valid[plot.rows, plot.cols]
-    if ok.mean() < PLOT_VALID_FRACTION:
-        return np.nan
-    if source in obs.bands:
-        vals = obs.bands[source][plot.rows, plot.cols][ok]
-    elif source in INDEX_REGISTRY:
-        bands = {b: obs.bands[b][plot.rows, plot.cols][ok] for b in obs.bands}
-        vals = compute_index(source, bands, endmembers=endmembers,
-                             bsi_exponent=bsi_exponent)
-    else:
-        raise ValueError(f"unknown band or index {source!r}")
-    vals = np.asarray(vals, dtype=float)
-    vals = vals[np.isfinite(vals)]
-    return float(vals.mean()) if vals.size else np.nan
-
-
 def plot_source_series(cube: SceneCube, plot: Plot, source: str, *,
                        endmembers: EndmemberSet | None = None,
                        bsi_exponent: float = 1.0):
-    """(dates, plot-mean values) across the cube; NaN marks missing entries."""
-    dates = cube.dates
-    values = np.array([_plot_mean_source(obs, plot, source, endmembers, bsi_exponent)
-                       for obs in cube.observations])
-    return dates, values
+    """(dates, plot-mean values) across the cube; NaN marks missing entries.
+
+    A date is missing when under PLOT_VALID_FRACTION of the plot's pixels are
+    valid; otherwise its value is the mean of the finite values there.
+    """
+    valid, bands = pixel_stack(cube, plot.rows, plot.cols)
+    values = source_values(valid, bands, source, endmembers, bsi_exponent)
+    means = np.full(len(values), np.nan)
+    for t in np.flatnonzero(valid.mean(axis=1) >= PLOT_VALID_FRACTION):
+        vals = values[t][np.isfinite(values[t])]
+        if vals.size:
+            means[t] = vals.mean()
+    return cube.dates, means
 
 
 MIN_BUCKET_N = 3

@@ -108,6 +108,20 @@ class TestStageCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize("source, name", [("A_Foo", "Foo"), ("A_NBR", "NBR")])
+    def test_separability_bad_source_is_an_error(self, scene_dir, tmp_path, capsys,
+                                                 source, name):
+        # An unknown index, and a sensor-A index that needs SWIR bands.
+        rc = main(["separability",
+                   "--manifest", str(scene_dir / "scene_manifest.json"),
+                   "--plots", str(scene_dir / "plots.csv"),
+                   "--events", str(scene_dir / "events.csv"),
+                   "--source", source, "--out", str(tmp_path / "curve.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_train_without_labeled_plots_is_an_error(self, scene_dir, tmp_path,
                                                      capsys):
         feat_out = tmp_path / "features"

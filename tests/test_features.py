@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import day, make_cube
+from plotburn import features, synth
 from plotburn.features import (STAT_NAMES, TEMPORAL_NAMES, VdiffSpec,
                                build_feature_table, feature_schema,
                                read_feature_csv, table_matrix, table_schema,
                                temporal_columns, temporal_stats, vdiff,
                                write_feature_csv)
+from plotburn.indices import ALL_INDICES
 from plotburn.scene import SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot
 
 
@@ -167,14 +169,13 @@ class TestTemporalColumns:
             seen_counts.update(np.isfinite(m).sum(axis=0).tolist())
             got = temporal_columns(m)
             assert got.shape == (n_px, len(TEMPORAL_NAMES))
-            # numpy's summation order depends on the reduced array's shape,
-            # so the reference mean reduces the same (n_obs, n_observed) array.
-            some = np.isfinite(m).any(axis=0)
-            mean = np.full(n_px, np.nan)
-            mean[some] = np.nanmean(np.where(np.isfinite(m), m, np.nan)[:, some], axis=0)
             for px in range(n_px):
-                want = oracle_columns(m[:, px])
-                want[mean_col] = mean[px]
+                s = m[:, px]
+                ok = np.isfinite(s)
+                want = oracle_columns(s)
+                # The mean is one 1-D sum of the pixel's zero-filled series.
+                if ok.any():
+                    want[mean_col] = np.where(ok, s, 0.0).sum() / ok.sum()
                 assert_same_bits(got[px], want)
         assert {0, 1, 2, 3} <= seen_counts and max(seen_counts) >= 30
 
@@ -311,6 +312,38 @@ class TestBuildFeatureTable:
         assert len(table) == plot.n_pixels
         assert np.isnan(table.X[:, features]).all()
         assert (table.X[:, table.schema.index("n_obs_A")] == 0).all()
+
+
+    def test_rows_do_not_depend_on_blocks_or_neighbouring_plots(self, monkeypatch):
+        # Two float32 sensors with cloud holes, BASMA, and a plot whose pixels
+        # are half valid on some dates; 7-row blocks split every plot.
+        scen = synth.generate(synth.ScenarioConfig(
+            n_plots=5, plot_area_mean_ha=0.004, plot_area_median_ha=0.004, seed=2))
+        assert scen.cube_b.observations[0].bands["Red"].dtype == np.float32
+        plots = scen.plots
+        half = plots[1].n_pixels // 2
+        for cube in (scen.cube_a, scen.cube_b):
+            for obs in cube.observations[::3]:
+                obs.valid[plots[1].rows[:half], plots[1].cols[:half]] = False
+
+        def build(plots):
+            return build_feature_table(scen.cube_a, scen.cube_b, plots,
+                                       list(ALL_INDICES), endmembers=scen.endmembers)
+
+        table = build(plots)
+        assert len(table) > 7 and all(p.n_pixels % 7 for p in plots)
+        assert np.isfinite(table.X[:, table.schema.index("B_BASMA_mean")]).any()
+        clouded = table.X[:, table.schema.index("n_obs_B")] < len(scen.cube_b.observations)
+        assert clouded[table.plot_id != plots[1].plot_id].any()
+        monkeypatch.setattr(features, "BLOCK_ROWS", 7)
+        blocked = build(plots)
+        assert_same_table(blocked, table)
+        assert_same_bits(blocked.X, table.X)
+        singles = [build([p]) for p in plots]
+        assert all(single.schema == table.schema for single in singles)
+        assert_same_bits(np.concatenate([single.X for single in singles]), table.X)
+        pixel_ids = np.concatenate([single.pixel_id for single in singles])
+        assert list(pixel_ids) == list(table.pixel_id)
 
 
 class TestTableRoundTrip:

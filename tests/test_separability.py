@@ -1,11 +1,15 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import day
-from plotburn.scene import SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot
+from plotburn.indices import SWIR_SET, unmix_char_fraction
+from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
+                            GridGeometry, SceneCube, make_plot)
 from plotburn.separability import (SampleStats, m_statistic, plot_source_series,
                                    separability_curve, signature_profile)
+from plotburn.synth import default_endmembers
 
 
 def stats_of(values):
@@ -177,3 +181,47 @@ class TestPlotSourceSeries:
         dates, values = plot_source_series(cube, plot, "Red")
         assert np.isfinite(values[0]) and np.isfinite(values[2])
         assert np.isnan(values[1])
+
+    def test_index_source_means_finite_values_at_valid_pixels(self):
+        # A 5-pixel sensor-B plot: all valid on day 0, 3 of 5 valid on day 1
+        # with one zero-denominator NDVI pixel, 2 of 5 valid on day 2.
+        bands = SENSOR_BANDS["B"]
+        endmembers = default_endmembers()
+        geom = GridGeometry(8, 4, 0.0, 0.0, 1.0)
+        plot = make_plot("p0", [(1.0, 1.0), (6.0, 1.0), (6.0, 2.0), (1.0, 2.0)], geom)
+        assert plot.n_pixels == 5
+        rng = np.random.default_rng(3)
+        masks = [[1, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 0, 0, 0]]
+        observations, spectra = [], []
+        for d, mask in enumerate(masks):
+            grids = {b: np.full(geom.shape, 0.2) for b in bands}
+            px = rng.uniform(0.02, 0.5, size=(plot.n_pixels, len(bands)))
+            if d == 1:
+                px[2, [bands.index("NIR"), bands.index("Red")]] = 0.0
+            for j, band in enumerate(bands):
+                grids[band][plot.rows, plot.cols] = px[:, j]
+            valid = np.ones(geom.shape, dtype=bool)
+            valid[plot.rows, plot.cols] = np.asarray(mask, dtype=bool)
+            observations.append(BandObservation("B", day(d), grids, valid, geom))
+            spectra.append(px)
+        cube = SceneCube(observations, geom, 1.0)
+        nir, red = bands.index("NIR"), bands.index("Red")
+        swir = [bands.index(b) for b in SWIR_SET]
+
+        def ndvi(v):
+            return (v[nir] - v[red]) / (v[nir] + v[red]) if v[nir] + v[red] else math.nan
+
+        def basma(v):
+            return unmix_char_fraction(v[swir], endmembers)[2]
+
+        for source, fn in (("NDVI", ndvi), ("BASMA", basma)):
+            dates, values = plot_source_series(cube, plot, source, endmembers=endmembers)
+            assert dates == cube.dates
+            for d, mask in enumerate(masks):
+                if np.mean(mask) < PLOT_VALID_FRACTION:
+                    assert math.isnan(values[d])
+                    continue
+                vals = [fn(v) for v, ok in zip(spectra[d], mask) if ok]
+                vals = [v for v in vals if math.isfinite(v)]
+                assert len(vals) == sum(mask) - (source == "NDVI" and d == 1)
+                assert values[d] == pytest.approx(sum(vals) / len(vals), rel=1e-12)
