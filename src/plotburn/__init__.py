@@ -1,7 +1,7 @@
 """Plot-level crop-residue burn detection from two-sensor reflectance stacks."""
 
 from .features import FeatureTable, VdiffSpec, build_feature_table, temporal_stats, vdiff
-from .forest import ForestModel, ForestParams, predict_score, predict_scores, train_forest
+from .forest import ForestModel, ForestParams, predict_scores, train_forest
 from .indices import EndmemberSet, compute_index, unmix_char_fraction
 from .pipeline import RunConfig, compare_ablations, run_pipeline
 from .scene import (BandObservation, GapReport, GridGeometry, Plot, SceneCube,

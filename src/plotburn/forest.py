@@ -229,17 +229,6 @@ def predict_scores(model: ForestModel, X: np.ndarray) -> np.ndarray:
     return votes / model.n_trees
 
 
-def row_vector(features: dict[str, float], schema: list[str]) -> np.ndarray:
-    missing = [name for name in schema if name not in features]
-    if missing:
-        raise SchemaMismatchError(f"row is missing feature(s) {missing}")
-    return np.array([float(features[name]) for name in schema])
-
-
-def predict_score(model: ForestModel, features: dict[str, float]) -> float:
-    return float(predict_scores(model, row_vector(features, model.schema)[None, :])[0])
-
-
 def fit_impute_medians(X: np.ndarray) -> np.ndarray:
     """Per-feature training medians; all-missing columns fall back to 0."""
     X = np.asarray(X, dtype=float)

@@ -74,14 +74,16 @@ def write_scene_manifest(path, entries: list[dict], scale: float = 1.0,
         fh.write("\n")
 
 
-def read_scene_manifest(path, target_geom: GridGeometry | None = None):
-    """Load a manifest into one SceneCube per sensor.
+def read_scene_manifest(path):
+    """Load a manifest into one SceneCube per sensor, all on one common grid.
 
-    Bands of one (sensor, date) share a validity mask: a pixel is valid only
-    when every band carries data, its value lands in [0, 1] after scaling, and
-    the cloud probability (when provided) stays below the threshold. Grids
-    coarser than the target geometry by an integer factor are upsampled with
-    cubic convolution and clipped back to the unit range.
+    Every grid file is parsed once. Bands of one (sensor, date) share a
+    validity mask: a pixel is valid only when every band carries data, its
+    value lands in [0, 1] after scaling, and the cloud probability (when
+    provided) stays below the threshold. The common grid is the finest
+    sensor's geometry (on a tie, the first sensor in sorted order). Coarser
+    grids must share its top-left corner; they are upsampled by their integer
+    cellsize factor with cubic convolution and clipped back to the unit range.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -100,8 +102,10 @@ def read_scene_manifest(path, target_geom: GridGeometry | None = None):
         grouped[(sensor, date)][band] = os.path.join(base, entry["grid"])
         if entry.get("mask"):
             masks[(sensor, date)] = os.path.join(base, entry["mask"])
+    if not grouped:
+        raise FormatError(f"{path}: the manifest lists no grids")
 
-    cubes: dict[str, list[BandObservation]] = defaultdict(list)
+    native = []
     geom_by_sensor: dict[str, GridGeometry] = {}
     for (sensor, date), band_paths in sorted(grouped.items()):
         expected = SENSOR_BANDS[sensor]
@@ -126,29 +130,33 @@ def read_scene_manifest(path, target_geom: GridGeometry | None = None):
             if g != geom:
                 raise AlignmentError(f"{sensor} {date}: cloud mask geometry mismatch")
             valid &= mask_ok & (prob < threshold)
-        if target_geom is not None and geom != target_geom:
-            bands, valid, geom = _resample_to(bands, valid, geom, target_geom)
-        for band in expected:
-            bands[band] = np.where(valid, bands[band], MASKED_FILL)
         geom_by_sensor.setdefault(sensor, geom)
         if geom != geom_by_sensor[sensor]:
             raise AlignmentError(f"sensor {sensor}: observations disagree on geometry")
-        cubes[sensor].append(BandObservation(sensor, date, bands, valid, geom))
+        native.append((sensor, date, bands, valid, geom))
 
-    out = {}
-    for sensor, obs in cubes.items():
-        obs.sort(key=lambda o: o.date)
-        out[sensor] = SceneCube(obs, geom_by_sensor[sensor],
-                                geom_by_sensor[sensor].cellsize)
-    return out
+    target = min(geom_by_sensor.values(), key=lambda g: g.cellsize)
+    cubes: dict[str, list[BandObservation]] = defaultdict(list)
+    for sensor, date, bands, valid, geom in native:
+        if geom != target:
+            bands, valid = _resample_to(bands, valid, geom, target, f"{sensor} {date}")
+        for grid in bands.values():
+            grid[~valid] = MASKED_FILL
+        cubes[sensor].append(BandObservation(sensor, date, bands, valid, target))
+    return {sensor: SceneCube(obs, target, target.cellsize) for sensor, obs in cubes.items()}
 
 
-def _resample_to(bands, valid, geom: GridGeometry, target: GridGeometry):
+def _resample_to(bands, valid, geom: GridGeometry, target: GridGeometry, label: str):
+    top_left = (geom.xll, geom.yll + geom.nrows * geom.cellsize)
+    target_top_left = (target.xll, target.yll + target.nrows * target.cellsize)
+    if any(abs(a - b) > 1e-6 * target.cellsize for a, b in zip(top_left, target_top_left)):
+        raise AlignmentError(f"{label}: grid top-left corner {top_left} is not the "
+                             f"common grid's {target_top_left}")
     ratio = geom.cellsize / target.cellsize
     factor = int(round(ratio))
     if abs(ratio - factor) > 1e-9 or factor < 1:
-        raise SceneError(
-            f"cellsize {geom.cellsize} is not an integer multiple of {target.cellsize}")
+        raise SceneError(f"{label}: cellsize {geom.cellsize} is not an integer "
+                         f"multiple of {target.cellsize}")
     fine = {}
     fine_valid = None
     for name, grid in bands.items():
@@ -158,8 +166,8 @@ def _resample_to(bands, valid, geom: GridGeometry, target: GridGeometry):
     fine_valid = fine_valid[:target.nrows, :target.ncols]
     fine = {k: v[:target.nrows, :target.ncols] for k, v in fine.items()}
     if fine_valid.shape != target.shape:
-        raise AlignmentError("resampled grid does not cover the target geometry")
-    return fine, fine_valid, target
+        raise AlignmentError(f"{label}: resampled grid does not cover the common grid")
+    return fine, fine_valid
 
 
 def format_wkt_polygon(polygon) -> str:

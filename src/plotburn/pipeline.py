@@ -165,13 +165,9 @@ def stage_ingest(state: RunState) -> None:
     else:
         if not cfg.manifest_path:
             raise ValueError("a run from files needs a scene manifest (manifest_path)")
-        cubes = read_scene_manifest(cfg.manifest_path)
-        geoms = {c.geom for c in cubes.values()}
-        finest = min(geoms, key=lambda g: g.cellsize)
-        if len(geoms) > 1:
-            cubes = read_scene_manifest(cfg.manifest_path, target_geom=finest)
-        state.cubes = cubes
-        state.plots = read_plots_csv(cfg.plots_path, finest)
+        state.cubes = read_scene_manifest(cfg.manifest_path)
+        geom = next(iter(state.cubes.values())).geom
+        state.plots = read_plots_csv(cfg.plots_path, geom)
         if cfg.events_path:
             state.events = read_events_csv(cfg.events_path)
         state.endmembers = (read_endmembers_csv(cfg.endmembers_path)

@@ -3,8 +3,8 @@ import pytest
 
 from plotburn.forest import (DegenerateModelError, ForestError, ForestParams,
                              SchemaMismatchError, apply_impute, fit_impute_medians,
-                             load_forest, predict_score, predict_scores, row_vector,
-                             save_forest, top_k_features, train_forest)
+                             load_forest, predict_scores, save_forest, top_k_features,
+                             train_forest)
 
 
 def separable_data(n=200, n_features=6, margin=10.0, seed=0):
@@ -126,24 +126,6 @@ class TestPrediction:
         model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(5, seed=1))
         with pytest.raises(SchemaMismatchError):
             predict_scores(model, X[:, :3])
-        with pytest.raises(SchemaMismatchError, match="f5"):
-            row_vector({f"f{i}": 0.0 for i in range(5)}, model.schema)
-        value = predict_score(model, {f"f{i}": 0.0 for i in range(X.shape[1])})
-        assert 0.0 <= value <= 1.0
-
-    def test_feature_row_scoring(self):
-        from plotburn.features import FeatureTable
-
-        schema = ["A_Red_min", "A_Red_max", "n_obs_A", "border"]
-        table = FeatureTable(np.array([[0.1, 0.4, 7.0, 1.0]]), schema,
-                             np.array(["p0"], dtype=object),
-                             np.array(["p0_0_0"], dtype=object))
-        X = np.random.default_rng(5).normal(0, 1, size=(60, 4))
-        y = (X[:, 0] > 0).astype(np.int64)
-        model = train_forest(X, y, schema, ForestParams(10, min_leaf=2, seed=2))
-        score = predict_score(model, dict(zip(table.schema, table.X[0])))
-        assert 0.0 <= score <= 1.0
-        assert score == predict_scores(model, table.X)[0]
 
 
 class TestPersistence:

@@ -11,12 +11,40 @@ from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_plots_csv, read_rows_csv, read_scene_manifest,
                              write_endmembers_csv, write_events_csv, write_grid,
                              write_rows_csv, write_scene_manifest)
-from plotburn.scene import GridGeometry
+from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry
 from plotburn.synth import (ScenarioConfig, default_endmembers, generate,
                             write_scenario)
 
 SMALL = ScenarioConfig(n_plots=6, plot_area_mean_ha=0.03,
                        plot_area_median_ha=0.025, seed=3)
+FINE = GridGeometry(12, 12, 0.0, 0.0, 3.0)
+COARSE = GridGeometry(6, 6, 0.0, 0.0, 6.0)
+
+
+def write_two_sensor_manifest(root, geom_b=COARSE, dates_a=1, mask=False):
+    """Sensor A on FINE and one sensor-B date on geom_b, unit-scaled.
+
+    Returns the manifest path and every distinct grid file it lists. With
+    mask=True each observation gets a cloud-probability grid (all clear).
+    """
+    rng = np.random.default_rng(4)
+    entries = []
+    files = []
+    dates = {"A": [f"2019-10-{20 + i}" for i in range(dates_a)], "B": ["2019-11-01"]}
+    for sensor, geom in (("A", FINE), ("B", geom_b)):
+        for date in dates[sensor]:
+            mask_name = f"{sensor}_{date}_cloud.grid" if mask else None
+            if mask:
+                write_grid(root / mask_name, np.zeros(geom.shape), geom)
+                files.append(mask_name)
+            for band in SENSOR_BANDS[sensor]:
+                name = f"{sensor}_{date}_{band}.grid"
+                write_grid(root / name, rng.uniform(0.1, 0.9, geom.shape), geom)
+                files.append(name)
+                entries.append({"sensor": sensor, "date": date, "band": band,
+                                "grid": name, "mask": mask_name})
+    write_scene_manifest(root / "m.json", entries, scale=1.0)
+    return root / "m.json", files
 
 
 class TestGridFiles:
@@ -143,24 +171,29 @@ class TestManifest:
         assert obs.valid.sum() == 24
 
     def test_coarse_sensor_upsampled_to_target(self, tmp_path):
-        fine = GridGeometry(12, 12, 0.0, 0.0, 3.0)
-        coarse = GridGeometry(6, 6, 0.0, 0.0, 6.0)
-        rng = np.random.default_rng(4)
-        entries = []
-        for band in ("Blue", "Green", "Red", "RedEdge1", "RedEdge2", "RedEdge3",
-                     "NIR", "SWIR1", "SWIR2"):
-            write_grid(tmp_path / f"B_{band}.grid",
-                       rng.uniform(0.1, 0.9, coarse.shape), coarse)
-            entries.append({"sensor": "B", "date": "2019-11-01", "band": band,
-                            "grid": f"B_{band}.grid", "mask": None})
-        write_scene_manifest(tmp_path / "m.json", entries, scale=1.0)
-        cube = read_scene_manifest(tmp_path / "m.json", target_geom=fine)["B"]
-        assert cube.geom == fine
-        obs = cube.observations[0]
-        assert obs.bands["NIR"].shape == fine.shape
-        original, _, _ = read_grid(tmp_path / "B_NIR.grid")
+        path, _ = write_two_sensor_manifest(tmp_path)
+        cubes = read_scene_manifest(path)
+        assert cubes["A"].geom == FINE and cubes["B"].geom == FINE
+        obs = cubes["B"].observations[0]
+        assert obs.bands["NIR"].shape == FINE.shape
+        original, _, _ = read_grid(tmp_path / "B_2019-11-01_NIR.grid")
         # Sample-aligned upsampling reproduces the coarse samples exactly.
         assert np.allclose(obs.bands["NIR"][::2, ::2], original, atol=1e-9)
+
+    @pytest.mark.parametrize("geom_b, aligned", [
+        (GridGeometry(7, 7, 0.0, -6.0, 6.0), True),
+        (GridGeometry(6, 6, 60.0, 0.0, 6.0), False),
+        (GridGeometry(6, 6, 1e6, 0.0, 6.0), False),
+        (GridGeometry(12, 12, 30.0, 0.0, 3.0), False),
+    ], ids=["aligned-larger", "shifted-60m", "1000km-away", "fine-shifted-origin"])
+    def test_grid_must_share_top_left_corner(self, tmp_path, geom_b, aligned):
+        path, _ = write_two_sensor_manifest(tmp_path, geom_b=geom_b)
+        if aligned:
+            cubes = read_scene_manifest(path)
+            assert cubes["A"].geom == FINE and cubes["B"].geom == FINE
+        else:
+            with pytest.raises(AlignmentError, match="B 2019-11-01"):
+                read_scene_manifest(path)
 
 
 class TestSmallCsvs:

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
-                               compare_ablations, config_from_dict, run_pipeline)
+                               RunState, compare_ablations, config_from_dict, run_pipeline,
+                               stage_ingest)
 from plotburn.synth import ScenarioConfig
 
 SCENARIO = ScenarioConfig(n_plots=24, plot_area_mean_ha=0.02,
@@ -105,6 +106,50 @@ class TestRunPipeline:
             manifest = json.load(fh)
         assert manifest["incomplete"] is True
         assert manifest["stages"]["ingest"].startswith("failed")
+
+    def test_empty_manifest_fails_at_ingest(self, tmp_path):
+        from plotburn.gridio import write_scene_manifest
+        from plotburn.synth import generate, write_scenario
+
+        scenario = generate(dataclasses.replace(SCENARIO, n_plots=4))
+        paths = write_scenario(tmp_path / "scene", scenario)
+        write_scene_manifest(tmp_path / "empty.json", [])
+        config = RunConfig(out_root=str(tmp_path / "runs"), plots_path=paths["plots"],
+                           manifest_path=str(tmp_path / "empty.json"))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "ingest"
+        assert "lists no grids" in str(err.value)
+        (run_dir,) = os.listdir(tmp_path / "runs")
+        with open(tmp_path / "runs" / run_dir / "run_manifest.json") as fh:
+            assert json.load(fh)["incomplete"] is True
+
+    def test_ingest_parses_each_grid_once(self, tmp_path, monkeypatch):
+        from test_io import FINE, write_two_sensor_manifest
+
+        from plotburn import gridio
+        from plotburn.scene import make_plot
+
+        manifest, files = write_two_sensor_manifest(tmp_path, dates_a=2, mask=True)
+        plot = make_plot("p0", [(3.0, 3.0), (15.0, 3.0), (15.0, 15.0), (3.0, 15.0)],
+                         FINE, "burned")
+        gridio.write_plots_csv(tmp_path / "plots.csv", [plot])
+        config = RunConfig(out_root=str(tmp_path), manifest_path=str(manifest),
+                           plots_path=str(tmp_path / "plots.csv"))
+        read = []
+        real_read_grid = gridio.read_grid
+
+        def counting_read_grid(path):
+            read.append(os.path.basename(path))
+            return real_read_grid(path)
+
+        monkeypatch.setattr(gridio, "read_grid", counting_read_grid)
+        state = RunState(config, str(tmp_path))
+        stage_ingest(state)
+        assert len(read) == len(set(files)) == 2 * (4 + 1) + (9 + 1)
+        assert sorted(read) == sorted(files)
+        assert {c.geom for c in state.cubes.values()} == {FINE}
+        assert state.plots[0].n_pixels == plot.n_pixels
 
     def test_predictions_cover_all_plots(self, completed_run):
         _, run_dir = completed_run
