@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endmembers", dest="endmembers_path")
     p.add_argument("--sensor-mode", choices=pipe.SENSOR_MODES, dest="sensor_mode")
     p.add_argument("--cv-mode", dest="cv_mode")
-    p.add_argument("--selection")
+    p.add_argument("--selection", choices=pipe.SELECTION_MODES)
     p.add_argument("--no-border", action="store_true", dest="no_border")
     p.add_argument("--n-trees", type=int, dest="n_trees")
     p.add_argument("--top-k-features", type=int, dest="top_k_features")

@@ -1,4 +1,4 @@
-"""Plot-holdout cross-validation and greedy forward feature selection.
+"""Plot-holdout cross-validation.
 
 Labels live at the plot level and pixels within a plot are strongly
 correlated, so every fold holds out whole plots. A leakage guard re-derives
@@ -120,59 +120,3 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
         raise ValueError(f"plots never scored by any fold: {missing}")
     return result
 
-
-def stratified_plot_split(labels: dict[str, str], test_fraction: float,
-                          seed: int) -> tuple[list[str], list[str]]:
-    """Single label-stratified split of labeled plots into (train, validation)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    train, test = [], []
-    for cls in sorted(LABEL_TO_CLASS):
-        plots = sorted(p for p, lab in labels.items() if lab == cls)
-        plots = list(np.asarray(plots)[rng.permutation(len(plots))])
-        n_test = max(1, int(round(test_fraction * len(plots)))) if plots else 0
-        test.extend(plots[:n_test])
-        train.extend(plots[n_test:])
-    return sorted(train), sorted(test)
-
-
-def sequential_select(X: np.ndarray, y: np.ndarray, names: list[str],
-                      target_k: int,
-                      folds: list[tuple[np.ndarray, np.ndarray]],
-                      params: ForestParams = ForestParams(n_trees=25)):
-    """Greedy forward selection maximizing cross-validated accuracy.
-
-    folds are (train_idx, test_idx) row-index pairs, typically one stratified
-    split; accuracy is row-level at the majority-vote cutoff. Returns the
-    selected names in order plus the accuracy trajectory.
-    """
-    if target_k <= 0:
-        raise ValueError("target_k must be positive")
-    if target_k > len(names):
-        raise ValueError("target_k exceeds the number of features")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-
-    def cv_accuracy(cols: list[int]) -> float:
-        accs = []
-        for train_idx, test_idx in folds:
-            sub = X[:, cols]
-            medians = fit_impute_medians(sub[train_idx])
-            model = train_forest(apply_impute(sub[train_idx], medians),
-                                 y[train_idx], [names[c] for c in cols], params)
-            scores = predict_scores(model, apply_impute(sub[test_idx], medians))
-            accs.append(float(((scores > 0.5).astype(int) == y[test_idx]).mean()))
-        return float(np.mean(accs))
-
-    selected: list[int] = []
-    trajectory: list[float] = []
-    remaining = list(range(len(names)))
-    while len(selected) < target_k:
-        best_score, best_col = -1.0, None
-        for col in remaining:
-            score = cv_accuracy(selected + [col])
-            if score > best_score + 1e-12:
-                best_score, best_col = score, col
-        selected.append(best_col)
-        remaining.remove(best_col)
-        trajectory.append(best_score)
-    return [names[c] for c in selected], trajectory

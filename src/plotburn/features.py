@@ -125,13 +125,12 @@ def pixel_stack(cube: SceneCube, rows, cols):
     return valid, bands
 
 
-def source_values(valid, bands, source: str, endmembers, bsi_exponent) -> np.ndarray:
+def source_values(valid, bands, source: str, endmembers) -> np.ndarray:
     """One band or index over a pixel stack, float64, NaN where invalid."""
     if source in bands:
         values = bands[source]
     else:
-        values = compute_index(source, bands, endmembers=endmembers,
-                               bsi_exponent=bsi_exponent)
+        values = compute_index(source, bands, endmembers=endmembers)
     return np.where(valid, np.asarray(values, dtype=float), np.nan)
 
 
@@ -205,8 +204,7 @@ def feature_schema(sensors, indices, has_border: bool) -> list[str]:
 
 def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
                         plots: list[Plot], indices, include_border: bool = True,
-                        *, endmembers: EndmemberSet | None = None,
-                        bsi_exponent: float = 1.0) -> FeatureTable:
+                        *, endmembers: EndmemberSet | None = None) -> FeatureTable:
     """One row per (plot, pixel) with every temporal statistic of every source.
 
     Border pixels are dropped entirely when include_border is False; otherwise
@@ -246,7 +244,7 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
             for source in _sources(cube.sensor, indices):
                 first = col[f"{cube.sensor}_{source}_{TEMPORAL_NAMES[0]}"]
                 X[block, first:first + len(TEMPORAL_NAMES)] = temporal_columns(
-                    source_values(valid, bands, source, endmembers, bsi_exponent))
+                    source_values(valid, bands, source, endmembers))
     n_obs = X[:, [col[f"n_obs_{c.sensor}"] for c in cubes]]
     for plot, stop in zip(plots, np.cumsum(n_px)):
         if not n_obs[stop - plot.n_pixels:stop].any():

@@ -28,19 +28,12 @@ class SchemaMismatchError(ForestError):
 
 @dataclass(frozen=True)
 class ForestParams:
-    n_trees: int = 300
-    max_features: int | str = "sqrt"   # per-split candidate count or "sqrt"
-    min_leaf: int = 5
-    max_depth: int | None = None
-    seed: int = 0
+    """Every split draws max(1, int(sqrt(n_features))) candidate features, and
+    trees grow until a node is pure or smaller than 2 * min_leaf rows."""
 
-    def resolve_max_features(self, n_features: int) -> int:
-        if self.max_features == "sqrt":
-            return max(1, int(math.sqrt(n_features)))
-        k = int(self.max_features)
-        if k < 1:
-            raise ForestError("max_features must be >= 1")
-        return min(k, n_features)
+    n_trees: int = 300
+    min_leaf: int = 5
+    seed: int = 0
 
 
 @dataclass
@@ -127,7 +120,7 @@ def _best_split(X, y, idx, candidates, min_leaf):
 
 def _grow_tree(X, y, sample_idx, rng, params: ForestParams, n_total,
                importance_acc: np.ndarray) -> Tree:
-    max_feat = params.resolve_max_features(X.shape[1])
+    max_feat = max(1, int(math.sqrt(X.shape[1])))
     feature, threshold, left, right, votes = [], [], [], [], []
 
     def add_node():
@@ -139,14 +132,13 @@ def _grow_tree(X, y, sample_idx, rng, params: ForestParams, n_total,
         return len(feature) - 1
 
     root = add_node()
-    stack = [(sample_idx, 0, root)]
+    stack = [(sample_idx, root)]
     while stack:
-        idx, depth, node = stack.pop()
+        idx, node = stack.pop()
         n = idx.size
         n1 = int(y[idx].sum())
         votes[node] = ((n - n1) / n, n1 / n)
-        if (n1 == 0 or n1 == n or n < 2 * params.min_leaf
-                or (params.max_depth is not None and depth >= params.max_depth)):
+        if n1 == 0 or n1 == n or n < 2 * params.min_leaf:
             continue
         candidates = np.sort(rng.permutation(X.shape[1])[:max_feat])
         dec, f, thr = _best_split(X, y, idx, candidates, params.min_leaf)
@@ -158,8 +150,8 @@ def _grow_tree(X, y, sample_idx, rng, params: ForestParams, n_total,
         threshold[node] = thr
         nl, nr = add_node(), add_node()
         left[node], right[node] = nl, nr
-        stack.append((idx[go_left], depth + 1, nl))
-        stack.append((idx[~go_left], depth + 1, nr))
+        stack.append((idx[go_left], nl))
+        stack.append((idx[~go_left], nr))
 
     return Tree(np.asarray(feature, dtype=np.int64),
                 np.asarray(threshold, dtype=float),
@@ -256,13 +248,14 @@ def top_k_features(model: ForestModel, k: int) -> list[str]:
     return [model.schema[j] for j in order[:max(0, k)]]
 
 
-FOREST_MAGIC = "plotburn-forest v1"
+FOREST_MAGIC = "plotburn-forest v2"
 
 
 def save_forest(path, model: ForestModel) -> None:
     with open(path, "w") as fh:
         fh.write(FOREST_MAGIC + "\n")
         fh.write(f"seed {model.seed}\n")
+        fh.write(f"min_leaf {model.params.min_leaf}\n")
         oob = "-" if model.oob_accuracy is None else repr(float(model.oob_accuracy))
         fh.write(f"oob {oob}\n")
         fh.write(f"features {len(model.schema)}\n")
@@ -282,6 +275,7 @@ def load_forest(path) -> ForestModel:
         if fh.readline().strip() != FOREST_MAGIC:
             raise ForestError(f"{path}: not a forest file")
         seed = int(fh.readline().split()[1])
+        min_leaf = int(fh.readline().split()[1])
         oob_tok = fh.readline().split()[1]
         oob = None if oob_tok == "-" else float(oob_tok)
         n_features = int(fh.readline().split()[1])
@@ -307,4 +301,5 @@ def load_forest(path) -> ForestModel:
                 right[i] = int(parts[3])
                 votes[i] = (float(parts[4]), float(parts[5]))
             trees.append(Tree(feat, thr, left, right, votes))
-    return ForestModel(trees, schema, np.asarray(importance), seed, oob)
+    return ForestModel(trees, schema, np.asarray(importance), seed, oob,
+                       ForestParams(n_trees, min_leaf, seed))

@@ -95,6 +95,9 @@ def read_scene_manifest(path):
     masks: dict[tuple[str, dt.date], str] = {}
     for entry in doc["entries"]:
         sensor = entry["sensor"]
+        if sensor not in SENSOR_BANDS:
+            raise FormatError(f"{path}: unknown sensor {sensor!r} "
+                              f"(allowed: {', '.join(sorted(SENSOR_BANDS))})")
         date = dt.date.fromisoformat(entry["date"])
         band = entry["band"]
         if band in grouped[(sensor, date)]:

@@ -12,12 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-VIS_NIR = ("Blue", "Green", "Red", "NIR")
 SWIR_SET = ("Blue", "Green", "Red", "RedEdge1", "RedEdge2", "RedEdge3",
             "NIR", "SWIR1", "SWIR2")
-
-# Exponent applied to the Green/Red/NIR background term of BSI.
-DEFAULT_BSI_EXPONENT = 1.0
 
 
 class IndexError_(ValueError):
@@ -77,8 +73,8 @@ def _mirbi(b):
     return 10.0 * np.asarray(b["SWIR2"], dtype=float) - 9.8 * b["SWIR1"] + 2.0
 
 
-def _bsi(b, m=DEFAULT_BSI_EXPONENT):
-    background = b["Green"] ** m + b["Red"] ** m + b["NIR"] ** m
+def _bsi(b):
+    background = b["Green"] + b["Red"] + b["NIR"]
     return _guard_div(b["SWIR2"] - b["Red"], (b["SWIR2"] + b["Red"]) * background)
 
 
@@ -109,9 +105,6 @@ INDEX_REGISTRY: dict[str, IndexSpec] = {
 }
 
 ALL_INDICES = tuple(INDEX_REGISTRY)
-# Indices evaluable from the 4-band sensor; the rest need SWIR coverage.
-VIS_NIR_INDICES = ("SR", "NDVI", "CI", "BAI", "BSoI", "MSAVI")
-SWIR_INDICES = ("NBR", "NBR2", "MIRBI", "BSI", "BASMA")
 
 
 def indices_for_bands(available: tuple[str, ...], requested=ALL_INDICES) -> list[str]:
@@ -119,8 +112,7 @@ def indices_for_bands(available: tuple[str, ...], requested=ALL_INDICES) -> list
     return [n for n in requested if set(INDEX_REGISTRY[n].requires) <= have]
 
 
-def compute_index(name: str, bands: dict, *, bsi_exponent: float = DEFAULT_BSI_EXPONENT,
-                  endmembers: "EndmemberSet | None" = None):
+def compute_index(name: str, bands: dict, *, endmembers: "EndmemberSet | None" = None):
     """Evaluate one index on named unit-reflectance bands (scalars or arrays)."""
     try:
         spec = INDEX_REGISTRY[name]
@@ -134,8 +126,6 @@ def compute_index(name: str, bands: dict, *, bsi_exponent: float = DEFAULT_BSI_E
             raise IndexError_("BASMA needs an EndmemberSet")
         spectra = np.stack([np.asarray(bands[b], dtype=float) for b in SWIR_SET], axis=-1)
         return unmix_char_fraction(spectra, endmembers)[..., 2]
-    if name == "BSI":
-        return _bsi(bands, m=bsi_exponent)
     return spec.fn(bands)
 
 

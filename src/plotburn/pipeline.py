@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features as feats
 from . import synth as synthmod
-from .cv import LABEL_TO_CLASS, loocv_plot, sequential_select, stratified_plot_split
+from .cv import LABEL_TO_CLASS, loocv_plot
 from .forest import (ForestParams, apply_impute, fit_impute_medians, predict_scores,
                      save_forest, top_k_features, train_forest)
 from .gridio import (read_endmembers_csv, read_events_csv, read_plots_csv,
@@ -31,6 +31,9 @@ from .thresholds import (aggregate_plot, balanced_accuracy_threshold,
                          prediction_summary)
 
 SENSOR_MODES = ("combined", "A_only", "B_only")
+# "importance": the top_k_features of a forest ranked on every labeled plot;
+# "none": every feature column.
+SELECTION_MODES = ("importance", "none")
 
 ARTIFACTS = ("features.csv", "importance.csv", "cv_scores.csv", "predictions.csv",
              "confusion_max.csv", "confusion_balanced.csv", "gaps.csv",
@@ -56,12 +59,10 @@ class RunConfig:
     endmembers_path: str | None = None
     sensor_mode: str = "combined"
     include_border: bool = True
-    bsi_exponent: float = 1.0
     top_k_features: int = 50
-    selection: str = "importance"     # "importance", "sequential:<k>", "none"
+    selection: str = "importance"
     cv_mode: str = "auto"
     n_trees: int = 300
-    max_features: str | int = "sqrt"
     min_leaf: int = 5
     max_offset: int = 8
     seed: int = 0
@@ -69,12 +70,14 @@ class RunConfig:
     def __post_init__(self):
         if self.sensor_mode not in SENSOR_MODES:
             raise ValueError(f"sensor_mode must be one of {SENSOR_MODES}")
+        if self.selection not in SELECTION_MODES:
+            raise ValueError(f"selection must be one of {SELECTION_MODES}, "
+                             f"got {self.selection!r}")
         if self.scenario is None and not self.plots_path:
             raise ValueError("need either a scenario or a plots path")
 
     def forest_params(self) -> ForestParams:
-        return ForestParams(self.n_trees, self.max_features, self.min_leaf,
-                            None, self.seed)
+        return ForestParams(self.n_trees, self.min_leaf, self.seed)
 
     def to_jsonable(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -92,10 +95,19 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _check_keys(doc: dict, cls, what: str) -> None:
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}")
+
+
 def config_from_dict(doc: dict) -> RunConfig:
+    """The RunConfig of a JSON document; unknown keys are an error."""
+    _check_keys(doc, RunConfig, "run config")
     doc = dict(doc)
     if doc.get("scenario"):
         sc = dict(doc["scenario"])
+        _check_keys(sc, synthmod.ScenarioConfig, "scenario")
         for key, value in list(sc.items()):
             if key in ("season_start", "season_end", "burn_window_start",
                        "burn_window_end") and isinstance(value, str):
@@ -205,7 +217,7 @@ def stage_features(state: RunState) -> None:
     state.table = feats.build_feature_table(
         state.cubes.get("A"), state.cubes.get("B"), state.plots,
         list(ALL_INDICES), include_border=cfg.include_border,
-        endmembers=state.endmembers, bsi_exponent=cfg.bsi_exponent)
+        endmembers=state.endmembers)
     feats.write_feature_csv(os.path.join(state.run_dir, "features.csv"), state.table)
 
 
@@ -224,8 +236,7 @@ def curve_rows(state: RunState, sources) -> list[list]:
         if cube is None:
             continue
         curve = separability_curve(events, cube, source, state.config.max_offset,
-                                   endmembers=state.endmembers,
-                                   bsi_exponent=state.config.bsi_exponent)
+                                   endmembers=state.endmembers)
         for row in curve.rows():
             rows.append([f"{sensor}_{source}", *row[1:]])
     return rows
@@ -243,7 +254,6 @@ def stage_train(state: RunState) -> None:
     cfg = state.config
     params = cfg.forest_params()
     table = state.table
-    X = table.X
     rows_by_plot = table.plot_rows()
     row_class = np.asarray([LABEL_TO_CLASS.get(state.labels.get(p), -1)
                             for p in table.plot_id], dtype=np.int64)
@@ -252,32 +262,18 @@ def stage_train(state: RunState) -> None:
         raise ValueError("no labeled plots with feature rows")
     y = row_class[labeled_idx]
 
-    medians = fit_impute_medians(X[labeled_idx])
-    X_lab = apply_impute(X[labeled_idx], medians)
+    X_lab = table.X[labeled_idx]
+    medians = fit_impute_medians(X_lab)
+    X_lab = apply_impute(X_lab, medians)
     ranking = train_forest(X_lab, y, table.schema, params)
     write_rows_csv(os.path.join(state.run_dir, "importance_full.csv"),
                    ["feature", "gini_importance"],
                    sorted(zip(ranking.schema, map(float, ranking.importance)),
                           key=lambda kv: (-kv[1], kv[0])))
-
-    if cfg.selection == "none":
-        state.selected = list(table.schema)
-    elif cfg.selection == "importance":
+    if cfg.selection == "importance":
         state.selected = sorted(top_k_features(ranking, cfg.top_k_features))
-    elif cfg.selection.startswith("sequential:"):
-        k = int(cfg.selection.split(":")[1])
-        train_plots, val_plots = stratified_plot_split(
-            {p: state.labels[p] for p in state.labels
-             if state.labels[p] in LABEL_TO_CLASS}, 0.3, cfg.seed)
-        labeled_plot_ids = table.plot_id[labeled_idx]
-        tr = np.flatnonzero(np.isin(labeled_plot_ids, train_plots))
-        va = np.flatnonzero(np.isin(labeled_plot_ids, val_plots))
-        sel_params = ForestParams(25, params.max_features, params.min_leaf,
-                                  None, params.seed)
-        names, _ = sequential_select(X_lab, y, table.schema, k, [(tr, va)], sel_params)
-        state.selected = sorted(names)
     else:
-        raise ValueError(f"unknown selection mode {cfg.selection!r}")
+        state.selected = list(table.schema)
 
     state.cv_result = loocv_plot(table, state.labels, params,
                                  mode=cfg.cv_mode, schema=state.selected)
@@ -291,9 +287,7 @@ def stage_train(state: RunState) -> None:
                    ["plot_id", "pixel_id", "border", "score"], cv_rows)
 
     sel_cols = [table.schema.index(n) for n in state.selected]
-    medians_sel = medians[sel_cols]
-    state.model = train_forest(apply_impute(X[labeled_idx][:, sel_cols], medians_sel),
-                               y, state.selected, params)
+    state.model = train_forest(X_lab[:, sel_cols], y, state.selected, params)
     save_forest(os.path.join(state.run_dir, "model.txt"), state.model)
     write_rows_csv(os.path.join(state.run_dir, "importance.csv"),
                    ["feature", "gini_importance"],
@@ -301,20 +295,23 @@ def stage_train(state: RunState) -> None:
                           key=lambda kv: (-kv[1], kv[0])))
 
     # Plot-level scores: out-of-fold means for labeled plots, final-model
-    # scores elsewhere; border pixels are excluded from the aggregation.
+    # scores for the rest; border pixels are excluded from the aggregation.
+    oof = state.cv_result.pixel_scores
+    unscored = [rows_by_plot[p] for p in state.labels
+                if p in rows_by_plot and p not in oof]
+    row_scores = np.full(len(table), np.nan)
+    if unscored:
+        idx = np.concatenate(unscored)
+        row_scores[idx] = predict_scores(state.model, apply_impute(
+            table.X[np.ix_(idx, sel_cols)], medians[sel_cols]))
     state.plot_scores = {}
     state.manifest.setdefault("flagged_plots", [])
-    all_scores = predict_scores(
-        state.model, apply_impute(X[:, sel_cols], medians_sel))
     for pid in state.labels:
         idx = rows_by_plot.get(pid)
         if idx is None:
             state.manifest["flagged_plots"].append(pid)
             continue
-        if pid in state.cv_result.pixel_scores:
-            scores = np.asarray(state.cv_result.pixel_scores[pid])
-        else:
-            scores = all_scores[idx]
+        scores = np.asarray(oof[pid]) if pid in oof else row_scores[idx]
         interior = ~border[idx]
         keep = scores[interior] if interior.any() else scores
         state.plot_scores[pid] = aggregate_plot(keep)

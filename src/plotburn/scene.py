@@ -68,12 +68,6 @@ class GridGeometry:
         y = self.yll + (self.nrows - np.asarray(row) - 0.5) * self.cellsize
         return x, y
 
-    def cell_bounds(self, row: int, col: int) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) of the cell footprint."""
-        x0 = self.xll + col * self.cellsize
-        y0 = self.yll + (self.nrows - row - 1) * self.cellsize
-        return (x0, y0, x0 + self.cellsize, y0 + self.cellsize)
-
 
 @dataclass
 class BandObservation:

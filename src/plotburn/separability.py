@@ -58,15 +58,14 @@ CURVE_CSV_HEADER = ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
 
 
 def plot_source_series(cube: SceneCube, plot: Plot, source: str, *,
-                       endmembers: EndmemberSet | None = None,
-                       bsi_exponent: float = 1.0):
+                       endmembers: EndmemberSet | None = None):
     """(dates, plot-mean values) across the cube; NaN marks missing entries.
 
     A date is missing when under PLOT_VALID_FRACTION of the plot's pixels are
     valid; otherwise its value is the mean of the finite values there.
     """
     valid, bands = pixel_stack(cube, plot.rows, plot.cols)
-    values = source_values(valid, bands, source, endmembers, bsi_exponent)
+    values = source_values(valid, bands, source, endmembers)
     means = np.full(len(values), np.nan)
     for t in np.flatnonzero(valid.mean(axis=1) >= PLOT_VALID_FRACTION):
         vals = values[t][np.isfinite(values[t])]
@@ -80,8 +79,7 @@ MIN_BUCKET_N = 3
 
 def separability_curve(events: list[tuple[Plot, dt.date]], cube: SceneCube,
                        source: str, max_offset: int, *,
-                       endmembers: EndmemberSet | None = None,
-                       bsi_exponent: float = 1.0) -> SeparabilityCurve:
+                       endmembers: EndmemberSet | None = None) -> SeparabilityCurve:
     """M between post-burn values at each day offset and matched pre-burn values.
 
     Each event contributes its nearest valid pre-burn observation as the
@@ -91,9 +89,7 @@ def separability_curve(events: list[tuple[Plot, dt.date]], cube: SceneCube,
     post_by_offset: dict[int, list[float]] = {d: [] for d in range(max_offset + 1)}
     pre_by_offset: dict[int, list[float]] = {d: [] for d in range(max_offset + 1)}
     for plot, burn_date in events:
-        dates, values = plot_source_series(cube, plot, source,
-                                           endmembers=endmembers,
-                                           bsi_exponent=bsi_exponent)
+        dates, values = plot_source_series(cube, plot, source, endmembers=endmembers)
         pre = [(d, v) for d, v in zip(dates, values)
                if d < burn_date and np.isfinite(v)]
         if not pre:

@@ -64,26 +64,16 @@ class PlotPrediction:
     group: str = "none"
 
 
-AGG_STATS = ("mean", "median", "p25", "p50", "p75", "p90")
+def aggregate_plot(pixel_scores) -> float:
+    """Plot-level score: the arithmetic mean of the finite pixel scores.
 
-
-def aggregate_plot(pixel_scores, stat: str = "mean") -> float:
-    """Plot-level score, the arithmetic mean by default.
-
-    The alternatives exist for diagnostics only; calls are always made from
-    the mean. Empty input raises so callers can flag the plot as missing.
+    Empty input raises so callers can flag the plot as missing.
     """
     arr = np.asarray(pixel_scores, dtype=float)
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         raise ThresholdError("no valid pixel scores to aggregate")
-    if stat == "mean":
-        return float(arr.mean())
-    if stat == "median" or stat == "p50":
-        return float(np.percentile(arr, 50))
-    if stat in ("p25", "p75", "p90"):
-        return float(np.percentile(arr, int(stat[1:])))
-    raise ThresholdError(f"unknown aggregation statistic {stat!r}")
+    return float(arr.mean())
 
 
 def _as_arrays(preds):

@@ -174,12 +174,25 @@ class TestRunCommand:
         assert rc == 1
 
     def test_stage_failure_gives_nonzero_exit(self, tmp_path):
-        cfg = {"scenario": SCENARIO_DOC, "selection": "bogus", "n_trees": 5,
-               "cv_mode": "grouped:3", "min_leaf": 2}
+        cfg = {"scenario": SCENARIO_DOC, "n_trees": 5, "cv_mode": "bogus", "min_leaf": 2}
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["run", "--config", str(cfg_path), "--out-root", str(tmp_path)])
         assert rc == 1
+
+
+    @pytest.mark.parametrize("cfg, unknown", [
+        ({"bsi_exponent": 1.0, "max_features": "sqrt"},
+         "run config key(s) ['bsi_exponent', 'max_features']"),
+        ({"scenario": dict(SCENARIO_DOC, plots=3)}, "scenario key(s) ['plots']"),
+    ], ids=["run-config", "scenario"])
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys, cfg, unknown):
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(dict({"scenario": SCENARIO_DOC}, **cfg)))
+        rc = main(["run", "--config", str(cfg_path), "--out-root", str(tmp_path / "runs")])
+        assert rc == 1
+        assert f"error: unknown {unknown}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestEntryPoint:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from plotburn.cv import (LeakageError, check_fold_leakage, grouped_plot_folds,
-                         loocv_plot, sequential_select, stratified_plot_split)
+from plotburn.cv import LeakageError, check_fold_leakage, grouped_plot_folds, loocv_plot
 from plotburn.features import FeatureTable
 from plotburn.forest import ForestParams
 
@@ -102,61 +101,3 @@ class TestGroupedFolds:
         folds = grouped_plot_folds(["a", "b"], 10, seed=0)
         assert len(folds) == 2
 
-
-class TestStratifiedSplit:
-    def test_both_labels_in_both_sides(self):
-        labels = {f"b{i}": "burned" for i in range(10)}
-        labels.update({f"n{i}": "not_burned" for i in range(6)})
-        train, test = stratified_plot_split(labels, 0.3, seed=1)
-        assert set(train) | set(test) == set(labels)
-        assert not set(train) & set(test)
-        for side in (train, test):
-            got = {labels[p] for p in side}
-            assert got == {"burned", "not_burned"}
-
-
-class TestSequentialSelect:
-    def _data(self, n=120, n_features=5, seed=4, duplicate=False):
-        rng = np.random.default_rng(seed)
-        y = (rng.random(n) < 0.5).astype(np.int64)
-        X = rng.normal(0, 1, size=(n, n_features))
-        X[:, 2] = y * 4.0 + rng.normal(0, 1, n)  # only s2 is informative
-        if duplicate:
-            X = np.column_stack([X, X[:, 2]])
-        names = [f"s{i}" for i in range(X.shape[1])]
-        split = int(0.7 * n)
-        folds = [(np.arange(split), np.arange(split, n))]
-        return X, y, names, folds
-
-    def test_informative_feature_selected_first(self):
-        X, y, names, folds = self._data()
-        selected, trajectory = sequential_select(X, y, names, 3, folds,
-                                                 ForestParams(15, min_leaf=2, seed=0))
-        assert selected[0] == "s2"
-        assert trajectory[0] > 0.9
-
-    def test_target_k_all_features_has_flat_tail(self):
-        X, y, names, folds = self._data()
-        selected, trajectory = sequential_select(X, y, names, len(names), folds,
-                                                 ForestParams(15, min_leaf=2, seed=0))
-        assert sorted(selected) == sorted(names)
-        assert max(trajectory) >= trajectory[0] - 1e-9
-        assert trajectory[-1] >= trajectory[0] - 0.08
-
-    def test_duplicated_feature_adds_nothing(self):
-        X, y, names, folds = self._data(duplicate=True)
-        selected, trajectory = sequential_select(X, y, names, 3, folds,
-                                                 ForestParams(15, min_leaf=2, seed=0))
-        first_pos = selected.index("s2") if "s2" in selected else 99
-        dup_pos = selected.index("s5") if "s5" in selected else 99
-        assert min(first_pos, dup_pos) == 0
-        if max(first_pos, dup_pos) < 3:
-            k = max(first_pos, dup_pos)
-            assert abs(trajectory[k] - trajectory[k - 1]) <= 0.05
-
-    def test_bad_target_k(self):
-        X, y, names, folds = self._data()
-        with pytest.raises(ValueError):
-            sequential_select(X, y, names, 0, folds)
-        with pytest.raises(ValueError):
-            sequential_select(X, y, names, 99, folds)

@@ -139,6 +139,7 @@ class TestPersistence:
         assert back.seed == model.seed
         assert np.array_equal(back.importance, model.importance)
         assert back.oob_accuracy == model.oob_accuracy
+        assert back.params == model.params == ForestParams(20, seed=8)
         probe = np.random.default_rng(2).normal(0, 2, size=(60, X.shape[1]))
         assert np.array_equal(predict_scores(back, probe), predict_scores(model, probe))
 

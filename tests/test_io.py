@@ -136,6 +136,14 @@ class TestManifest:
         with pytest.raises(FormatError, match="duplicate"):
             read_scene_manifest(bad)
 
+    def test_unknown_sensor_rejected(self, tmp_path):
+        write_grid(tmp_path / "g.grid", np.full((2, 2), 0.5), GridGeometry(2, 2, 0.0, 0.0, 3.0))
+        write_scene_manifest(tmp_path / "m.json", [
+            {"sensor": "C", "date": "2019-10-20", "band": "NIR", "grid": "g.grid",
+             "mask": None}])
+        with pytest.raises(FormatError, match=r"unknown sensor 'C' \(allowed: A, B\)"):
+            read_scene_manifest(tmp_path / "m.json")
+
     def test_dn_scale_and_cloud_mask(self, tmp_path):
         geom = GridGeometry(6, 6, 0.0, 0.0, 3.0)
         rng = np.random.default_rng(2)

@@ -1,0 +1,54 @@
+"""The benchmark's tracer (perfbench/worker.py) rebinds names in plotburn's
+modules by attribute name; a refactor that deletes or renames one breaks the
+benchmark without breaking any other test. This only reads perfbench/.
+"""
+
+import importlib.util
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from plotburn import features, forest, pipeline
+
+WORKER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "worker.py")
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    # The worker puts perfbench/ on sys.path and imports tracer and workloads
+    # as top-level modules; undo both after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_tracer_installs_and_restores_every_binding(worker):
+    originals = {(pipeline, "STAGES"): pipeline.STAGES,
+                 (pipeline, "save_forest"): forest.save_forest,
+                 (features, "compute_index"): features.compute_index,
+                 (features, "table_matrix"): features.table_matrix}
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer)
+        for (module, attr), original in originals.items():
+            assert getattr(module, attr) is not original, attr
+    finally:
+        tracer.restore()
+    for (module, attr), original in originals.items():
+        assert getattr(module, attr) is original, attr
+
+
+def test_build_counter_reads_the_table_schema(worker):
+    table = features.FeatureTable(np.zeros((3, 2)), ["a", "b"],
+                                  np.array(["p"] * 3, dtype=object),
+                                  np.array(["x", "y", "z"], dtype=object))
+    tracer = worker.Tracer()
+    worker._count_build(tracer.counts, (), {}, table)
+    assert tracer.counts["features.rows"] == 3
+    assert tracer.counts["features.columns"] == 2

@@ -2,8 +2,12 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
+from plotburn.features import read_feature_csv, table_matrix
+from plotburn.forest import apply_impute, fit_impute_medians, load_forest, predict_scores
+from plotburn.gridio import read_rows_csv
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
                                RunState, compare_ablations, config_from_dict, run_pipeline,
                                stage_ingest)
@@ -69,18 +73,16 @@ class TestRunPipeline:
                              scenario=dataclasses.replace(SCENARIO, n_plots=10),
                              n_trees=10, cv_mode="grouped:3")
         run_dir = run_pipeline(config)
-        from plotburn.gridio import read_rows_csv
-
         _, rows = read_rows_csv(os.path.join(run_dir, "importance.csv"))
         names = [r[0] for r in rows]
         assert names
         assert not any(n.startswith("A_") or n == "n_obs_A" for n in names)
 
     def test_stage_failure_reports_stage_and_marks_incomplete(self, tmp_path):
-        config = base_config(tmp_path, selection="bogus-mode",
+        config = base_config(tmp_path, cv_mode="bogus-mode",
                              scenario=dataclasses.replace(SCENARIO, n_plots=10,
                                                          burn_probability=0.5),
-                             n_trees=5, cv_mode="grouped:3")
+                             n_trees=5)
         with pytest.raises(PipelineError) as err:
             run_pipeline(config)
         assert err.value.stage == "train"
@@ -153,8 +155,6 @@ class TestRunPipeline:
 
     def test_predictions_cover_all_plots(self, completed_run):
         _, run_dir = completed_run
-        from plotburn.gridio import read_rows_csv
-
         _, rows = read_rows_csv(os.path.join(run_dir, "predictions.csv"))
         assert len(rows) == SCENARIO.n_plots
         for row in rows:
@@ -164,8 +164,6 @@ class TestRunPipeline:
 
     def test_final_model_keeps_at_most_top_k_features(self, completed_run):
         config, run_dir = completed_run
-        from plotburn.gridio import read_rows_csv
-
         _, rows = read_rows_csv(os.path.join(run_dir, "importance.csv"))
         assert 0 < len(rows) <= config.top_k_features
 
@@ -173,8 +171,6 @@ class TestRunPipeline:
         import math
 
         _, run_dir = completed_run
-        from plotburn.gridio import read_rows_csv
-
         _, cv_rows = read_rows_csv(os.path.join(run_dir, "cv_scores.csv"))
         _, pred_rows = read_rows_csv(os.path.join(run_dir, "predictions.csv"))
         preds = {r[0]: float(r[1]) for r in pred_rows}
@@ -209,17 +205,29 @@ class TestRunPipeline:
         none_cfg = base_config(tmp_path, scenario=small, n_trees=10,
                                cv_mode="grouped:3", selection="none")
         run_dir = run_pipeline(none_cfg)
-        from plotburn.gridio import read_rows_csv
-
         _, rows = read_rows_csv(os.path.join(run_dir, "importance.csv"))
+        _, full = read_rows_csv(os.path.join(run_dir, "importance_full.csv"))
         assert len(rows) > none_cfg.top_k_features
+        assert sorted(r[0] for r in rows) == sorted(r[0] for r in full)
 
-        seq_cfg = base_config(tmp_path, scenario=small, n_trees=10,
-                              cv_mode="grouped:3", sensor_mode="A_only",
-                              selection="sequential:2")
-        run_dir = run_pipeline(seq_cfg)
-        _, rows = read_rows_csv(os.path.join(run_dir, "importance.csv"))
-        assert len(rows) == 2
+    def test_unlabeled_plots_scored_by_final_model(self, tmp_path):
+        scenario = dataclasses.replace(SCENARIO, n_plots=12, burn_probability=0.5,
+                                       unlabeled_fraction=0.3, seed=3)
+        run_dir = run_pipeline(base_config(tmp_path, scenario=scenario, n_trees=10,
+                                           cv_mode="loocv"))
+        _, preds = read_rows_csv(os.path.join(run_dir, "predictions.csv"))
+        unlabeled = [p for p in preds if p[4] == "unlabeled"]
+        assert unlabeled and len(unlabeled) < len(preds)
+        # The final model scores every row imputed with the labeled rows' medians.
+        table = read_feature_csv(os.path.join(run_dir, "features.csv"))
+        model = load_forest(os.path.join(run_dir, "model.txt"))
+        X = table_matrix(table, model.schema)
+        labeled = np.isin(table.plot_id, [p[0] for p in preds if p[4] != "unlabeled"])
+        scores = predict_scores(model, apply_impute(X, fit_impute_medians(X[labeled])))
+        for plot_id, mean_score, *_ in unlabeled:
+            interior = (table.plot_id == plot_id) & ~table.border
+            assert interior.any()
+            assert float(mean_score) == float(scores[interior].mean())
 
 
 class TestConfigRoundTrip:
@@ -235,6 +243,8 @@ class TestConfigRoundTrip:
             RunConfig(out_root=str(tmp_path))
         with pytest.raises(ValueError):
             RunConfig(out_root=str(tmp_path), scenario=SCENARIO, sensor_mode="both")
+        with pytest.raises(ValueError, match="selection"):
+            RunConfig(out_root=str(tmp_path), scenario=SCENARIO, selection="sequential:2")
 
 
 class TestAblations:

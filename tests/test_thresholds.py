@@ -51,10 +51,8 @@ class TestAggregatePlot:
         exact = math.fsum(scores) / scores.size
         assert abs(aggregate_plot(scores) - exact) < 1e-12
 
-    def test_alternatives_for_diagnostics(self):
-        scores = [0.1, 0.2, 0.3, 0.4]
-        assert aggregate_plot(scores, "median") == 0.25
-        assert aggregate_plot(scores, "p90") == pytest.approx(0.37, abs=1e-12)
+    def test_non_finite_scores_skipped(self):
+        assert aggregate_plot([0.1, np.nan, 0.3, np.inf]) == pytest.approx(0.2, abs=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(ThresholdError):
