@@ -5,7 +5,7 @@ from .forest import ForestModel, ForestParams, predict_scores, train_forest
 from .indices import EndmemberSet, compute_index, unmix_char_fraction
 from .pipeline import RunConfig, compare_ablations, run_pipeline
 from .scene import (BandObservation, GapReport, GridGeometry, Plot, SceneCube,
-                    apply_mask, gap_statistics, make_plot, rasterize_plot)
+                    gap_statistics, make_plot, rasterize_plot)
 from .separability import SampleStats, m_statistic, separability_curve, signature_profile
 from .synth import ScenarioConfig, Scenario, generate, inject_gaps
 from .thresholds import (ConfusionCounts, PlotPrediction, aggregate_plot,

@@ -32,7 +32,6 @@ class CvResult:
     pixel_scores: dict[str, np.ndarray] = field(default_factory=dict)
     plot_means: dict[str, float] = field(default_factory=dict)
     folds: list[tuple[tuple[str, ...], int]] = field(default_factory=list)
-    excluded: list[str] = field(default_factory=list)
 
 
 def check_fold_leakage(train_plot_ids, holdout_plot_ids) -> None:
@@ -67,13 +66,11 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
     plot_rows = table.plot_rows()
 
     labeled_plots = sorted(p for p, lab in labels.items() if lab in LABEL_TO_CLASS)
-    result = CvResult()
     usable = []
     for p in labeled_plots:
         if p in plot_rows:
             usable.append(p)
         else:
-            result.excluded.append(p)
             warnings.warn(f"labeled plot {p} has no feature rows; excluded from CV")
 
     if schema is None:
@@ -97,7 +94,7 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
                                        [plot_rows[p] for p in usable if p not in hold])
             folds.append((holdout, train_idx))
 
-    scored = set()
+    result = CvResult()
     for holdout, train_idx in folds:
         train_plot_ids = table.plot_id[train_idx]
         check_fold_leakage(train_plot_ids, holdout)
@@ -112,10 +109,9 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
             scores = predict_scores(model, X_hold)
             result.pixel_scores[p] = scores
             result.plot_means[p] = float(scores.mean())
-            scored.add(p)
         result.folds.append((tuple(holdout), int(train_idx.size)))
 
-    missing = [p for p in usable if p not in scored]
+    missing = [p for p in usable if p not in result.pixel_scores]
     if missing:
         raise ValueError(f"plots never scored by any fold: {missing}")
     return result

@@ -69,7 +69,6 @@ class ForestModel:
     trees: list[Tree]
     schema: list[str]
     importance: np.ndarray     # per-feature Gini importance, sums to 1
-    seed: int
     oob_accuracy: float | None = None
     params: ForestParams = field(default_factory=ForestParams)
 
@@ -203,8 +202,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
     if voted.any():
         oob_pred = (oob_votes[voted, 1] > oob_votes[voted, 0]).astype(np.int64)
         oob_accuracy = float((oob_pred == y[voted]).mean())
-    return ForestModel(trees, list(schema), importance, params.seed,
-                       oob_accuracy, params)
+    return ForestModel(trees, list(schema), importance, oob_accuracy, params)
 
 
 def predict_scores(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -254,7 +252,7 @@ FOREST_MAGIC = "plotburn-forest v2"
 def save_forest(path, model: ForestModel) -> None:
     with open(path, "w") as fh:
         fh.write(FOREST_MAGIC + "\n")
-        fh.write(f"seed {model.seed}\n")
+        fh.write(f"seed {model.params.seed}\n")
         fh.write(f"min_leaf {model.params.min_leaf}\n")
         oob = "-" if model.oob_accuracy is None else repr(float(model.oob_accuracy))
         fh.write(f"oob {oob}\n")
@@ -271,35 +269,30 @@ def save_forest(path, model: ForestModel) -> None:
 
 
 def load_forest(path) -> ForestModel:
+    """The model save_forest wrote; a malformed file raises ForestError."""
     with open(path) as fh:
-        if fh.readline().strip() != FOREST_MAGIC:
-            raise ForestError(f"{path}: not a forest file")
-        seed = int(fh.readline().split()[1])
-        min_leaf = int(fh.readline().split()[1])
-        oob_tok = fh.readline().split()[1]
-        oob = None if oob_tok == "-" else float(oob_tok)
-        n_features = int(fh.readline().split()[1])
-        schema, importance = [], []
-        for _ in range(n_features):
-            _, name, imp = fh.readline().split()
-            schema.append(name)
-            importance.append(float(imp))
-        n_trees = int(fh.readline().split()[1])
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != FOREST_MAGIC:
+        raise ForestError(f"{path}: not a forest file")
+    try:
+        seed, min_leaf, oob, n_features = (line.split()[1] for line in lines[1:5])
+        pos = 5 + int(n_features)
+        features = [line.split() for line in lines[5:pos]]
+        schema = [name for _, name, _ in features]
+        importance = np.asarray([float(imp) for _, _, imp in features])
+        n_trees = int(lines[pos].split()[1])
         trees = []
-        for _ in range(n_trees):
-            n_nodes = int(fh.readline().split()[1])
-            feat = np.zeros(n_nodes, dtype=np.int64)
-            thr = np.zeros(n_nodes)
-            left = np.zeros(n_nodes, dtype=np.int64)
-            right = np.zeros(n_nodes, dtype=np.int64)
-            votes = np.zeros((n_nodes, 2))
-            for i in range(n_nodes):
-                parts = fh.readline().split()
-                feat[i] = int(parts[0])
-                thr[i] = float(parts[1])
-                left[i] = int(parts[2])
-                right[i] = int(parts[3])
-                votes[i] = (float(parts[4]), float(parts[5]))
-            trees.append(Tree(feat, thr, left, right, votes))
-    return ForestModel(trees, schema, np.asarray(importance), seed, oob,
-                       ForestParams(n_trees, min_leaf, seed))
+        for t in range(n_trees):
+            n_nodes = int(lines[pos + 1].split()[1])
+            block = lines[pos + 2:pos + 2 + n_nodes]
+            if len(block) != n_nodes:
+                raise ValueError(f"tree {t} has {len(block)} of its {n_nodes} node lines")
+            feat, thr, left, right, v0, v1 = np.loadtxt(block, ndmin=2, unpack=True)
+            trees.append(Tree(feat.astype(np.int64), thr, left.astype(np.int64),
+                              right.astype(np.int64), np.column_stack((v0, v1))))
+            pos += 1 + n_nodes
+        params = ForestParams(n_trees, int(min_leaf), int(seed))
+        oob = None if oob == "-" else float(oob)
+    except (IndexError, ValueError) as exc:
+        raise ForestError(f"{path}: malformed forest file: {exc}") from exc
+    return ForestModel(trees, schema, importance, oob, params)

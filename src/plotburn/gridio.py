@@ -146,7 +146,7 @@ def read_scene_manifest(path):
         for grid in bands.values():
             grid[~valid] = MASKED_FILL
         cubes[sensor].append(BandObservation(sensor, date, bands, valid, target))
-    return {sensor: SceneCube(obs, target, target.cellsize) for sensor, obs in cubes.items()}
+    return {sensor: SceneCube(obs, target) for sensor, obs in cubes.items()}
 
 
 def _resample_to(bands, valid, geom: GridGeometry, target: GridGeometry, label: str):

@@ -73,6 +73,16 @@ class RunConfig:
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}, "
                              f"got {self.selection!r}")
+        kind, _, k = str(self.cv_mode).partition(":")
+        if self.cv_mode not in ("auto", "loocv") and not (
+                kind == "grouped" and k.isdecimal() and int(k) >= 1):
+            raise ValueError("cv_mode must be 'auto', 'loocv' or 'grouped:<k>' with k >= 1, "
+                             f"got {self.cv_mode!r}")
+        for name, low in (("n_trees", 1), ("top_k_features", 1), ("min_leaf", 1),
+                          ("max_offset", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.scenario is None and not self.plots_path:
             raise ValueError("need either a scenario or a plots path")
 
@@ -135,7 +145,6 @@ class RunState:
     run_dir: str
     cubes: dict = field(default_factory=dict)
     plots: list = field(default_factory=list)
-    truth: synthmod.GroundTruth | None = None
     events: list = field(default_factory=list)
     endmembers: object = None
     table: feats.FeatureTable | None = None
@@ -171,7 +180,6 @@ def stage_ingest(state: RunState) -> None:
         scenario = synthmod.generate(cfg.scenario)
         state.cubes = {"A": scenario.cube_a, "B": scenario.cube_b}
         state.plots = scenario.plots
-        state.truth = scenario.truth
         state.events = scenario.truth.events()
         state.endmembers = scenario.endmembers
     else:
@@ -250,6 +258,12 @@ def stage_separability(state: RunState) -> None:
                    CURVE_CSV_HEADER, curve_rows(state, DEFAULT_CURVE_SOURCES))
 
 
+def _write_importance(path: str, model) -> None:
+    write_rows_csv(path, ["feature", "gini_importance"],
+                   sorted(zip(model.schema, map(float, model.importance)),
+                          key=lambda kv: (-kv[1], kv[0])))
+
+
 def stage_train(state: RunState) -> None:
     cfg = state.config
     params = cfg.forest_params()
@@ -266,10 +280,7 @@ def stage_train(state: RunState) -> None:
     medians = fit_impute_medians(X_lab)
     X_lab = apply_impute(X_lab, medians)
     ranking = train_forest(X_lab, y, table.schema, params)
-    write_rows_csv(os.path.join(state.run_dir, "importance_full.csv"),
-                   ["feature", "gini_importance"],
-                   sorted(zip(ranking.schema, map(float, ranking.importance)),
-                          key=lambda kv: (-kv[1], kv[0])))
+    _write_importance(os.path.join(state.run_dir, "importance_full.csv"), ranking)
     if cfg.selection == "importance":
         state.selected = sorted(top_k_features(ranking, cfg.top_k_features))
     else:
@@ -287,12 +298,13 @@ def stage_train(state: RunState) -> None:
                    ["plot_id", "pixel_id", "border", "score"], cv_rows)
 
     sel_cols = [table.schema.index(n) for n in state.selected]
-    state.model = train_forest(X_lab[:, sel_cols], y, state.selected, params)
+    if state.selected == ranking.schema:
+        # Same rows, columns and params as the ranking forest: the same model.
+        state.model = ranking
+    else:
+        state.model = train_forest(X_lab[:, sel_cols], y, state.selected, params)
     save_forest(os.path.join(state.run_dir, "model.txt"), state.model)
-    write_rows_csv(os.path.join(state.run_dir, "importance.csv"),
-                   ["feature", "gini_importance"],
-                   sorted(zip(state.model.schema, map(float, state.model.importance)),
-                          key=lambda kv: (-kv[1], kv[0])))
+    _write_importance(os.path.join(state.run_dir, "importance.csv"), state.model)
 
     # Plot-level scores: out-of-fold means for labeled plots, final-model
     # scores for the rest; border pixels are excluded from the aggregation.

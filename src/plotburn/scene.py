@@ -94,11 +94,6 @@ class BandObservation:
         if self.valid.dtype != bool:
             raise SceneError("valid mask must be boolean")
 
-    def values(self, band: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Band values at pixel indices, MASKED_FILL where invalid."""
-        out = np.where(self.valid[rows, cols], self.bands[band][rows, cols], MASKED_FILL)
-        return out.astype(float)
-
 
 @dataclass
 class SceneCube:
@@ -106,7 +101,6 @@ class SceneCube:
 
     observations: list[BandObservation]
     geom: GridGeometry
-    resolution: float = 3.0
 
     def __post_init__(self):
         dates = [o.date for o in self.observations]
@@ -247,28 +241,12 @@ def rasterize_plot(polygon, geom: GridGeometry):
     return rows[order], cols[order], border[order]
 
 
-def apply_mask(obs: BandObservation, cloud_probability: np.ndarray,
-               threshold: float = 0.5) -> BandObservation:
-    """New observation with pixels at cloud probability >= threshold invalidated."""
-    if cloud_probability.shape != obs.geom.shape:
-        raise AlignmentError(
-            f"probability grid {cloud_probability.shape} does not align with {obs.geom.shape}")
-    valid = obs.valid & (cloud_probability < threshold)
-    bands = {name: np.where(valid, grid, MASKED_FILL) for name, grid in obs.bands.items()}
-    return BandObservation(obs.sensor, obs.date, bands, valid, obs.geom)
-
-
-def plot_valid_fraction(obs: BandObservation, plot: Plot) -> float:
+def plot_observation_dates(cube: SceneCube, plot: Plot) -> list[dt.date]:
+    """Dates on which at least PLOT_VALID_FRACTION of the plot's pixels are valid."""
     if plot.n_pixels == 0:
-        return 0.0
-    return float(obs.valid[plot.rows, plot.cols].mean())
-
-
-def plot_observation_dates(cube: SceneCube, plot: Plot,
-                           min_fraction: float = PLOT_VALID_FRACTION) -> list[dt.date]:
-    """Dates on which at least min_fraction of the plot's pixels are valid."""
+        return []
     return [o.date for o in cube.observations
-            if plot_valid_fraction(o, plot) >= min_fraction]
+            if o.valid[plot.rows, plot.cols].mean() >= PLOT_VALID_FRACTION]
 
 
 @dataclass

@@ -119,14 +119,10 @@ class Scenario:
     cube_b: SceneCube
     plots: list[Plot]
     truth: GroundTruth
-    config: ScenarioConfig
     endmembers: EndmemberSet
 
     def labels(self) -> dict[str, str]:
         return {p.plot_id: p.label for p in self.plots}
-
-    def groups(self) -> dict[str, str]:
-        return {p.plot_id: p.group for p in self.plots}
 
 
 def default_endmembers() -> EndmemberSet:
@@ -317,10 +313,10 @@ def generate(cfg: ScenarioConfig) -> Scenario:
             for band in bands:
                 grids[band][~valid] = MASKED_FILL
             observations.append(BandObservation(sensor, date, grids, valid, geom))
-        cube_by_sensor[sensor] = SceneCube(observations, geom, cfg.resolution)
+        cube_by_sensor[sensor] = SceneCube(observations, geom)
 
     return Scenario(cube_by_sensor["A"], cube_by_sensor["B"], plots, truth,
-                    cfg, default_endmembers())
+                    default_endmembers())
 
 
 def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
@@ -351,7 +347,7 @@ def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
                  for name, grid in obs.bands.items()}
         observations.append(BandObservation(obs.sensor, obs.date, bands, valid, obs.geom))
         newly_masked[obs.date] = touched
-    new_cube = SceneCube(observations, cube.geom, cube.resolution)
+    new_cube = SceneCube(observations, cube.geom)
 
     if truth is None:
         return new_cube, None
@@ -366,16 +362,6 @@ def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
             if dates and date in dates:
                 dates.remove(date)
     return new_cube, new_truth
-
-
-def post_burn_gap_schedule(truth: GroundTruth, days: int):
-    """Schedule masking every observation within `days` after each burn."""
-    out = []
-    for plot_id, burned in truth.burned.items():
-        if burned:
-            start = truth.burn_date[plot_id]
-            out.append((plot_id, start, start + dt.timedelta(days=days + 1)))
-    return out
 
 
 TRUTH_CSV_HEADER = ["plot_id", "burned", "burn_date", "till_date"]

@@ -34,7 +34,7 @@ def make_cube(sensor, geom, dated_levels, valid_by_date=None):
     for off in sorted(dated_levels):
         valid = None if valid_by_date is None else valid_by_date.get(off)
         obs.append(make_obs(sensor, day(off), geom, dated_levels[off], valid))
-    return SceneCube(obs, geom, geom.cellsize)
+    return SceneCube(obs, geom)
 
 
 @pytest.fixture

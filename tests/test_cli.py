@@ -173,12 +173,16 @@ class TestRunCommand:
                    "--plots", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 1
 
-    def test_stage_failure_gives_nonzero_exit(self, tmp_path):
-        cfg = {"scenario": SCENARIO_DOC, "n_trees": 5, "cv_mode": "bogus", "min_leaf": 2}
+    def test_stage_failure_gives_nonzero_exit(self, tmp_path, capsys):
+        # Every plot burned: the train stage refuses a single-class training set.
+        cfg = {"scenario": dict(SCENARIO_DOC, burn_probability=1.0), "n_trees": 5,
+               "min_leaf": 2}
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["run", "--config", str(cfg_path), "--out-root", str(tmp_path)])
         assert rc == 1
+        assert "stage 'train' failed: training data contains a single class" in \
+            capsys.readouterr().err
 
 
     @pytest.mark.parametrize("cfg, unknown", [

@@ -80,7 +80,6 @@ class TestLoocv:
         labels["ghost"] = "burned"
         with pytest.warns(UserWarning, match="ghost"):
             result = loocv_plot(rows, labels, PARAMS, mode="loocv")
-        assert "ghost" in result.excluded
         assert "ghost" not in result.plot_means
 
     def test_auto_mode_uses_loocv_for_small_sets(self):

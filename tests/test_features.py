@@ -119,7 +119,7 @@ def one_pixel_cubes(series_a, series_b):
             grids["Red"][plot.rows, plot.cols] = value
             valid = np.ones(geom.shape, dtype=bool)
             observations.append(BandObservation(sensor, day(i), grids, valid, geom))
-        cubes.append(SceneCube(observations, geom, 1.0))
+        cubes.append(SceneCube(observations, geom))
     return cubes[0], cubes[1], plot
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,14 @@ def separable_data(n=200, n_features=6, margin=10.0, seed=0):
 
 def schema_for(n):
     return [f"f{i}" for i in range(n)]
+
+
+def assert_same_trees(back, model):
+    assert back.n_trees == model.n_trees
+    for got, want in zip(back.trees, model.trees):
+        for name in ("feature", "threshold", "left", "right", "votes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestTrainForest:
@@ -136,12 +146,39 @@ class TestPersistence:
         save_forest(path, model)
         back = load_forest(path)
         assert back.schema == model.schema
-        assert back.seed == model.seed
         assert np.array_equal(back.importance, model.importance)
         assert back.oob_accuracy == model.oob_accuracy
         assert back.params == model.params == ForestParams(20, seed=8)
+        assert_same_trees(back, model)
         probe = np.random.default_rng(2).normal(0, 2, size=(60, X.shape[1]))
         assert np.array_equal(predict_scores(back, probe), predict_scores(model, probe))
+
+    def test_single_leaf_trees_round_trip(self, tmp_path):
+        X, y = separable_data(n=30, seed=15)
+        model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(4, min_leaf=20))
+        assert all(t.n_nodes == 1 for t in model.trees)
+        path = tmp_path / "model.txt"
+        save_forest(path, model)
+        back = load_forest(path)
+        assert back.params == model.params
+        assert_same_trees(back, model)
+
+    @pytest.mark.parametrize("keep", [
+        lambda lines: lines[:3],           # header cut short
+        lambda lines: lines[:8],           # inside the feature list
+        lambda lines: lines[:-1],          # last node line missing
+        lambda lines: lines[:-3],          # several trailing node lines missing
+        lambda lines: lines[:-1] + [lines[-1][:5]],   # last node line cut mid-way
+    ], ids=["header", "features", "last-node", "tree-tail", "mid-line"])
+    def test_truncated_file_raises_forest_error(self, tmp_path, keep):
+        X, y = separable_data(n=80, seed=15)
+        model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(3, seed=8))
+        path = tmp_path / "model.txt"
+        save_forest(path, model)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(keep(lines)) + "\n")
+        with pytest.raises(ForestError, match=re.escape(str(path))):
+            load_forest(path)
 
     def test_top_k_selection(self):
         X, y = separable_data(n=150, n_features=7, seed=16)

@@ -204,6 +204,50 @@ class TestManifest:
                 read_scene_manifest(path)
 
 
+def write_masked_scene(root, prob, mask_geom, cloud_threshold=0.5):
+    """One sensor-A date, every band 0.4 on a 5 x 5 grid, with a cloud mask."""
+    geom = GridGeometry(5, 5, 0.0, 0.0, 3.0)
+    entries = []
+    for band in SENSOR_BANDS["A"]:
+        write_grid(root / f"{band}.grid", np.full(geom.shape, 0.4), geom)
+        entries.append({"sensor": "A", "date": "2019-10-20", "band": band,
+                        "grid": f"{band}.grid", "mask": "cloud.grid"})
+    write_grid(root / "cloud.grid", prob, mask_geom)
+    write_scene_manifest(root / "m.json", entries, scale=1.0,
+                         cloud_threshold=cloud_threshold)
+    return read_scene_manifest(root / "m.json")["A"].observations[0]
+
+
+class TestCloudMask:
+    """The manifest's cloud rule: a pixel is valid while prob < cloud_threshold."""
+
+    def test_zero_probabilities_leave_mask_unchanged(self, tmp_path):
+        obs = write_masked_scene(tmp_path, np.zeros((5, 5)), GridGeometry(5, 5, 0.0, 0.0, 3.0))
+        assert obs.valid.all()
+
+    def test_all_cloud_masks_everything(self, tmp_path):
+        obs = write_masked_scene(tmp_path, np.ones((5, 5)), GridGeometry(5, 5, 0.0, 0.0, 3.0))
+        assert not obs.valid.any()
+        for grid in obs.bands.values():
+            assert np.isnan(grid).all()
+
+    def test_exactly_k_cells_newly_invalid(self, tmp_path):
+        prob = np.random.default_rng(3).uniform(0, 1, (5, 5))
+        # A probability exactly at the threshold is cloud; one just below is not.
+        prob[0, 0], prob[0, 1] = 0.25, np.nextafter(0.25, 0.0)
+        obs = write_masked_scene(tmp_path, prob, GridGeometry(5, 5, 0.0, 0.0, 3.0),
+                                 cloud_threshold=0.25)
+        assert not obs.valid[0, 0] and obs.valid[0, 1]
+        assert int((~obs.valid).sum()) == int((prob >= 0.25).sum())
+        for grid in obs.bands.values():
+            assert np.isnan(grid[~obs.valid]).all()
+            assert (grid[obs.valid] == 0.4).all()
+
+    def test_misaligned_grid_raises(self, tmp_path):
+        with pytest.raises(AlignmentError, match="cloud mask geometry mismatch"):
+            write_masked_scene(tmp_path, np.zeros((4, 4)), GridGeometry(4, 4, 0.0, 0.0, 3.0))
+
+
 class TestSmallCsvs:
     def test_endmembers_round_trip(self, tmp_path):
         em = default_endmembers()

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from plotburn import cv, pipeline
 from plotburn.features import read_feature_csv, table_matrix
 from plotburn.forest import apply_impute, fit_impute_medians, load_forest, predict_scores
 from plotburn.gridio import read_rows_csv
@@ -79,11 +80,12 @@ class TestRunPipeline:
         assert not any(n.startswith("A_") or n == "n_obs_A" for n in names)
 
     def test_stage_failure_reports_stage_and_marks_incomplete(self, tmp_path):
-        config = base_config(tmp_path, cv_mode="bogus-mode",
+        # Every plot burned: the training data holds a single class.
+        config = base_config(tmp_path,
                              scenario=dataclasses.replace(SCENARIO, n_plots=10,
-                                                         burn_probability=0.5),
+                                                         burn_probability=1.0),
                              n_trees=5)
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(PipelineError, match="single class") as err:
             run_pipeline(config)
         assert err.value.stage == "train"
         run_dirs = [d for d in os.listdir(tmp_path)]
@@ -200,15 +202,25 @@ class TestRunPipeline:
         for name in ARTIFACTS + ("separability.csv",):
             assert os.path.exists(os.path.join(run_dir, name)), name
 
-    def test_selection_modes(self, tmp_path):
+    def test_selection_modes(self, tmp_path, monkeypatch):
         small = dataclasses.replace(SCENARIO, n_plots=10, burn_probability=0.5)
         none_cfg = base_config(tmp_path, scenario=small, n_trees=10,
                                cv_mode="grouped:3", selection="none")
+        calls = []
+        for module in (pipeline, cv):
+            def counted(*args, _train=module.train_forest, **kwargs):
+                calls.append(1)
+                return _train(*args, **kwargs)
+            monkeypatch.setattr(module, "train_forest", counted)
         run_dir = run_pipeline(none_cfg)
+        # The ranking forest is also the final model: ranking + 3 folds.
+        assert len(calls) == 1 + 3
         _, rows = read_rows_csv(os.path.join(run_dir, "importance.csv"))
-        _, full = read_rows_csv(os.path.join(run_dir, "importance_full.csv"))
         assert len(rows) > none_cfg.top_k_features
-        assert sorted(r[0] for r in rows) == sorted(r[0] for r in full)
+        with open(os.path.join(run_dir, "importance.csv"), "rb") as fh:
+            final = fh.read()
+        with open(os.path.join(run_dir, "importance_full.csv"), "rb") as fh:
+            assert fh.read() == final
 
     def test_unlabeled_plots_scored_by_final_model(self, tmp_path):
         scenario = dataclasses.replace(SCENARIO, n_plots=12, burn_probability=0.5,
@@ -245,6 +257,17 @@ class TestConfigRoundTrip:
             RunConfig(out_root=str(tmp_path), scenario=SCENARIO, sensor_mode="both")
         with pytest.raises(ValueError, match="selection"):
             RunConfig(out_root=str(tmp_path), scenario=SCENARIO, selection="sequential:2")
+        for field, value in [("cv_mode", "bogus-mode"), ("cv_mode", "grouped:0"),
+                             ("cv_mode", "grouped:x"), ("cv_mode", "grouped:"),
+                             ("cv_mode", "loocv:3"), ("cv_mode", 3), ("n_trees", 0),
+                             ("n_trees", "5"), ("top_k_features", 0), ("min_leaf", 0),
+                             ("max_offset", -1)]:
+            with pytest.raises(ValueError, match=field):
+                RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **{field: value})
+        for field, value in [("cv_mode", "auto"), ("cv_mode", "loocv"),
+                             ("cv_mode", "grouped:1"), ("n_trees", 1),
+                             ("top_k_features", 1), ("min_leaf", 1), ("max_offset", 0)]:
+            RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **{field: value})
 
 
 class TestAblations:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import day, make_cube, make_obs
-from plotburn.scene import (AlignmentError, EmptyPlotError, GridGeometry, Plot,
-                            apply_mask, gap_statistics, make_plot,
-                            plot_observation_dates, rasterize_plot)
+from plotburn.scene import (EmptyPlotError, GridGeometry, Plot, gap_statistics,
+                            make_plot, plot_observation_dates, rasterize_plot)
 
 
 def square_polygon(col0, row0, size, geom):
@@ -85,32 +84,6 @@ class TestRasterizePlot:
                  np.array([], dtype=int), np.array([], dtype=bool), label="burned")
 
 
-class TestApplyMask:
-    def test_zero_probabilities_leave_mask_unchanged(self, geom10):
-        obs = make_obs("A", day(0), geom10)
-        out = apply_mask(obs, np.zeros(geom10.shape), 0.5)
-        assert out.valid.all()
-
-    def test_all_cloud_masks_everything(self, geom10):
-        obs = make_obs("A", day(0), geom10)
-        out = apply_mask(obs, np.ones(geom10.shape), 0.5)
-        assert not out.valid.any()
-        assert np.isnan(out.bands["Red"]).all()
-
-    def test_exactly_k_cells_newly_invalid(self, geom10):
-        rng = np.random.default_rng(3)
-        prob = rng.uniform(0, 1, geom10.shape)
-        k = int((prob >= 0.5).sum())
-        obs = make_obs("A", day(0), geom10)
-        out = apply_mask(obs, prob, 0.5)
-        assert int((~out.valid).sum()) == k
-
-    def test_misaligned_grid_raises(self, geom10):
-        obs = make_obs("A", day(0), geom10)
-        with pytest.raises(AlignmentError):
-            apply_mask(obs, np.zeros((5, 5)), 0.5)
-
-
 def _single_plot(geom):
     return make_plot("p0", square_polygon(1, 1, 4, geom), geom, label="burned")
 
@@ -168,12 +141,10 @@ class TestSceneInvariants:
 
         obs = [make_obs("A", day(0), geom10), make_obs("A", day(0), geom10)]
         with pytest.raises(SceneError):
-            SceneCube(obs, geom10, 1.0)
+            SceneCube(obs, geom10)
 
     def test_reflectance_values_masked_under_invalid(self, geom10):
         valid = np.ones(geom10.shape, dtype=bool)
         valid[0, 0] = False
         obs = make_obs("A", day(0), geom10, 0.4, valid)
         assert np.isnan(obs.bands["Blue"][0, 0])
-        vals = obs.values("Blue", np.array([0]), np.array([0]))
-        assert np.isnan(vals[0])

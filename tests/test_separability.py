@@ -70,7 +70,7 @@ def build_plot_scene(n_plots, days, value_fn, band="Red", sensor="A", plot_size=
             grids[band][plot.rows, plot.cols] = value_fn(i, d)
         valid = np.ones(geom.shape, dtype=bool)
         observations.append(BandObservation(sensor, day(d), grids, valid, geom))
-    return SceneCube(observations, geom, 1.0), plots
+    return SceneCube(observations, geom), plots
 
 
 class TestSeparabilityCurve:
@@ -204,7 +204,7 @@ class TestPlotSourceSeries:
             valid[plot.rows, plot.cols] = np.asarray(mask, dtype=bool)
             observations.append(BandObservation("B", day(d), grids, valid, geom))
             spectra.append(px)
-        cube = SceneCube(observations, geom, 1.0)
+        cube = SceneCube(observations, geom)
         nir, red = bands.index("NIR"), bands.index("Red")
         swir = [bands.index(b) for b in SWIR_SET]
 

@@ -6,8 +6,7 @@ import pytest
 
 from plotburn.scene import gap_statistics
 from plotburn.separability import plot_source_series
-from plotburn.synth import (ScenarioConfig, generate, inject_gaps,
-                            post_burn_gap_schedule)
+from plotburn.synth import ScenarioConfig, generate, inject_gaps
 
 SMALL = ScenarioConfig(n_plots=30, plot_area_mean_ha=0.05,
                        plot_area_median_ha=0.04, seed=1)
@@ -179,11 +178,3 @@ class TestInjectGaps:
                                   small_scenario.plots, small_scenario.truth)
         for plot_id, dates in truth.valid_obs["A"].items():
             assert target not in dates
-
-    def test_post_burn_schedule_shape(self, small_scenario):
-        schedule = post_burn_gap_schedule(small_scenario.truth, 5)
-        burned = [p for p, b in small_scenario.truth.burned.items() if b]
-        assert len(schedule) == len(burned)
-        for plot_id, start, end in schedule:
-            assert (end - start).days == 6
-            assert start == small_scenario.truth.burn_date[plot_id]
