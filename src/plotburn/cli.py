@@ -33,12 +33,10 @@ def _load_run_config(args) -> pipe.RunConfig:
         with open(args.config) as fh:
             doc = json.load(fh)
     doc.setdefault("out_root", DEFAULT_OUT)
-    for key in ("out_root", "name", "sensor_mode", "cv_mode", "selection",
-                "manifest_path", "plots_path", "events_path", "endmembers_path",
-                "seed", "n_trees", "top_k_features", "min_leaf", "max_offset"):
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(pipe.RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            doc[key] = value
+            doc[f.name] = value
     if getattr(args, "synth", False) and not doc.get("scenario"):
         doc["scenario"] = {}
     if getattr(args, "no_border", False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureTable, table_matrix
-from .forest import (ForestParams, apply_impute, fit_impute_medians,
+from .forest import (ForestModel, ForestParams, apply_impute, fit_impute_medians,
                      predict_scores, train_forest)
 
 LABEL_TO_CLASS = {"not_burned": 0, "burned": 1}
@@ -38,6 +38,22 @@ def check_fold_leakage(train_plot_ids, holdout_plot_ids) -> None:
     overlap = set(train_plot_ids) & set(holdout_plot_ids)
     if overlap:
         raise LeakageError(f"holdout plot(s) {sorted(overlap)} appear in training rows")
+
+
+def parse_cv_mode(mode) -> tuple[str, int]:
+    """("auto", 0), ("loocv", 0) or ("grouped", k) for a cv_mode string."""
+    kind, _, k = str(mode).partition(":")
+    if mode in ("auto", "loocv") or (kind == "grouped" and k.isdecimal() and int(k) >= 1):
+        return kind, int(k or 0)
+    raise ValueError("cv_mode must be 'auto', 'loocv' or 'grouped:<k>' with k >= 1, "
+                     f"got {mode!r}")
+
+
+def fit_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
+               params: ForestParams) -> tuple[ForestModel, np.ndarray]:
+    """(model, medians) of a forest on X, a fresh gather that is imputed in place."""
+    medians = fit_impute_medians(X)
+    return train_forest(apply_impute(X, medians), y, schema, params), medians
 
 
 def grouped_plot_folds(plot_ids: list[str], n_groups: int, seed: int) -> list[tuple[str, ...]]:
@@ -79,19 +95,15 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
     classes = {p: LABEL_TO_CLASS[labels[p]] for p in usable}
 
     if folds is None:
-        if mode == "auto":
-            mode = "loocv" if len(usable) <= LOOCV_PLOT_LIMIT else f"grouped:{DEFAULT_GROUPS}"
-        if mode == "loocv":
-            holdout_groups = [(p,) for p in usable]
-        elif mode.startswith("grouped:"):
-            holdout_groups = grouped_plot_folds(usable, int(mode.split(":")[1]), params.seed)
-        else:
-            raise ValueError(f"unknown cv mode {mode!r}")
+        kind, n_groups = parse_cv_mode(mode)
+        if kind == "auto" and len(usable) > LOOCV_PLOT_LIMIT:
+            kind, n_groups = "grouped", DEFAULT_GROUPS
+        holdout_groups = (grouped_plot_folds(usable, n_groups, params.seed)
+                          if kind == "grouped" else [(p,) for p in usable])
         folds = []
         for holdout in holdout_groups:
-            hold = set(holdout)
             train_idx = np.concatenate([np.empty(0, dtype=np.int64)] +
-                                       [plot_rows[p] for p in usable if p not in hold])
+                                       [plot_rows[p] for p in usable if p not in holdout])
             folds.append((holdout, train_idx))
 
     result = CvResult()
@@ -99,14 +111,11 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
         train_plot_ids = table.plot_id[train_idx]
         check_fold_leakage(train_plot_ids, holdout)
         y_train = np.asarray([classes[p] for p in train_plot_ids], dtype=np.int64)
-        medians = fit_impute_medians(X_all[train_idx])
-        X_train = apply_impute(X_all[train_idx], medians)
-        model = train_forest(X_train, y_train, schema, params)
+        model, medians = fit_forest(X_all[train_idx], y_train, schema, params)
         for p in holdout:
             if p not in plot_rows:
                 continue
-            X_hold = apply_impute(X_all[plot_rows[p]], medians)
-            scores = predict_scores(model, X_hold)
+            scores = predict_scores(model, apply_impute(X_all[plot_rows[p]], medians))
             result.pixel_scores[p] = scores
             result.plot_means[p] = float(scores.mean())
         result.folds.append((tuple(holdout), int(train_idx.size)))

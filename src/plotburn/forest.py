@@ -232,10 +232,8 @@ def fit_impute_medians(X: np.ndarray) -> np.ndarray:
 
 
 def apply_impute(X: np.ndarray, medians: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float).copy()
-    bad = ~np.isfinite(X)
-    if bad.any():
-        X[bad] = np.broadcast_to(medians, X.shape)[bad]
+    """Fill X's non-finite values with their column's median, in place; returns X."""
+    np.copyto(X, medians, where=~np.isfinite(X))
     return X
 
 

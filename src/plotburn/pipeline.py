@@ -19,9 +19,10 @@ import numpy as np
 
 from . import features as feats
 from . import synth as synthmod
-from .cv import LABEL_TO_CLASS, loocv_plot
-from .forest import (ForestParams, apply_impute, fit_impute_medians, predict_scores,
-                     save_forest, top_k_features, train_forest)
+from .cv import LABEL_TO_CLASS, fit_forest, loocv_plot, parse_cv_mode
+from .forest import ForestParams, apply_impute, predict_scores, save_forest, top_k_features
+# Not called here: perfbench/worker.py rebinds them by name.
+from .forest import fit_impute_medians, train_forest  # noqa: F401
 from .gridio import (read_endmembers_csv, read_events_csv, read_plots_csv,
                      read_rows_csv, read_scene_manifest, write_rows_csv)
 from .scene import gap_statistics
@@ -73,16 +74,14 @@ class RunConfig:
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}, "
                              f"got {self.selection!r}")
-        kind, _, k = str(self.cv_mode).partition(":")
-        if self.cv_mode not in ("auto", "loocv") and not (
-                kind == "grouped" and k.isdecimal() and int(k) >= 1):
-            raise ValueError("cv_mode must be 'auto', 'loocv' or 'grouped:<k>' with k >= 1, "
-                             f"got {self.cv_mode!r}")
+        parse_cv_mode(self.cv_mode)
         for name, low in (("n_trees", 1), ("top_k_features", 1), ("min_leaf", 1),
-                          ("max_offset", 0)):
+                          ("max_offset", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        if not isinstance(self.include_border, bool):
+            raise ValueError(f"include_border must be a boolean, got {self.include_border!r}")
         if self.scenario is None and not self.plots_path:
             raise ValueError("need either a scenario or a plots path")
 
@@ -276,10 +275,7 @@ def stage_train(state: RunState) -> None:
         raise ValueError("no labeled plots with feature rows")
     y = row_class[labeled_idx]
 
-    X_lab = table.X[labeled_idx]
-    medians = fit_impute_medians(X_lab)
-    X_lab = apply_impute(X_lab, medians)
-    ranking = train_forest(X_lab, y, table.schema, params)
+    ranking, medians = fit_forest(table.X[labeled_idx], y, table.schema, params)
     _write_importance(os.path.join(state.run_dir, "importance_full.csv"), ranking)
     if cfg.selection == "importance":
         state.selected = sorted(top_k_features(ranking, cfg.top_k_features))
@@ -302,7 +298,8 @@ def stage_train(state: RunState) -> None:
         # Same rows, columns and params as the ranking forest: the same model.
         state.model = ranking
     else:
-        state.model = train_forest(X_lab[:, sel_cols], y, state.selected, params)
+        state.model, medians = fit_forest(table.X[np.ix_(labeled_idx, sel_cols)], y,
+                                          state.selected, params)
     save_forest(os.path.join(state.run_dir, "model.txt"), state.model)
     _write_importance(os.path.join(state.run_dir, "importance.csv"), state.model)
 
@@ -315,7 +312,7 @@ def stage_train(state: RunState) -> None:
     if unscored:
         idx = np.concatenate(unscored)
         row_scores[idx] = predict_scores(state.model, apply_impute(
-            table.X[np.ix_(idx, sel_cols)], medians[sel_cols]))
+            table.X[np.ix_(idx, sel_cols)], medians))
     state.plot_scores = {}
     state.manifest.setdefault("flagged_plots", [])
     for pid in state.labels:

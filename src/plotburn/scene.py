@@ -257,15 +257,13 @@ class GapReport:
     # plot has fewer than two valid observations for that sensor.
     per_plot: dict[str, dict[str, tuple[int, float, float]]] = field(default_factory=dict)
     summary: dict[str, dict[str, float]] = field(default_factory=dict)
-    flagged: list[tuple[str, str]] = field(default_factory=list)
 
 
 def gap_statistics(cubes: dict[str, SceneCube], plots: list[Plot]) -> GapReport:
     """Observation-window report per plot and sensor.
 
     A plot counts as observed on a date when at least half its pixels are
-    valid. Plots with fewer than two such dates for a sensor are flagged and
-    excluded from that sensor's summary rows.
+    valid; a plot with fewer than two such dates has no entry for the sensor.
     """
     report = GapReport()
     for plot in plots:
@@ -273,7 +271,6 @@ def gap_statistics(cubes: dict[str, SceneCube], plots: list[Plot]) -> GapReport:
         for sensor, cube in cubes.items():
             dates = plot_observation_dates(cube, plot)
             if len(dates) < 2:
-                report.flagged.append((plot.plot_id, sensor))
                 continue
             gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
             report.per_plot[plot.plot_id][sensor] = (

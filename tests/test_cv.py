@@ -4,6 +4,8 @@ import pytest
 from plotburn.cv import LeakageError, check_fold_leakage, grouped_plot_folds, loocv_plot
 from plotburn.features import FeatureTable
 from plotburn.forest import ForestParams
+from plotburn.pipeline import RunConfig
+from plotburn.synth import ScenarioConfig
 
 
 def toy_rows(n_plots=10, px_per_plot=6, n_features=4, signal=3.0, seed=0):
@@ -81,6 +83,16 @@ class TestLoocv:
         with pytest.warns(UserWarning, match="ghost"):
             result = loocv_plot(rows, labels, PARAMS, mode="loocv")
         assert "ghost" not in result.plot_means
+
+    def test_bad_mode_rejected_with_the_config_message(self, tmp_path):
+        rows, labels = toy_rows(n_plots=4)
+        for mode in ("grouped:x", "grouped:0"):
+            with pytest.raises(ValueError) as from_config:
+                RunConfig(out_root=str(tmp_path), scenario=ScenarioConfig(), cv_mode=mode)
+            with pytest.raises(ValueError) as from_cv:
+                loocv_plot(rows, labels, PARAMS, mode=mode)
+            assert str(from_cv.value) == str(from_config.value)
+            assert "cv_mode must be" in str(from_cv.value)
 
     def test_auto_mode_uses_loocv_for_small_sets(self):
         rows, labels = toy_rows(n_plots=8)

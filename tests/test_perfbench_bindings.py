@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from plotburn import features, forest, pipeline
+from plotburn import features, forest, pipeline, synth
 
 WORKER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "worker.py")
 
@@ -52,3 +52,20 @@ def test_build_counter_reads_the_table_schema(worker):
     worker._count_build(tracer.counts, (), {}, table)
     assert tracer.counts["features.rows"] == 3
     assert tracer.counts["features.columns"] == 2
+
+
+def test_every_forest_is_trained_through_the_traced_names(worker, tmp_path):
+    scene = synth.ScenarioConfig(n_plots=8, plot_area_mean_ha=0.01, plot_area_median_ha=0.01,
+                                 burn_probability=0.5, seed=2)
+    config = pipeline.RunConfig(out_root=str(tmp_path), scenario=scene, n_trees=3,
+                                cv_mode="grouped:2")
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer)
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.restore()
+    # The ranking forest, one per fold and the final forest.
+    assert tracer.counts["forest.train.calls"] == 1 + 2 + 1
+    assert tracer.counts["cv.folds"] == 2
+    assert tracer.inclusive()["forest.impute"] > 0

@@ -1,17 +1,18 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plotburn import cv, pipeline
-from plotburn.features import read_feature_csv, table_matrix
+from plotburn.features import FeatureTable, read_feature_csv, table_matrix
 from plotburn.forest import apply_impute, fit_impute_medians, load_forest, predict_scores
 from plotburn.gridio import read_rows_csv
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
                                RunState, compare_ablations, config_from_dict, run_pipeline,
-                               stage_ingest)
+                               stage_ingest, stage_train)
 from plotburn.synth import ScenarioConfig
 
 SCENARIO = ScenarioConfig(n_plots=24, plot_area_mean_ha=0.02,
@@ -242,6 +243,31 @@ class TestRunPipeline:
             assert float(mean_score) == float(scores[interior].mean())
 
 
+class TestTrainMemory:
+    def test_stage_train_holds_one_labeled_copy(self, tmp_path):
+        # 20,000 rows x 423 columns in 40 labeled plots, 5% of values missing.
+        rng = np.random.default_rng(0)
+        n_plots, per_plot, n_cols = 40, 500, 423
+        plots = [f"p{i:02d}" for i in range(n_plots)]
+        cls = np.repeat(np.arange(n_plots) % 2, per_plot)
+        X = cls[:, None] + 0.1 * rng.standard_normal((cls.size, n_cols))
+        X[rng.random(X.shape) < 0.05] = np.nan
+        table = FeatureTable(X, [f"f{j:03d}" for j in range(n_cols)],
+                             np.repeat(plots, per_plot).astype(object),
+                             np.asarray([f"x{i}" for i in range(cls.size)], dtype=object))
+        state = RunState(base_config(tmp_path, n_trees=1, cv_mode="grouped:2"), str(tmp_path))
+        state.table = table
+        state.labels = {p: "burned" if i % 2 else "not_burned" for i, p in enumerate(plots)}
+        tracemalloc.start()
+        try:
+            stage_train(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(state.plot_scores) == plots
+        assert peak <= 1.6 * X.nbytes, peak / X.nbytes
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self, tmp_path):
         config = base_config(tmp_path)
@@ -261,12 +287,16 @@ class TestConfigRoundTrip:
                              ("cv_mode", "grouped:x"), ("cv_mode", "grouped:"),
                              ("cv_mode", "loocv:3"), ("cv_mode", 3), ("n_trees", 0),
                              ("n_trees", "5"), ("top_k_features", 0), ("min_leaf", 0),
-                             ("max_offset", -1)]:
+                             ("max_offset", -1), ("seed", "1"), ("seed", -1),
+                             ("seed", 1.0), ("seed", True), ("include_border", "false"),
+                             ("include_border", 1)]:
             with pytest.raises(ValueError, match=field):
                 RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **{field: value})
         for field, value in [("cv_mode", "auto"), ("cv_mode", "loocv"),
                              ("cv_mode", "grouped:1"), ("n_trees", 1),
-                             ("top_k_features", 1), ("min_leaf", 1), ("max_offset", 0)]:
+                             ("top_k_features", 1), ("min_leaf", 1), ("max_offset", 0),
+                             ("seed", 0), ("seed", np.int64(7)),
+                             ("include_border", False)]:
             RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **{field: value})
 
 
