@@ -91,7 +91,6 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
 
     if schema is None:
         schema = table.schema
-    X_all = table_matrix(table, schema)
     classes = {p: LABEL_TO_CLASS[labels[p]] for p in usable}
 
     if folds is None:
@@ -111,11 +110,13 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
         train_plot_ids = table.plot_id[train_idx]
         check_fold_leakage(train_plot_ids, holdout)
         y_train = np.asarray([classes[p] for p in train_plot_ids], dtype=np.int64)
-        model, medians = fit_forest(X_all[train_idx], y_train, schema, params)
+        model, medians = fit_forest(table_matrix(table, schema, train_idx),
+                                    y_train, schema, params)
         for p in holdout:
             if p not in plot_rows:
                 continue
-            scores = predict_scores(model, apply_impute(X_all[plot_rows[p]], medians))
+            X_plot = table_matrix(table, schema, plot_rows[p])
+            scores = predict_scores(model, apply_impute(X_plot, medians))
             result.pixel_scores[p] = scores
             result.plot_means[p] = float(scores.mean())
         result.folds.append((tuple(holdout), int(train_idx.size)))

@@ -253,13 +253,16 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
     return FeatureTable(X, schema, plot_id, pixel_id)
 
 
-def table_matrix(table: FeatureTable, names: list[str]) -> np.ndarray:
-    """Columns of table.X in the order of names; an unknown name is an error."""
+def table_matrix(table: FeatureTable, names: list[str],
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Columns of table.X in the order of names, of every row or of rows only;
+    an unknown name is an error."""
     col = {name: j for j, name in enumerate(table.schema)}
     unknown = [name for name in names if name not in col]
     if unknown:
         raise ValueError(f"feature table has no column(s) {unknown}")
-    return table.X[:, [col[name] for name in names]]
+    cols = [col[name] for name in names]
+    return table.X[:, cols] if rows is None else table.X[np.ix_(rows, cols)]
 
 
 def table_schema(table: FeatureTable) -> list[str]:

@@ -1,9 +1,13 @@
 """Random Forest for binary burn classification with Gini importance.
 
-Trees are stored as flat parallel arrays (feature, threshold, children, leaf
-vote fractions) so batch prediction routes all rows level by level with numpy.
-Scores are the fraction of trees whose leaf majority votes burned, not a
-calibrated probability.
+The split search is exact. Each forest ranks every training column once
+among its distinct values, and a node scores a block of candidate columns in
+one numpy pass over those integer ranks; the chosen split, threshold and
+importance are the ones a column-by-column search over the float values
+finds. Trees are stored as flat parallel arrays (feature, threshold,
+children, leaf vote fractions) so batch prediction routes all rows level by
+level with numpy. Scores are the fraction of trees whose leaf majority votes
+burned, not a calibrated probability.
 """
 
 from __future__ import annotations
@@ -50,15 +54,16 @@ class Tree:
     def n_nodes(self) -> int:
         return int(self.feature.size)
 
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        """Hard majority vote of the landing leaf for each row."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
+    def predict_class(self, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Hard majority vote of the landing leaf for each row of X, or for
+        X[rows] without gathering it."""
+        node = np.zeros(X.shape[0] if rows is None else rows.size, dtype=np.int64)
         active = self.feature[node] >= 0
         while active.any():
             idx = np.nonzero(active)[0]
             cur = node[idx]
             f = self.feature[cur]
-            go_left = X[idx, f] <= self.threshold[cur]
+            go_left = X[idx if rows is None else rows[idx], f] <= self.threshold[cur]
             node[idx] = np.where(go_left, self.left[cur], self.right[cur])
             active[idx] = self.feature[node[idx]] >= 0
         return (self.votes[node, 1] > self.votes[node, 0]).astype(np.int64)
@@ -77,47 +82,73 @@ class ForestModel:
         return len(self.trees)
 
 
+# Row x candidate cells scored in one numpy pass of the split search, which
+# bounds its memory; a node of more than half this many rows scores one
+# candidate per pass.
+_BLOCK_CELLS = 1 << 16
+
+
 def _gini(c0, c1):
     n = c0 + c1
     return 1.0 - ((c0 / n) ** 2 + (c1 / n) ** 2)
 
 
-def _best_split(X, y, idx, candidates, min_leaf):
-    """(decrease, feature, threshold) of the best Gini split, or decrease 0."""
+def _rank_codes(X):
+    """Each column's rank among its distinct values (-0.0 and 0.0 share one)."""
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0]))
+    for j in range(X.shape[1]):
+        codes[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    return codes
+
+
+def _best_split(X, codes, y, idx, candidates, min_leaf):
+    """(decrease, feature, threshold) of the best Gini split of a node of at
+    least 2 * min_leaf rows, or decrease 0.
+
+    Each pass scores a block of candidates on their ranks: one stable sort,
+    one cumulative class count and one Gini expression over every cut that
+    leaves min_leaf rows on each side. A stable sort of ranks orders rows as a
+    stable sort of their values does (tied values keep row order), so the
+    split is the exact one. Candidates are compared in order, a later one
+    winning only by more than 1e-15, and the threshold is the midpoint of the
+    two values either side of the winning cut.
+    """
     n = idx.size
     y_node = y[idx]
     n1 = int(y_node.sum())
     n0 = n - n1
     parent = _gini(n0, n1)
-    best_dec, best_f, best_thr = 0.0, -1, 0.0
-    ks = np.arange(1, n)
-    for f in candidates:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y_node[order]
-        usable = (vs[1:] > vs[:-1]) & (ks >= min_leaf) & (n - ks >= min_leaf)
-        if not usable.any():
-            continue
-        c1l = np.cumsum(ys)[:-1][usable]
-        kl = ks[usable]
+    # Rows left of each cut that leaves min_leaf rows on both sides.
+    kl = np.arange(min_leaf, n - min_leaf + 1)[:, None]
+    kr = n - kl
+    cuts = slice(min_leaf - 1, n - min_leaf)
+    best_dec, best_f, best_rows = 0.0, -1, None
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, candidates.size, step):
+        block = candidates[start:start + step]
+        cols = np.arange(block.size)
+        ranks = codes[idx[:, None], block]
+        order = np.argsort(ranks, axis=0, kind="stable")
+        ranks = ranks[order, cols]
+        c1l = np.cumsum(y_node[order], axis=0)[cuts]
         c0l = kl - c1l
-        kr = n - kl
         gl = _gini(c0l, c1l)
         gr = _gini(n0 - c0l, n1 - c1l)
         dec = parent - (kl * gl + kr * gr) / n
-        j = int(np.argmax(dec))
-        if dec[j] > best_dec + 1e-15:
-            pos = int(kl[j])
-            src = np.nonzero(usable)[0]
-            vpos = int(src[j]) + 1
-            best_dec = float(dec[j])
-            best_f = int(f)
-            best_thr = float((vs[vpos - 1] + vs[vpos]) / 2.0)
-    return best_dec, best_f, best_thr
+        dec[ranks[min_leaf:n - min_leaf + 1] == ranks[cuts]] = -np.inf
+        at = np.argmax(dec, axis=0)
+        for c, top in enumerate(dec[at, cols].tolist()):
+            if top > best_dec + 1e-15:
+                r = min_leaf - 1 + int(at[c])
+                best_dec, best_f = top, int(block[c])
+                best_rows = idx[order[r:r + 2, c]]
+    if best_f < 0:
+        return 0.0, -1, 0.0
+    lo, hi = X[best_rows, best_f]
+    return best_dec, best_f, float((lo + hi) / 2.0)
 
 
-def _grow_tree(X, y, sample_idx, rng, params: ForestParams, n_total,
+def _grow_tree(X, codes, y, sample_idx, rng, params: ForestParams, n_total,
                importance_acc: np.ndarray) -> Tree:
     max_feat = max(1, int(math.sqrt(X.shape[1])))
     feature, threshold, left, right, votes = [], [], [], [], []
@@ -140,7 +171,7 @@ def _grow_tree(X, y, sample_idx, rng, params: ForestParams, n_total,
         if n1 == 0 or n1 == n or n < 2 * params.min_leaf:
             continue
         candidates = np.sort(rng.permutation(X.shape[1])[:max_feat])
-        dec, f, thr = _best_split(X, y, idx, candidates, params.min_leaf)
+        dec, f, thr = _best_split(X, codes, y, idx, candidates, params.min_leaf)
         if f < 0:
             continue
         importance_acc[f] += dec * n / n_total
@@ -179,6 +210,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
         raise DegenerateModelError("training data contains a single class")
 
     n = X.shape[0]
+    codes = _rank_codes(X)
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     importance = np.zeros(X.shape[1])
     trees = []
@@ -186,13 +218,13 @@ def train_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
     for t in range(params.n_trees):
         rng = np.random.Generator(np.random.PCG64(seeds[t]))
         sample = rng.integers(0, n, size=n)
-        tree = _grow_tree(X, y, sample, rng, params, n, importance)
+        tree = _grow_tree(X, codes, y, sample, rng, params, n, importance)
         trees.append(tree)
         oob = np.ones(n, dtype=bool)
         oob[sample] = False
         if oob.any():
-            pred = tree.predict_class(X[oob])
-            oob_votes[np.nonzero(oob)[0], pred] += 1
+            rows = np.flatnonzero(oob)
+            oob_votes[rows, tree.predict_class(X, rows)] += 1
 
     total = importance.sum()
     if total > 0:

@@ -384,5 +384,8 @@ class TestTableRoundTrip:
         assert X[0, schema.index("border")] == 1.0
         sub = table_matrix(table, ["border", "A_Red_max"])
         assert sub.tolist() == [[1.0, 0.4]]
+        rows = table_matrix(table, ["border", "A_Red_max"], np.array([0, 0]))
+        assert rows.tolist() == [[1.0, 0.4], [1.0, 0.4]]
+        assert table_matrix(table, schema, np.empty(0, dtype=np.int64)).shape == (0, len(schema))
         with pytest.raises(ValueError, match="A_Nope_max"):
             table_matrix(table, ["A_Red_max", "A_Nope_max"])

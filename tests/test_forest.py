@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from plotburn import forest
 from plotburn.forest import (DegenerateModelError, ForestError, ForestParams,
                              SchemaMismatchError, apply_impute, fit_impute_medians,
                              load_forest, predict_scores, save_forest, top_k_features,
@@ -28,6 +31,63 @@ def assert_same_trees(back, model):
         for name in ("feature", "threshold", "left", "right", "votes"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def oracle_best_split(X, y, idx, candidates, min_leaf):
+    """The split search one float column at a time: the reference the rank
+    search in forest._best_split must match bit for bit."""
+    n = idx.size
+    y_node = y[idx]
+    n1 = int(y_node.sum())
+    n0 = n - n1
+    parent = forest._gini(n0, n1)
+    best_dec, best_f, best_thr = 0.0, -1, 0.0
+    ks = np.arange(1, n)
+    for f in candidates:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = y_node[order]
+        usable = (vs[1:] > vs[:-1]) & (ks >= min_leaf) & (n - ks >= min_leaf)
+        if not usable.any():
+            continue
+        c1l = np.cumsum(ys)[:-1][usable]
+        kl = ks[usable]
+        c0l = kl - c1l
+        kr = n - kl
+        gl = forest._gini(c0l, c1l)
+        gr = forest._gini(n0 - c0l, n1 - c1l)
+        dec = parent - (kl * gl + kr * gr) / n
+        j = int(np.argmax(dec))
+        if dec[j] > best_dec + 1e-15:
+            vpos = int(np.nonzero(usable)[0][j]) + 1
+            best_dec = float(dec[j])
+            best_f = int(f)
+            best_thr = float((vs[vpos - 1] + vs[vpos]) / 2.0)
+    return best_dec, best_f, best_thr
+
+
+def adversarial_column(kind, n, rng):
+    """Values that stress an exact split search: heavy ties, signed zeros and
+    adjacent doubles."""
+    if kind == "normal":
+        return rng.normal(0, 1, size=n)
+    if kind == "ties":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+    if kind == "neighbours":
+        base = rng.normal(0, 1e3)
+        return np.nextafter(np.nextafter(base, rng.choice([-np.inf, np.inf], size=n)),
+                            rng.choice([-np.inf, base, np.inf], size=n))
+    return np.full(n, rng.normal())
+
+
+COLUMN_KINDS = ["normal", "ties", "signed-zeros", "neighbours", "constant"]
 
 
 class TestTrainForest:
@@ -88,7 +148,69 @@ class TestTrainForest:
         assert spread(25) > spread(400)
 
 
+class TestExactSplitSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000),
+           n_cols=st.integers(1, 40), min_leaf=st.integers(1, 8),
+           kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5))
+    @example(seed=1, n=4000, n_cols=40, min_leaf=3, kinds=COLUMN_KINDS)
+    @example(seed=2, n=5000, n_cols=20, min_leaf=8, kinds=["ties", "signed-zeros"])
+    @example(seed=3, n=80000, n_cols=2, min_leaf=1, kinds=["neighbours", "normal"])
+    def test_matches_the_float_oracle(self, seed, n, n_cols, min_leaf, kinds):
+        assume(n >= 2 * min_leaf)                 # smaller nodes are leaves
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([adversarial_column(kinds[j % len(kinds)], n, rng)
+                             for j in range(n_cols)])
+        y = (rng.random(n) < rng.random()).astype(np.int64)
+        idx = rng.integers(0, n, size=n)          # a bootstrap sample, repeats included
+        candidates = np.sort(rng.permutation(n_cols)[:rng.integers(1, n_cols + 1)])
+        got = forest._best_split(X, forest._rank_codes(X), y, idx, candidates, min_leaf)
+        want = oracle_best_split(X, y, idx, candidates, min_leaf)
+        assert got[1] == want[1]
+        assert bits(got[0]) == bits(want[0]) and bits(got[2]) == bits(want[2])
+
+    def test_examples_span_several_candidate_blocks(self):
+        # The explicit examples above score their candidates in more than one
+        # pass, and the last one candidate per pass.
+        assert 4000 * 40 > 2 * forest._BLOCK_CELLS
+        assert 80000 > forest._BLOCK_CELLS
+
+    def test_ranks_share_signed_zero_and_fit_the_row_count(self):
+        X = np.array([[0.0, 3.0], [-0.0, 1.0], [2.5, 1.0], [-1.0, 3.0]])
+        codes = forest._rank_codes(X)
+        assert codes.dtype == np.min_scalar_type(4)
+        assert codes.tolist() == [[1, 1], [1, 0], [2, 0], [0, 1]]
+
+    @pytest.mark.parametrize("n, n_features, ties", [(200, 6, False), (300, 423, True)],
+                             ids=["separable", "423-columns"])
+    def test_forest_equals_the_oracle_forest(self, monkeypatch, n, n_features, ties):
+        X, y = separable_data(n=n, n_features=n_features, margin=1.5, seed=17)
+        if ties:
+            X[:, 1::2] = np.round(X[:, 1::2], 1)
+            X[:, 2::5] = np.where(X[:, 2::5] > 0, 0.0, -0.0)
+        params = ForestParams(8, min_leaf=2, seed=3)
+        model = train_forest(X, y, schema_for(n_features), params)
+        monkeypatch.setattr(forest, "_best_split",
+                            lambda X, codes, y, idx, candidates, min_leaf:
+                            oracle_best_split(X, y, idx, candidates, min_leaf))
+        reference = train_forest(X, y, schema_for(n_features), params)
+        assert_same_trees(model, reference)
+        for got, want in zip(model.trees, reference.trees):
+            assert np.array_equal(bits(got.threshold), bits(want.threshold))
+        assert np.array_equal(bits(model.importance), bits(reference.importance))
+        assert model.oob_accuracy == reference.oob_accuracy
+        assert sum(t.n_nodes for t in model.trees) > 8 * 3
+
+
 class TestPrediction:
+    def test_rows_route_without_a_gather(self):
+        X, y = separable_data(n=120, margin=1.0, seed=18)
+        model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(5, seed=2))
+        rows = np.random.default_rng(4).integers(0, X.shape[0], size=70)
+        for tree in model.trees:
+            assert np.array_equal(tree.predict_class(X, rows), tree.predict_class(X[rows]))
+            assert tree.predict_class(X, rows[:0]).size == 0
+
     def test_scores_live_on_vote_lattice(self):
         X, y = separable_data(seed=10)
         model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(40, seed=2))
