@@ -111,7 +111,8 @@ def _best_split(X, codes, y, idx, candidates, min_leaf):
     stable sort of their values does (tied values keep row order), so the
     split is the exact one. Candidates are compared in order, a later one
     winning only by more than 1e-15, and the threshold is the midpoint of the
-    two values either side of the winning cut.
+    two values either side of the winning cut, or the lower value where the
+    midpoint is not below the upper one.
     """
     n = idx.size
     y_node = y[idx]
@@ -145,7 +146,11 @@ def _best_split(X, codes, y, idx, candidates, min_leaf):
     if best_f < 0:
         return 0.0, -1, 0.0
     lo, hi = X[best_rows, best_f]
-    return best_dec, best_f, float((lo + hi) / 2.0)
+    # X <= threshold must send exactly the rows ranked at or below lo left;
+    # the midpoint does not where it rounds up to hi (adjacent doubles) or
+    # overflows, and lo does.
+    mid = (lo + hi) / 2.0
+    return best_dec, best_f, float(mid if lo <= mid < hi else lo)
 
 
 def _grow_tree(X, codes, y, sample_idx, rng, params: ForestParams, n_total,

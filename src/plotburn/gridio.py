@@ -1,10 +1,17 @@
 """File formats: ASCII grids, scene manifests, plot/endmember/event CSVs.
 
 Grid file: one header line "ncols nrows xll yll cellsize nodata" followed by
-nrows rows of ncols ASCII floats, top row first. The manifest is JSON with a
-reflectance scale divisor (10000 for DN-scaled grids, 1 for unit reflectance)
-and one entry per (sensor, date, band) grid, plus an optional cloud
-probability grid per observation.
+exactly nrows lines of ncols ASCII floats, top row first; a blank or "#"
+comment line counts as a row and fails the check. read_grid converts only the
+rows it is asked for but checks every line: the line count, and that each line
+holds ncols numbers the converter accepts.
+
+The manifest is JSON with a reflectance scale divisor (10000 for DN-scaled
+grids, 1 for unit reflectance) and one entry per (sensor, date, band) grid,
+plus an optional cloud probability grid per observation. scan_scene_manifest
+reads only the grid headers and checks the geometry; read_scene_manifest then
+reads each grid once, converting the rows asked for on the common grid (for a
+coarser sensor, the rows under their cubic taps).
 """
 
 from __future__ import annotations
@@ -14,11 +21,12 @@ import datetime as dt
 import json
 import os
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
 from .indices import SWIR_SET, EndmemberSet
-from .resample import upsample_cubic
+from .resample import _axis_taps, upsample_cubic
 from .scene import (MASKED_FILL, SENSOR_BANDS, AlignmentError, BandObservation,
                     GridGeometry, Plot, SceneCube, SceneError, make_plot)
 
@@ -48,21 +56,90 @@ def write_grid(path, grid: np.ndarray, geom: GridGeometry, valid=None,
             fh.write("\n")
 
 
-def read_grid(path):
-    """Returns (values, valid, geom); nodata cells are invalid and NaN-filled."""
+def _read_header(fh, path) -> tuple[GridGeometry, float]:
+    header = fh.readline().split()
+    if len(header) != 6:
+        raise FormatError(f"{path}: bad grid header")
+    geom = GridGeometry(int(header[0]), int(header[1]), float(header[2]),
+                        float(header[3]), float(header[4]))
+    return geom, float(header[5])
+
+
+def _read_grid_header(path) -> GridGeometry:
+    """The geometry a grid file's header line declares; no row is read."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6:
-            raise FormatError(f"{path}: bad grid header")
-        ncols, nrows = int(header[0]), int(header[1])
-        geom = GridGeometry(ncols, nrows, float(header[2]), float(header[3]),
-                            float(header[4]))
-        nodata = float(header[5])
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
-    if data.shape != (nrows, ncols):
-        raise FormatError(f"{path}: expected {nrows}x{ncols} values, got {data.shape}")
-    valid = data != nodata
-    values = np.where(valid, data, np.nan)
+        return _read_header(fh, path)[0]
+
+
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, dtype=float, ndmin=2)
+
+
+def _check_rows(path, body: bytes, raw: np.ndarray, nrows: int, ncols: int) -> None:
+    """Raise FormatError unless each of the nrows lines of body holds ncols
+    values _parse_rows accepts.
+
+    Whether a token converts depends on where its runs of ASCII digits sit,
+    not on their length or value. So each line is reduced to its shape,
+    every digit run becoming one "0", and each distinct shape is parsed once:
+    a grid of one number format has a handful of shapes however many rows it
+    has.
+    """
+    # Keep every byte but the second and later digits of a run; UTF-8 never
+    # uses ASCII digit bytes inside a multi-byte character.
+    other = (raw - np.uint8(ord("0"))) > 9
+    keep = np.empty_like(other)
+    keep[:1] = True
+    np.logical_or(other[1:], other[:-1], out=keep[1:])
+    shapes = np.compress(keep, raw).tobytes().translate(_DIGITS_TO_ZERO).split(b"\n")
+    distinct = [shape.decode() for shape in dict.fromkeys(shapes[:nrows])]
+    try:
+        if _parse_rows(distinct).shape == (len(distinct), ncols):
+            return
+    except ValueError:
+        pass
+    for row, line in enumerate(body.decode().split("\n")[:nrows]):
+        try:
+            n = _parse_rows([line]).size
+        except ValueError as exc:
+            # numpy names the position within the one line it was given.
+            reason = str(exc).split(" at row ")[0]
+            raise FormatError(f"{path}: line {row + 2}: {reason}") from None
+        if n != ncols:
+            raise FormatError(f"{path}: line {row + 2} holds {n} values, "
+                              f"expected {ncols}")
+    raise FormatError(f"{path}: rows do not parse as {ncols} numbers each")
+
+
+def read_grid(path, rows=None):
+    """Returns (values, valid, geom); nodata cells are invalid and NaN-filled.
+
+    Only the listed rows (every row when rows is None) are converted to
+    floats; cells of the other rows come back invalid and NaN. Every row is
+    still checked: the file must hold exactly nrows lines of ncols numbers.
+    """
+    with open(path) as fh:
+        geom, nodata = _read_header(fh, path)
+        body = fh.read().encode()
+    raw = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not body.endswith(b"\n"):
+        ends = np.append(ends, len(body))
+    if ends.size != geom.nrows:
+        raise FormatError(f"{path}: expected {geom.nrows} rows of values, "
+                          f"got {ends.size} lines")
+    _check_rows(path, body, raw, geom.nrows, geom.ncols)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    rows = np.arange(geom.nrows) if rows is None else np.asarray(rows, dtype=np.int64)
+    values = np.full(geom.shape, np.nan)
+    valid = np.zeros(geom.shape, dtype=bool)
+    if rows.size:
+        data = _parse_rows([body[starts[r]:ends[r]].decode() for r in rows])
+        valid[rows] = data != nodata
+        values[rows] = np.where(valid[rows], data, np.nan)
     return values, valid, geom
 
 
@@ -74,16 +151,56 @@ def write_scene_manifest(path, entries: list[dict], scale: float = 1.0,
         fh.write("\n")
 
 
-def read_scene_manifest(path):
-    """Load a manifest into one SceneCube per sensor, all on one common grid.
+class GridPass(NamedTuple):
+    """One (sensor, date) of a manifest: its band grids, cloud mask and geometry."""
 
-    Every grid file is parsed once. Bands of one (sensor, date) share a
-    validity mask: a pixel is valid only when every band carries data, its
-    value lands in [0, 1] after scaling, and the cloud probability (when
-    provided) stays below the threshold. The common grid is the finest
-    sensor's geometry (on a tie, the first sensor in sorted order). Coarser
-    grids must share its top-left corner; they are upsampled by their integer
-    cellsize factor with cubic convolution and clipped back to the unit range.
+    sensor: str
+    date: dt.date
+    bands: dict[str, str]          # band -> grid path, in SENSOR_BANDS order
+    mask: str | None
+    geom: GridGeometry
+
+
+class SceneLayout(NamedTuple):
+    """A scene manifest checked against its grid headers; no cell read yet.
+
+    geom is the common grid; passes come in (sensor, date) order.
+    """
+
+    scale: float
+    threshold: float
+    passes: tuple[GridPass, ...]
+    geom: GridGeometry
+
+    def factor(self, grid: GridPass) -> int:
+        return int(round(grid.geom.cellsize / self.geom.cellsize))
+
+    def source_rows(self, grid: GridPass, rows: np.ndarray) -> np.ndarray:
+        """The rows of grid's files that common-grid rows are computed from."""
+        if grid.geom == self.geom:
+            return rows
+        taps, _ = _axis_taps(grid.geom.nrows, self.factor(grid))
+        return np.unique(taps[:, rows])
+
+    def ingest_counts(self, rows: np.ndarray) -> dict[str, int]:
+        """Grids, cells in them and cells converted when reading rows."""
+        counts = {"grids": 0, "cells": 0, "cells_converted": 0}
+        for grid in self.passes:
+            n = len(grid.bands) + (grid.mask is not None)
+            counts["grids"] += n
+            counts["cells"] += n * grid.geom.nrows * grid.geom.ncols
+            counts["cells_converted"] += (n * self.source_rows(grid, rows).size
+                                          * grid.geom.ncols)
+        return counts
+
+
+def scan_scene_manifest(path) -> SceneLayout:
+    """Read a manifest and the header line of every grid it lists.
+
+    Checks what read_scene_manifest needs of the geometry before any cell is
+    converted: bands and cloud mask of one (sensor, date) share a geometry,
+    every date of a sensor has the same one, and each coarser grid shares the
+    common grid's top-left corner with a cellsize an integer multiple of it.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -108,48 +225,34 @@ def read_scene_manifest(path):
     if not grouped:
         raise FormatError(f"{path}: the manifest lists no grids")
 
-    native = []
+    passes = []
     geom_by_sensor: dict[str, GridGeometry] = {}
     for (sensor, date), band_paths in sorted(grouped.items()):
         expected = SENSOR_BANDS[sensor]
         missing = [b for b in expected if b not in band_paths]
         if missing:
             raise FormatError(f"{sensor} {date}: missing band grids {missing}")
-        bands = {}
-        valid = None
-        geom = None
-        for band in expected:
-            values, ok, g = read_grid(band_paths[band])
-            if geom is None:
-                geom = g
-            elif g != geom:
-                raise AlignmentError(f"{sensor} {date}: band grids disagree on geometry")
-            values = values / scale
-            ok = ok & np.isfinite(values) & (values >= 0.0) & (values <= 1.0)
-            bands[band] = values
-            valid = ok if valid is None else (valid & ok)
-        if (sensor, date) in masks:
-            prob, mask_ok, g = read_grid(masks[(sensor, date)])
-            if g != geom:
-                raise AlignmentError(f"{sensor} {date}: cloud mask geometry mismatch")
-            valid &= mask_ok & (prob < threshold)
+        bands = {band: band_paths[band] for band in expected}
+        geoms = {_read_grid_header(p) for p in bands.values()}
+        if len(geoms) > 1:
+            raise AlignmentError(f"{sensor} {date}: band grids disagree on geometry")
+        (geom,) = geoms
+        mask = masks.get((sensor, date))
+        if mask is not None and _read_grid_header(mask) != geom:
+            raise AlignmentError(f"{sensor} {date}: cloud mask geometry mismatch")
         geom_by_sensor.setdefault(sensor, geom)
         if geom != geom_by_sensor[sensor]:
             raise AlignmentError(f"sensor {sensor}: observations disagree on geometry")
-        native.append((sensor, date, bands, valid, geom))
+        passes.append(GridPass(sensor, date, bands, mask, geom))
 
     target = min(geom_by_sensor.values(), key=lambda g: g.cellsize)
-    cubes: dict[str, list[BandObservation]] = defaultdict(list)
-    for sensor, date, bands, valid, geom in native:
-        if geom != target:
-            bands, valid = _resample_to(bands, valid, geom, target, f"{sensor} {date}")
-        for grid in bands.values():
-            grid[~valid] = MASKED_FILL
-        cubes[sensor].append(BandObservation(sensor, date, bands, valid, target))
-    return {sensor: SceneCube(obs, target) for sensor, obs in cubes.items()}
+    for grid in passes:
+        if grid.geom != target:
+            _check_alignment(grid.geom, target, f"{grid.sensor} {grid.date}")
+    return SceneLayout(scale, threshold, tuple(passes), target)
 
 
-def _resample_to(bands, valid, geom: GridGeometry, target: GridGeometry, label: str):
+def _check_alignment(geom: GridGeometry, target: GridGeometry, label: str) -> None:
     top_left = (geom.xll, geom.yll + geom.nrows * geom.cellsize)
     target_top_left = (target.xll, target.yll + target.nrows * target.cellsize)
     if any(abs(a - b) > 1e-6 * target.cellsize for a, b in zip(top_left, target_top_left)):
@@ -160,17 +263,60 @@ def _resample_to(bands, valid, geom: GridGeometry, target: GridGeometry, label: 
     if abs(ratio - factor) > 1e-9 or factor < 1:
         raise SceneError(f"{label}: cellsize {geom.cellsize} is not an integer "
                          f"multiple of {target.cellsize}")
+    if geom.nrows * factor < target.nrows or geom.ncols * factor < target.ncols:
+        raise AlignmentError(f"{label}: resampled grid does not cover the common grid")
+
+
+def read_scene_manifest(manifest, rows=None):
+    """Load a manifest into one SceneCube per sensor, all on one common grid.
+
+    manifest is a manifest path or the SceneLayout scan_scene_manifest made
+    of one. Bands of one (sensor, date) share a validity mask: a pixel is
+    valid only when every band carries data, its value lands in [0, 1] after
+    scaling, and the cloud probability (when provided) stays below the
+    threshold. The common grid is the finest sensor's geometry (on a tie, the
+    first sensor in sorted order). Coarser grids are upsampled by their
+    integer cellsize factor with cubic convolution and clipped back to the
+    unit range.
+
+    rows, when given, are the common-grid rows to fill: every grid file is
+    still read and checked once, but only the rows those are computed from
+    are converted, and every cell outside them is invalid.
+    """
+    layout = (manifest if isinstance(manifest, SceneLayout)
+              else scan_scene_manifest(manifest))
+    target = layout.geom
+    cubes: dict[str, list[BandObservation]] = defaultdict(list)
+    for grid in layout.passes:
+        source_rows = None if rows is None else layout.source_rows(grid, rows)
+        bands = {}
+        valid = None
+        for band, band_path in grid.bands.items():
+            values, ok, _ = read_grid(band_path, source_rows)
+            values = values / layout.scale
+            ok = ok & np.isfinite(values) & (values >= 0.0) & (values <= 1.0)
+            bands[band] = values
+            valid = ok if valid is None else (valid & ok)
+        if grid.mask is not None:
+            prob, mask_ok, _ = read_grid(grid.mask, source_rows)
+            valid &= mask_ok & (prob < layout.threshold)
+        if grid.geom != target:
+            bands, valid = _resample_to(bands, valid, layout.factor(grid), target, rows)
+        for values in bands.values():
+            values[~valid] = MASKED_FILL
+        cubes[grid.sensor].append(BandObservation(grid.sensor, grid.date, bands, valid,
+                                                  target))
+    return {sensor: SceneCube(obs, target) for sensor, obs in cubes.items()}
+
+
+def _resample_to(bands, valid, factor: int, target: GridGeometry, rows):
     fine = {}
     fine_valid = None
     for name, grid in bands.items():
-        up, ok = upsample_cubic(grid, factor, valid)
-        fine[name] = np.clip(up, 0.0, 1.0)
+        up, ok = upsample_cubic(grid, factor, valid, rows)
+        fine[name] = np.clip(up, 0.0, 1.0)[:target.nrows, :target.ncols]
         fine_valid = ok if fine_valid is None else (fine_valid & ok)
-    fine_valid = fine_valid[:target.nrows, :target.ncols]
-    fine = {k: v[:target.nrows, :target.ncols] for k, v in fine.items()}
-    if fine_valid.shape != target.shape:
-        raise AlignmentError(f"{label}: resampled grid does not cover the common grid")
-    return fine, fine_valid
+    return fine, fine_valid[:target.nrows, :target.ncols]
 
 
 def format_wkt_polygon(polygon) -> str:

@@ -24,7 +24,8 @@ from .forest import ForestParams, apply_impute, predict_scores, save_forest, top
 # Not called here: perfbench/worker.py rebinds them by name.
 from .forest import fit_impute_medians, train_forest  # noqa: F401
 from .gridio import (read_endmembers_csv, read_events_csv, read_plots_csv,
-                     read_rows_csv, read_scene_manifest, write_rows_csv)
+                     read_rows_csv, read_scene_manifest, scan_scene_manifest,
+                     write_rows_csv)
 from .scene import gap_statistics
 from .separability import CURVE_CSV_HEADER, separability_curve
 from .thresholds import (aggregate_plot, balanced_accuracy_threshold,
@@ -184,9 +185,14 @@ def stage_ingest(state: RunState) -> None:
     else:
         if not cfg.manifest_path:
             raise ValueError("a run from files needs a scene manifest (manifest_path)")
-        state.cubes = read_scene_manifest(cfg.manifest_path)
-        geom = next(iter(state.cubes.values())).geom
-        state.plots = read_plots_csv(cfg.plots_path, geom)
+        # Plots are rasterised from the grid headers, so that only the grid
+        # rows they touch need converting.
+        layout = scan_scene_manifest(cfg.manifest_path)
+        state.plots = read_plots_csv(cfg.plots_path, layout.geom)
+        rows = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
+                                        + [p.rows for p in state.plots]))
+        state.cubes = read_scene_manifest(layout, rows)
+        state.manifest["ingest"] = layout.ingest_counts(rows)
         if cfg.events_path:
             state.events = read_events_csv(cfg.events_path)
         state.endmembers = (read_endmembers_csv(cfg.endmembers_path)

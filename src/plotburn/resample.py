@@ -38,12 +38,15 @@ def _axis_taps(n_in: int, factor: int):
     return taps, _cubic_weights(frac)
 
 
-def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = None):
+def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = None,
+                   rows: np.ndarray | None = None):
     """Upsample a 2-D grid by an integer factor with cubic convolution.
 
     Returns (fine_grid, fine_valid). An output cell is invalid whenever any
     input cell under its 4x4 kernel support is invalid; invalid inputs
     contribute value 0 so no masked value can leak through arithmetic.
+    rows, when given, are the output rows to compute; the others come back
+    NaN and invalid.
     """
     if int(factor) != factor or factor < 1:
         raise SceneError(f"upsample factor must be an integer >= 1, got {factor}")
@@ -57,6 +60,9 @@ def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = Non
 
     rtaps, rw = _axis_taps(grid.shape[0], factor)
     ctaps, cw = _axis_taps(grid.shape[1], factor)
+    shape = (rtaps.shape[1], ctaps.shape[1])
+    if rows is not None:
+        rtaps, rw = rtaps[:, rows], rw[:, rows]
 
     # Separable pass: rows first, then columns.
     inter = np.zeros((rtaps.shape[1], grid.shape[1]))
@@ -70,4 +76,8 @@ def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = Non
         out += cw[t][None, :] * inter[:, ctaps[t]]
         out_ok &= inter_ok[:, ctaps[t]]
     out[~out_ok] = np.nan
-    return out, out_ok
+    if rows is None:
+        return out, out_ok
+    full, full_ok = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    full[rows], full_ok[rows] = out, out_ok
+    return full, full_ok

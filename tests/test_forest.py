@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,13 +68,17 @@ def oracle_best_split(X, y, idx, candidates, min_leaf):
             vpos = int(np.nonzero(usable)[0][j]) + 1
             best_dec = float(dec[j])
             best_f = int(f)
-            best_thr = float((vs[vpos - 1] + vs[vpos]) / 2.0)
+            lo, hi = vs[vpos - 1], vs[vpos]
+            best_thr = float((lo + hi) / 2.0)
+            if not lo <= best_thr < hi:       # rounded up to hi, or overflowed
+                best_thr = float(lo)
     return best_dec, best_f, best_thr
 
 
 def adversarial_column(kind, n, rng):
-    """Values that stress an exact split search: heavy ties, signed zeros and
-    adjacent doubles."""
+    """Values that stress an exact split search: heavy ties, signed zeros,
+    doubles two ulps apart and consecutive doubles (whose midpoints round to
+    the upper one half of the time)."""
     if kind == "normal":
         return rng.normal(0, 1, size=n)
     if kind == "ties":
@@ -84,10 +89,15 @@ def adversarial_column(kind, n, rng):
         base = rng.normal(0, 1e3)
         return np.nextafter(np.nextafter(base, rng.choice([-np.inf, np.inf], size=n)),
                             rng.choice([-np.inf, base, np.inf], size=n))
+    if kind == "adjacent":
+        values, steps = np.full(n, rng.normal()), rng.integers(0, 4, size=n)
+        for k in range(1, 4):
+            values = np.where(steps >= k, np.nextafter(values, np.inf), values)
+        return values
     return np.full(n, rng.normal())
 
 
-COLUMN_KINDS = ["normal", "ties", "signed-zeros", "neighbours", "constant"]
+COLUMN_KINDS = ["normal", "ties", "signed-zeros", "neighbours", "adjacent", "constant"]
 
 
 class TestTrainForest:
@@ -201,6 +211,57 @@ class TestExactSplitSearch:
         assert model.oob_accuracy == reference.oob_accuracy
         assert sum(t.n_nodes for t in model.trees) > 8 * 3
 
+    def test_adjacent_doubles_split_at_the_lower_value(self):
+        # (a + b) / 2 rounds up to b; a threshold of b would send every row
+        # of the node left and leave the right child empty.
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        X = np.array([a, a, b, b] * 5)[:, None]
+        y = np.array([0, 0, 1, 1] * 5)
+        model = train_forest(X, y, ["f"], ForestParams(5, min_leaf=1, seed=0))
+        for tree in model.trees:
+            assert tree.feature[0] == 0 and tree.threshold[0] == a
+        assert np.array_equal(predict_scores(model, X), y.astype(float))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 300),
+           min_leaf=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4))
+    @example(seed=5, n=200, min_leaf=1, kinds=["adjacent"])
+    @example(seed=203, n=203, min_leaf=1, kinds=["ties"] * 4)
+    def test_every_threshold_splits_rows_as_their_ranks_did(self, seed, n, min_leaf,
+                                                            kinds):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([adversarial_column(k, n, rng) for k in kinds])
+        y = (rng.random(n) < 0.5).astype(np.int64)
+        assume(0 < y.sum() < n)
+        real_best_split = forest._best_split
+        checked = []
+
+        def best_split(X, codes, y, idx, candidates, min_leaf):
+            dec, f, thr = real_best_split(X, codes, y, idx, candidates, min_leaf)
+            if f >= 0:
+                # X <= thr splits the node's rows by rank, and into the very
+                # partition that was scored: the one of the reported decrease.
+                left = X[idx, f] <= thr
+                assert left.any() and not left.all()
+                assert codes[idx[left], f].max() < codes[idx[~left], f].min()
+                # The decrease is recomputed with _best_split's numpy arithmetic
+                # (int64 count arrays), so it matches bit for bit.
+                n, n1 = idx.size, int(y[idx].sum())
+                kl, c1l = np.array([left.sum()]), np.array([y[idx[left]].sum()])
+                gl = forest._gini(kl - c1l, c1l)
+                gr = forest._gini(n - n1 - kl + c1l, n1 - c1l)
+                got = forest._gini(n - n1, n1) - (kl * gl + (n - kl) * gr) / n
+                assert got[0] == dec
+                checked.append(f)
+            return dec, f, thr
+
+        with mock.patch.object(forest, "_best_split", best_split):
+            train_forest(X, y, schema_for(len(kinds)),
+                         ForestParams(4, min_leaf=min_leaf, seed=seed % 1000))
+        assume(checked)
 
 class TestPrediction:
     def test_rows_route_without_a_gather(self):

@@ -9,9 +9,11 @@ from plotburn.features import build_feature_table
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_endmembers_csv, read_events_csv, read_grid,
                              read_plots_csv, read_rows_csv, read_scene_manifest,
-                             write_endmembers_csv, write_events_csv, write_grid,
-                             write_rows_csv, write_scene_manifest)
-from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry
+                             scan_scene_manifest, write_endmembers_csv, write_events_csv,
+                             write_grid, write_plots_csv, write_rows_csv,
+                             write_scene_manifest)
+from plotburn.pipeline import PipelineError, RunConfig, run_pipeline
+from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry, make_plot
 from plotburn.synth import (ScenarioConfig, default_endmembers, generate,
                             write_scenario)
 
@@ -61,11 +63,43 @@ class TestGridFiles:
         assert np.array_equal(values[valid], grid[valid])
         assert np.isnan(values[~valid]).all()
 
+    def test_listed_rows_converted_and_the_rest_invalid(self, tmp_path):
+        geom = GridGeometry(4, 6, 0.0, 0.0, 1.0)
+        grid = np.random.default_rng(1).uniform(0, 1, geom.shape)
+        write_grid(tmp_path / "band.grid", grid, geom)
+        values, ok, _ = read_grid(tmp_path / "band.grid", [0, 3, 5])
+        assert np.array_equal(ok.any(axis=1), [1, 0, 0, 1, 0, 1])
+        assert np.array_equal(values[ok], grid[[0, 3, 5]].ravel())
+        assert np.isnan(values[~ok]).all()
+
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.grid"
         path.write_text("3 2 0.0 0.0 1.0 -9999.0\n1 2 3\n")
         with pytest.raises(FormatError):
             read_grid(path)
+
+    @pytest.mark.parametrize("body", ["1 2\n\n3 4\n", "1 2\n# note\n3 4\n",
+                                      "1 2\n3 4\n\n"],
+                             ids=["blank-line", "comment-line", "blank-last-line"])
+    def test_every_line_is_a_grid_row(self, tmp_path, body):
+        path = tmp_path / "bad.grid"
+        path.write_text("2 2 0.0 0.0 1.0 -9999.0\n" + body)
+        with pytest.raises(FormatError, match="bad.grid"):
+            read_grid(path, rows=[])
+
+    @pytest.mark.parametrize("token", ["1_0", "0x1", "1.2.3", "--1", "1e", ".", "nan", "-inf",
+                                       "1e999", "+.5", "5.", "0.0000000000000000000001"])
+    def test_unconverted_rows_accept_what_conversion_accepts(self, tmp_path, token):
+        path = tmp_path / "g.grid"
+        path.write_text(f"2 2 0.0 0.0 1.0 -9999.0\n0.5 0.25\n0.5 {token}\n")
+        try:
+            np.loadtxt([token])
+        except ValueError:
+            with pytest.raises(FormatError, match="line 3"):
+                read_grid(path, rows=[0])
+        else:
+            values, ok, _ = read_grid(path, rows=[0])
+            assert ok[0].all() and not ok[1].any()
 
 
 class TestWkt:
@@ -202,6 +236,131 @@ class TestManifest:
         else:
             with pytest.raises(AlignmentError, match="B 2019-11-01"):
                 read_scene_manifest(path)
+
+
+# A 3 m grid and a 9 m grid over the same 72 m x 54 m tile.
+TILE_FINE = GridGeometry(24, 18, 0.0, 0.0, 3.0)
+TILE_COARSE = GridGeometry(8, 6, 0.0, 0.0, 9.0)
+
+
+def write_tile_scene(root):
+    """Sensor A on TILE_FINE and B on TILE_COARSE, one date each, with nodata
+    cells and a cloud mask on both. A coarse cell masks every fine cell whose
+    cubic taps reach it, so B gets one nodata and two cloudy cells."""
+    rng = np.random.default_rng(7)
+    entries = []
+    for sensor, geom in (("A", TILE_FINE), ("B", TILE_COARSE)):
+        mask = f"{sensor}_cloud.grid"
+        if sensor == "A":
+            prob = rng.uniform(0.0, 0.55, geom.shape)
+        else:
+            prob = np.full(geom.shape, 0.3)
+            prob[2, 6] = prob[5, 5] = 0.9
+        write_grid(root / mask, prob, geom)
+        for band in SENSOR_BANDS[sensor]:
+            name = f"{sensor}_{band}.grid"
+            if sensor == "A":
+                valid = rng.random(geom.shape) > 0.05
+            else:
+                valid = np.ones(geom.shape, dtype=bool)
+                valid[0, 3] = band != "Red"
+            write_grid(root / name, rng.uniform(0.05, 0.95, geom.shape), geom, valid)
+            entries.append({"sensor": sensor, "date": "2019-10-20", "band": band,
+                            "grid": name, "mask": mask})
+    write_scene_manifest(root / "m.json", entries, scale=1.0)
+    return root / "m.json"
+
+
+def rows_plot(first, last, cols=(1, 12)):
+    """A plot over the centres of TILE_FINE rows first..last and columns cols."""
+    geom = TILE_FINE
+    top = geom.yll + (geom.nrows - first) * geom.cellsize - 0.5
+    bottom = geom.yll + (geom.nrows - last - 1) * geom.cellsize + 0.5
+    left = geom.xll + cols[0] * geom.cellsize + 0.5
+    right = geom.xll + (cols[1] + 1) * geom.cellsize - 0.5
+    plot = make_plot("p", [(left, bottom), (right, bottom), (right, top),
+                           (left, top)], geom, "burned")
+    assert (plot.rows.min(), plot.rows.max()) == (first, last)
+    return plot
+
+
+class TestPlotRowWindows:
+    """Reading only the rows plots touch gives every plot pixel the bits of a
+    full read, at the window's edges and through the cubic taps of the 3x
+    coarser sensor."""
+
+    @pytest.mark.parametrize("first, last", [(0, 0), (0, 1), (17, 17), (16, 17), (2, 3),
+                                             (5, 6), (8, 8), (0, 17)],
+                             ids=["first-row", "top-two", "last-row", "bottom-two",
+                                  "straddles-coarse-rows-0-1", "straddles-coarse-rows-1-2",
+                                  "coarse-row-middle", "every-row"])
+    def test_plot_pixels_equal_a_full_read(self, tmp_path, first, last):
+        path = write_tile_scene(tmp_path)
+        full = read_scene_manifest(path)
+        plot = rows_plot(first, last)
+        window = read_scene_manifest(scan_scene_manifest(path), plot.rows)
+        at = (plot.rows, plot.cols)
+        outside = np.setdiff1d(np.arange(TILE_FINE.nrows), plot.rows)
+        for sensor in ("A", "B"):
+            (want,) = full[sensor].observations
+            (got,) = window[sensor].observations
+            assert want.valid[at].any()
+            assert np.array_equal(got.valid[at], want.valid[at])
+            assert not got.valid[outside].any()
+            for band, values in want.bands.items():
+                ok = want.valid[at]
+                assert got.bands[band].shape == values.shape
+                assert np.array_equal(got.bands[band][at][ok].view(np.int64),
+                                      values[at][ok].view(np.int64))
+                assert np.isnan(got.bands[band][~got.valid]).all()
+
+    def test_coarse_rows_read_are_the_cubic_taps(self, tmp_path):
+        layout = scan_scene_manifest(write_tile_scene(tmp_path))
+        coarse = next(g for g in layout.passes if g.sensor == "B")
+        # Fine row 0 samples coarse rows 0..2 (its top tap clamps to row 0),
+        # fine rows 3..5 sit on coarse row 1 and sample rows 0..3, and fine
+        # row 17 samples rows 4 and 5.
+        assert layout.source_rows(coarse, np.array([0])).tolist() == [0, 1, 2]
+        assert layout.source_rows(coarse, np.array([3, 5])).tolist() == [0, 1, 2, 3]
+        assert layout.source_rows(coarse, np.array([17])).tolist() == [4, 5]
+        counts = layout.ingest_counts(np.array([17]))
+        assert counts == {"grids": 15, "cells": 5 * 24 * 18 + 10 * 8 * 6,
+                          "cells_converted": 5 * 24 + 10 * 2 * 8}
+
+
+def corrupt_line(path, row, kind):
+    """Break data row `row` of a grid file: a bad token, a short row or no row."""
+    lines = path.read_text().split("\n")
+    fields = lines[row + 1].split()
+    if kind == "token":
+        fields[1] = "0.4x"
+    elif kind == "ragged":
+        fields.pop()
+    lines[row + 1:row + 2] = [] if kind == "missing" else [" ".join(fields)]
+    path.write_text("\n".join(lines))
+
+
+class TestMalformedRowsOutsidePlots:
+    @pytest.mark.parametrize("kind", ["token", "ragged", "missing"])
+    @pytest.mark.parametrize("name, row", [("A_NIR.grid", 17), ("B_SWIR1.grid", 5),
+                                           ("B_cloud.grid", 5)])
+    def test_ingest_fails_naming_the_file(self, tmp_path, name, row, kind):
+        path = write_tile_scene(tmp_path)
+        plot = rows_plot(0, 2)
+        write_plots_csv(tmp_path / "plots.csv", [plot])
+        layout = scan_scene_manifest(path)
+        grid = next(g for g in layout.passes if g.sensor == name[0])
+        assert row not in layout.source_rows(grid, plot.rows)
+        corrupt_line(tmp_path / name, row, kind)
+        config = RunConfig(out_root=str(tmp_path / "runs"), manifest_path=str(path),
+                           plots_path=str(tmp_path / "plots.csv"), n_trees=2)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, FormatError)
+        assert name in str(err.value)
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert json.loads((run_dir / "run_manifest.json").read_text())["incomplete"] is True
 
 
 def write_masked_scene(root, prob, mask_geom, cloud_threshold=0.5):

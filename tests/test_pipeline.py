@@ -144,9 +144,9 @@ class TestRunPipeline:
         read = []
         real_read_grid = gridio.read_grid
 
-        def counting_read_grid(path):
+        def counting_read_grid(path, rows=None):
             read.append(os.path.basename(path))
-            return real_read_grid(path)
+            return real_read_grid(path, rows)
 
         monkeypatch.setattr(gridio, "read_grid", counting_read_grid)
         state = RunState(config, str(tmp_path))
@@ -155,6 +155,11 @@ class TestRunPipeline:
         assert sorted(read) == sorted(files)
         assert {c.geom for c in state.cubes.values()} == {FINE}
         assert state.plots[0].n_pixels == plot.n_pixels
+        # The plot covers fine rows 7..10, whose cubic taps reach rows 2..5
+        # of sensor B's 6 m grid.
+        assert state.manifest["ingest"] == {
+            "grids": 20, "cells": 10 * 12 * 12 + 10 * 6 * 6,
+            "cells_converted": 10 * 4 * 12 + 10 * 4 * 6}
 
     def test_predictions_cover_all_plots(self, completed_run):
         _, run_dir = completed_run

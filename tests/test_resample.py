@@ -60,3 +60,15 @@ class TestUpsampleCubic:
     def test_small_grid_rejected(self):
         with pytest.raises(SceneError):
             upsample_cubic(np.ones((3, 8)), 2)
+
+    @pytest.mark.parametrize("rows", [[0], [17], [2, 3], [5, 9, 17], list(range(18))])
+    def test_listed_rows_equal_the_full_upsample(self, rows):
+        rng = np.random.default_rng(5)
+        grid = rng.uniform(0, 1, (6, 5))
+        valid = rng.random((6, 5)) > 0.1
+        full, full_ok = upsample_cubic(grid, 3, valid)
+        out, ok = upsample_cubic(grid, 3, valid, np.array(rows))
+        assert np.array_equal(ok[rows], full_ok[rows])
+        assert np.array_equal(out[rows].view(np.int64), full[rows].view(np.int64))
+        others = np.setdiff1d(np.arange(18), rows)
+        assert not ok[others].any() and np.isnan(out[others]).all()
