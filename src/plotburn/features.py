@@ -2,9 +2,10 @@
 
 Feature naming is `<sensor>_<source>_<stat>` (e.g. B_MIRBI_max, A_CI_drop0).
 Order statistics use linear interpolation between closest ranks. Temporal
-differencing (drop/spike) takes the largest step that stays past a threshold
-for a persistence buffer of 0, 1 or 2 subsequent images; all three buffers and
-both directions are emitted and feature selection arbitrates between them.
+differencing (drop/spike) takes the largest step that stays past the series
+mean for a persistence buffer of 0, 1 or 2 subsequent images; all three
+buffers and both directions are emitted and feature selection arbitrates
+between them.
 """
 
 from __future__ import annotations
@@ -23,64 +24,6 @@ from .scene import SENSOR_BANDS, Plot, SceneCube
 STAT_NAMES = ("min", "max", "mean", "median", "p10", "p20", "p80", "p90")
 VDIFF_NAMES = ("drop0", "drop1", "drop2", "spike0", "spike1", "spike2")
 TEMPORAL_NAMES = STAT_NAMES + VDIFF_NAMES
-
-
-@dataclass(frozen=True)
-class VdiffSpec:
-    direction: str           # "drop" or "spike"
-    buffer: int = 0
-    threshold: float | None = None   # None -> per-series mean
-
-    def __post_init__(self):
-        if self.direction not in ("drop", "spike"):
-            raise ValueError(f"bad vdiff direction {self.direction!r}")
-        if self.buffer < 0:
-            raise ValueError("vdiff buffer must be >= 0")
-
-
-def temporal_stats(series) -> dict[str, float]:
-    """Order statistics and mean of the valid values of one series."""
-    arr = np.asarray(series, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    if arr.size == 0:
-        return {name: np.nan for name in STAT_NAMES}
-    q = np.percentile(arr, [10, 20, 50, 80, 90])
-    return {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-        "median": float(q[2]),
-        "p10": float(q[0]),
-        "p20": float(q[1]),
-        "p80": float(q[3]),
-        "p90": float(q[4]),
-    }
-
-
-def vdiff(series, spec: VdiffSpec) -> float:
-    """Largest persistent step in a time-ordered series of valid values.
-
-    For a drop: the most negative step v[t+1] - v[t] whose landing values
-    v[t+1] .. v[t+1+buffer] all stay below the threshold; spikes are the
-    mirror case above the threshold. Returns 0.0 when no step qualifies and
-    NaN when the series is too short for the buffer.
-    """
-    arr = np.asarray(series, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    n = arr.size
-    if n < spec.buffer + 2:
-        return np.nan
-    threshold = float(arr.mean()) if spec.threshold is None else spec.threshold
-    steps = np.diff(arr)[:n - 1 - spec.buffer]
-    past = arr[1:] < threshold if spec.direction == "drop" else arr[1:] > threshold
-    ok = np.ones(steps.size, dtype=bool)
-    for k in range(spec.buffer + 1):
-        ok &= past[k:k + steps.size]
-    if spec.direction == "drop":
-        ok &= steps < 0
-        return float(steps[ok].min()) if ok.any() else 0.0
-    ok &= steps > 0
-    return float(steps[ok].max()) if ok.any() else 0.0
 
 
 @dataclass(eq=False)
@@ -137,9 +80,11 @@ def source_values(valid, bands, source: str, endmembers) -> np.ndarray:
 def temporal_columns(matrix: np.ndarray) -> np.ndarray:
     """(n_px, 14) columns, in TEMPORAL_NAMES order, of an (n_obs, n_px) matrix.
 
-    Non-finite values are missing. Every column equals temporal_stats or vdiff
-    of the pixel's series bit for bit, except mean: the pairwise sum of the
-    pixel's series with missing values as 0, over its count.
+    Non-finite values are missing. mean is the pairwise sum of the pixel's
+    series with missing values as 0, over its count. A vdiff column is the
+    largest step v[t+1] - v[t] of the valid values whose landing values
+    v[t+1] .. v[t+1+buffer] all stay past the series mean (below for a drop,
+    above for a spike): 0.0 when none does, NaN under buffer + 2 values.
     """
     finite = np.isfinite(matrix)
     counts = finite.sum(axis=0)

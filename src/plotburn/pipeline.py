@@ -32,7 +32,8 @@ from .thresholds import (aggregate_plot, balanced_accuracy_threshold,
                          cohens_kappa, make_predictions, max_accuracy_threshold,
                          prediction_summary)
 
-SENSOR_MODES = ("combined", "A_only", "B_only")
+# The sensors each sensor_mode reads.
+SENSOR_MODES = {"combined": ("A", "B"), "A_only": ("A",), "B_only": ("B",)}
 # "importance": the top_k_features of a forest ranked on every labeled plot;
 # "none": every feature column.
 SELECTION_MODES = ("importance", "none")
@@ -71,7 +72,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.sensor_mode not in SENSOR_MODES:
-            raise ValueError(f"sensor_mode must be one of {SENSOR_MODES}")
+            raise ValueError(f"sensor_mode must be one of {tuple(SENSOR_MODES)}")
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}, "
                              f"got {self.selection!r}")
@@ -83,6 +84,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not isinstance(self.include_border, bool):
             raise ValueError(f"include_border must be a boolean, got {self.include_border!r}")
+        if not isinstance(self.scenario, (synthmod.ScenarioConfig, type(None))):
+            raise ValueError(f"scenario must be a ScenarioConfig, got {self.scenario!r}")
         if self.scenario is None and not self.plots_path:
             raise ValueError("need either a scenario or a plots path")
 
@@ -115,7 +118,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     """The RunConfig of a JSON document; unknown keys are an error."""
     _check_keys(doc, RunConfig, "run config")
     doc = dict(doc)
-    if doc.get("scenario"):
+    if doc.get("scenario") is not None:
         sc = dict(doc["scenario"])
         _check_keys(sc, synthmod.ScenarioConfig, "scenario")
         for key, value in list(sc.items()):
@@ -176,9 +179,11 @@ def _confusion_rows(choice, kappa: float):
 
 def stage_ingest(state: RunState) -> None:
     cfg = state.config
+    sensors = SENSOR_MODES[cfg.sensor_mode]
     if cfg.scenario is not None:
         scenario = synthmod.generate(cfg.scenario)
-        state.cubes = {"A": scenario.cube_a, "B": scenario.cube_b}
+        state.cubes = {sensor: cube for sensor, cube in
+                       (("A", scenario.cube_a), ("B", scenario.cube_b)) if sensor in sensors}
         state.plots = scenario.plots
         state.events = scenario.truth.events()
         state.endmembers = scenario.endmembers
@@ -189,6 +194,10 @@ def stage_ingest(state: RunState) -> None:
         # rows they touch need converting.
         layout = scan_scene_manifest(cfg.manifest_path)
         state.plots = read_plots_csv(cfg.plots_path, layout.geom)
+        # The other sensor's grids go unread; the common grid stays the one
+        # chosen from every sensor, so plots rasterise alike in every mode.
+        layout = layout._replace(passes=tuple(g for g in layout.passes
+                                              if g.sensor in sensors))
         rows = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
                                         + [p.rows for p in state.plots]))
         state.cubes = read_scene_manifest(layout, rows)
@@ -197,10 +206,6 @@ def stage_ingest(state: RunState) -> None:
             state.events = read_events_csv(cfg.events_path)
         state.endmembers = (read_endmembers_csv(cfg.endmembers_path)
                             if cfg.endmembers_path else synthmod.default_endmembers())
-    if cfg.sensor_mode == "A_only":
-        state.cubes.pop("B", None)
-    elif cfg.sensor_mode == "B_only":
-        state.cubes.pop("A", None)
     state.labels = {p.plot_id: p.label for p in state.plots}
     state.groups = {p.plot_id: p.group for p in state.plots}
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,38 +116,3 @@ def separability_curve(events: list[tuple[Plot, dt.date]], cube: SceneCube,
                                     SampleStats.from_values(pre)))
     return SeparabilityCurve(source, offsets, m_values, counts)
 
-
-@dataclass
-class SignatureProfile:
-    """Time-aligned mean/sd series of a band around burn and till events."""
-
-    band: str
-    offsets: list[int]
-    burned: dict[int, tuple[float, float, int]] = field(default_factory=dict)
-    tilled: dict[int, tuple[float, float, int]] = field(default_factory=dict)
-
-
-def signature_profile(events: list[tuple[Plot, str, dt.date]], cube: SceneCube,
-                      band: str, window: int) -> SignatureProfile:
-    """Mean +/- sd of plot-mean band values by day offset for burned vs tilled plots.
-
-    Events are (plot, kind, event_date) with kind in {burn, till}; offsets run
-    from -window to +window relative to the event date. Empty buckets are left
-    out of the group maps.
-    """
-    groups = {"burn": {}, "till": {}}
-    for plot, kind, event_date in events:
-        if kind not in groups:
-            raise ValueError(f"unknown event kind {kind!r}")
-        dates, values = plot_source_series(cube, plot, band)
-        for d, v in zip(dates, values):
-            off = (d - event_date).days
-            if -window <= off <= window and np.isfinite(v):
-                groups[kind].setdefault(off, []).append(v)
-    profile = SignatureProfile(band, list(range(-window, window + 1)))
-    for kind, out in (("burn", profile.burned), ("till", profile.tilled)):
-        for off, vals in groups[kind].items():
-            arr = np.asarray(vals)
-            sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            out[off] = (float(arr.mean()), sd, int(arr.size))
-    return profile

@@ -90,18 +90,6 @@ class GroundTruth:
     # sensor -> plot_id -> dates at which the plot is validly observed
     valid_obs: dict[str, dict[str, list[dt.date]]] = field(default_factory=dict)
 
-    def gap_table(self) -> dict[str, dict[str, tuple[int, float, float]]]:
-        """plot_id -> sensor -> (n_obs, mean_gap, max_gap); <2 obs omitted."""
-        table: dict[str, dict[str, tuple[int, float, float]]] = {}
-        for sensor, per_plot in self.valid_obs.items():
-            for plot_id, dates in per_plot.items():
-                if len(dates) < 2:
-                    continue
-                gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
-                table.setdefault(plot_id, {})[sensor] = (
-                    len(dates), float(np.mean(gaps)), float(max(gaps)))
-        return table
-
     def events(self) -> list[tuple[str, str, dt.date]]:
         """Burn events for burned plots, till events for unburned ones."""
         out = []

@@ -37,6 +37,20 @@ def make_cube(sensor, geom, dated_levels, valid_by_date=None):
     return SceneCube(obs, geom)
 
 
+def gap_table(truth) -> dict[str, dict[str, tuple[int, float, float]]]:
+    """plot_id -> sensor -> (n_obs, mean_gap, max_gap) from a synthetic scene's
+    valid observation dates; plots with fewer than 2 are left out."""
+    table: dict[str, dict[str, tuple[int, float, float]]] = {}
+    for sensor, per_plot in truth.valid_obs.items():
+        for plot_id, dates in per_plot.items():
+            if len(dates) < 2:
+                continue
+            gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
+            table.setdefault(plot_id, {})[sensor] = (
+                len(dates), float(np.mean(gaps)), float(max(gaps)))
+    return table
+
+
 @pytest.fixture
 def geom10():
     return GridGeometry(10, 10, 0.0, 0.0, 1.0)

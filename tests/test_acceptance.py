@@ -15,11 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import gap_table
 from test_features import oracle_vdiff
 from test_indices import oracle_index
 
 from plotburn.cv import LeakageError, loocv_plot
-from plotburn.features import VdiffSpec, build_feature_table, vdiff
+from plotburn.features import TEMPORAL_NAMES, build_feature_table, temporal_columns
 from plotburn.forest import ForestParams
 from plotburn.indices import ALL_INDICES, SWIR_SET, EndmemberSet, compute_index
 from plotburn.pipeline import RunConfig, compare_ablations, run_pipeline
@@ -253,15 +254,22 @@ def test_criterion_4_char_index_separability_decay():
 
 
 def test_criterion_5_vdiff_equals_brute_force_on_10000_series():
+    # The production kernel on every series at once, each one a column padded
+    # with missing values, against the scalar scan of each series.
     rng = np.random.default_rng(5)
-    for _ in range(10000):
+    matrix = np.full((40, 10000), np.nan)
+    lengths = []
+    for j in range(matrix.shape[1]):
         n = int(rng.integers(5, 41))
-        series = rng.normal(0, 1, size=n)
+        matrix[:n, j] = rng.normal(0, 1, size=n)
+        lengths.append(n)
+    got = temporal_columns(matrix)
+    for j, n in enumerate(lengths):
+        series = matrix[:n, j].tolist()
         for b in (0, 1, 2):
             for direction in ("drop", "spike"):
-                got = vdiff(series, VdiffSpec(direction, b))
-                want = oracle_vdiff(series.tolist(), direction, b)
-                assert got == want
+                want = oracle_vdiff(series, direction, b)
+                assert got[j, TEMPORAL_NAMES.index(f"{direction}{b}")] == want
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +425,7 @@ def test_criterion_10_gap_report_matches_truth_exactly():
                                        plot_area_median_ha=0.018, seed=0))
     cubes = {"A": scenario.cube_a, "B": scenario.cube_b}
     report = gap_statistics(cubes, scenario.plots)
-    truth_table = scenario.truth.gap_table()
+    truth_table = gap_table(scenario.truth)
     for plot in scenario.plots:
         for sensor in ("A", "B"):
             got = report.per_plot[plot.plot_id].get(sensor)

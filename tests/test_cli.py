@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from plotburn.cli import main
+from plotburn.cli import _load_run_config, build_parser, main
 from plotburn.gridio import read_rows_csv, write_rows_csv
+from plotburn.synth import ScenarioConfig
 
 SCENARIO_DOC = {"n_plots": 12, "plot_area_mean_ha": 0.02,
                 "plot_area_median_ha": 0.018, "seed": 5,
@@ -24,6 +25,12 @@ def scene_dir(tmp_path_factory):
 
 
 class TestStageCommands:
+    def test_synth_without_config(self, tmp_path):
+        out = tmp_path / "scene"
+        assert main(["synth", "--n-plots", "4", "--out", str(out)]) == 0
+        _, rows = read_rows_csv(out / "plots.csv")
+        assert (out / "scene_manifest.json").exists() and len(rows) == 4
+
     def test_ingest_writes_gap_report(self, scene_dir, tmp_path):
         rc = main(["ingest", "--manifest", str(scene_dir / "scene_manifest.json"),
                    "--plots", str(scene_dir / "plots.csv"), "--out", str(tmp_path)])
@@ -141,6 +148,10 @@ class TestStageCommands:
 
 
 class TestRunCommand:
+    def test_synth_flag_runs_the_default_scenario(self):
+        config = _load_run_config(build_parser().parse_args(["run", "--synth"]))
+        assert config.scenario == ScenarioConfig()
+
     def test_full_run_from_config_file(self, tmp_path):
         cfg = {"scenario": SCENARIO_DOC, "n_trees": 15, "cv_mode": "grouped:4",
                "min_leaf": 2, "name": "clitest"}

@@ -5,22 +5,61 @@ import pytest
 
 from conftest import day, make_cube
 from plotburn import features, synth
-from plotburn.features import (STAT_NAMES, TEMPORAL_NAMES, VdiffSpec,
-                               build_feature_table, feature_schema,
-                               read_feature_csv, table_matrix, table_schema,
-                               temporal_columns, temporal_stats, vdiff,
-                               write_feature_csv)
+from plotburn.features import (STAT_NAMES, TEMPORAL_NAMES, build_feature_table,
+                               feature_schema, read_feature_csv, table_matrix,
+                               table_schema, temporal_columns, write_feature_csv)
 from plotburn.indices import ALL_INDICES
 from plotburn.scene import SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot
 
 
-def oracle_vdiff(series, direction, buffer, threshold=None):
-    """Exhaustive scan over every step; written independently of the module."""
+# Scalar references for temporal_columns, one series at a time.
+
+
+def temporal_stats(series) -> dict[str, float]:
+    """Order statistics and mean of the valid values of one series."""
+    arr = np.asarray(series, dtype=float)
+    arr = arr[np.isfinite(arr)]
+    if arr.size == 0:
+        return {name: np.nan for name in STAT_NAMES}
+    q = np.percentile(arr, [10, 20, 50, 80, 90])
+    return {"min": float(arr.min()), "max": float(arr.max()), "mean": float(arr.mean()),
+            "median": float(q[2]), "p10": float(q[0]), "p20": float(q[1]),
+            "p80": float(q[3]), "p90": float(q[4])}
+
+
+def vdiff(series, direction, buffer) -> float:
+    """Largest persistent step in a time-ordered series of valid values.
+
+    For a drop: the most negative step v[t+1] - v[t] whose landing values
+    v[t+1] .. v[t+1+buffer] all stay below the series mean; spikes are the
+    mirror case above it. 0.0 when no step qualifies, NaN when the series is
+    too short for the buffer.
+    """
+    arr = np.asarray(series, dtype=float)
+    arr = arr[np.isfinite(arr)]
+    n = arr.size
+    if n < buffer + 2:
+        return np.nan
+    threshold = float(arr.mean())
+    steps = np.diff(arr)[:n - 1 - buffer]
+    past = arr[1:] < threshold if direction == "drop" else arr[1:] > threshold
+    ok = np.ones(steps.size, dtype=bool)
+    for k in range(buffer + 1):
+        ok &= past[k:k + steps.size]
+    if direction == "drop":
+        ok &= steps < 0
+        return float(steps[ok].min()) if ok.any() else 0.0
+    ok &= steps > 0
+    return float(steps[ok].max()) if ok.any() else 0.0
+
+
+def oracle_vdiff(series, direction, buffer):
+    """Exhaustive scan over every step; written independently of vdiff."""
     vals = [v for v in series if not math.isnan(v)]
     n = len(vals)
     if n < buffer + 2:
         return float("nan")
-    thr = sum(vals) / n if threshold is None else threshold
+    thr = sum(vals) / n
     best = 0.0
     for t in range(0, n - 1 - buffer):
         step = vals[t + 1] - vals[t]
@@ -32,57 +71,78 @@ def oracle_vdiff(series, direction, buffer, threshold=None):
     return best
 
 
+def kernel(series) -> dict[str, float]:
+    """TEMPORAL_NAMES values of one series from temporal_columns."""
+    column = np.asarray(series, dtype=float).reshape(-1, 1)
+    return dict(zip(TEMPORAL_NAMES, temporal_columns(column)[0].tolist()))
+
+
 class TestTemporalStats:
     def test_singleton_series(self):
-        stats = temporal_stats([5.0])
-        assert all(v == 5.0 for v in stats.values())
+        for stats in (temporal_stats([5.0]), kernel([5.0])):
+            assert all(stats[name] == 5.0 for name in STAT_NAMES)
 
     def test_one_to_ten(self):
-        stats = temporal_stats(list(range(1, 11)))
-        assert stats["median"] == 5.5
-        assert abs(stats["p10"] - 1.9) < 1e-12
-        assert abs(stats["p90"] - 9.1) < 1e-12
-        assert abs(stats["p20"] - 2.8) < 1e-12
-        assert abs(stats["p80"] - 8.2) < 1e-12
-        assert stats["mean"] == 5.5
-        assert stats["min"] == 1.0 and stats["max"] == 10.0
+        for stats in (temporal_stats(list(range(1, 11))), kernel(range(1, 11))):
+            assert stats["median"] == 5.5
+            assert abs(stats["p10"] - 1.9) < 1e-12
+            assert abs(stats["p90"] - 9.1) < 1e-12
+            assert abs(stats["p20"] - 2.8) < 1e-12
+            assert abs(stats["p80"] - 8.2) < 1e-12
+            assert stats["mean"] == 5.5
+            assert stats["min"] == 1.0 and stats["max"] == 10.0
 
     def test_constant_series(self):
-        stats = temporal_stats([0.4, 0.4, 0.4])
-        assert stats["min"] == stats["max"] == stats["median"] == 0.4
-        assert stats["mean"] == pytest.approx(0.4, abs=1e-15)
+        for stats in (temporal_stats([0.4, 0.4, 0.4]), kernel([0.4, 0.4, 0.4])):
+            assert stats["min"] == stats["max"] == stats["median"] == 0.4
+            assert stats["mean"] == pytest.approx(0.4, abs=1e-15)
 
     def test_empty_series_all_missing(self):
-        stats = temporal_stats([])
-        assert all(math.isnan(v) for v in stats.values())
+        assert all(math.isnan(v) for v in temporal_stats([]).values())
+        assert all(math.isnan(v) for v in kernel([]).values())
 
     def test_order_statistics_chain(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             series = rng.normal(0, 1, size=rng.integers(1, 30))
-            s = temporal_stats(series)
-            chain = [s["min"], s["p10"], s["p20"], s["median"], s["p80"], s["p90"], s["max"]]
-            assert all(a <= b + 1e-12 for a, b in zip(chain, chain[1:]))
+            for s in (temporal_stats(series), kernel(series)):
+                chain = [s["min"], s["p10"], s["p20"], s["median"], s["p80"], s["p90"],
+                         s["max"]]
+                assert all(a <= b + 1e-12 for a, b in zip(chain, chain[1:]))
 
 
 class TestVdiff:
     def test_monotone_increasing_has_no_drop(self):
-        assert vdiff([1, 2, 3, 4, 5], VdiffSpec("drop", 0)) == 0.0
+        assert vdiff([1, 2, 3, 4, 5], "drop", 0) == 0.0
+        assert kernel([1, 2, 3, 4, 5])["drop0"] == 0.0
 
     def test_hand_trace_with_buffer_two(self):
-        assert vdiff([10, 10, 2, 2, 2], VdiffSpec("drop", 2)) == -8.0
+        assert vdiff([10, 10, 2, 2, 2], "drop", 2) == -8.0
+        assert kernel([10, 10, 2, 2, 2])["drop2"] == -8.0
+
+    def test_landing_on_the_mean_does_not_count(self):
+        # The -3 step lands on the mean, 2.0; only the -1 steps stay below it.
+        series = [5.0, 2.0, 2.0, 1.0, 0.0]
+        mirrored = [-v for v in series]
+        assert vdiff(series, "drop", 0) == oracle_vdiff(series, "drop", 0) == -1.0
+        assert kernel(series)["drop0"] == -1.0
+        assert kernel(mirrored)["spike0"] == oracle_vdiff(mirrored, "spike", 0) == 1.0
 
     def test_short_series_missing(self):
-        assert math.isnan(vdiff([1.0, 2.0], VdiffSpec("drop", 1)))
+        assert math.isnan(vdiff([1.0, 2.0], "drop", 1))
+        got = kernel([1.0, 2.0])
+        assert not math.isnan(got["drop0"])
+        assert all(math.isnan(got[f"{d}{b}"]) for d in ("drop", "spike") for b in (1, 2))
 
     def test_signs(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             series = rng.normal(0, 1, size=rng.integers(2, 25))
+            got = kernel(series)
             for b in (0, 1, 2):
                 if series.size >= b + 2:
-                    assert vdiff(series, VdiffSpec("drop", b)) <= 0.0
-                    assert vdiff(series, VdiffSpec("spike", b)) >= 0.0
+                    assert vdiff(series, "drop", b) <= 0.0 and got[f"drop{b}"] <= 0.0
+                    assert vdiff(series, "spike", b) >= 0.0 and got[f"spike{b}"] >= 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -90,20 +150,9 @@ class TestVdiff:
             series = rng.normal(0, 1, size=rng.integers(5, 41))
             for b in (0, 1, 2):
                 for direction in ("drop", "spike"):
-                    got = vdiff(series, VdiffSpec(direction, b))
+                    got = vdiff(series, direction, b)
                     want = oracle_vdiff(series.tolist(), direction, b)
                     assert got == want
-
-    def test_explicit_threshold(self):
-        series = [5.0, 1.0, 4.9, 0.5, 0.4]
-        got = vdiff(series, VdiffSpec("drop", 1, threshold=1.5))
-        assert got == oracle_vdiff(series, "drop", 1, threshold=1.5) == -4.4
-
-    def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            VdiffSpec("sideways", 0)
-        with pytest.raises(ValueError):
-            VdiffSpec("drop", -1)
 
 
 def one_pixel_cubes(series_a, series_b):
@@ -148,7 +197,7 @@ def oracle_columns(series):
     """TEMPORAL_NAMES values of one series from the scalar functions."""
     stats = temporal_stats(series)
     return ([stats[name] for name in STAT_NAMES]
-            + [vdiff(series, VdiffSpec(d, b)) for d in ("drop", "spike") for b in (0, 1, 2)])
+            + [vdiff(series, d, b) for d in ("drop", "spike") for b in (0, 1, 2)])
 
 
 class TestTemporalColumns:
@@ -192,8 +241,8 @@ class TestBuildFeatureTable:
         for stat, value in stats.items():
             assert row[f"A_Red_{stat}"] == pytest.approx(value, abs=1e-12)
         for b in (0, 1, 2):
-            assert row[f"A_Red_drop{b}"] == vdiff(series_a, VdiffSpec("drop", b))
-            want = vdiff(series_b, VdiffSpec("spike", b))
+            assert row[f"A_Red_drop{b}"] == vdiff(series_a, "drop", b)
+            want = vdiff(series_b, "spike", b)
             got = row[f"B_Red_spike{b}"]
             assert got == want or (math.isnan(got) and math.isnan(want))
         ndvi_series = [(0.3 - v) / (0.3 + v) for v in series_a]

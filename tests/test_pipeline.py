@@ -129,7 +129,10 @@ class TestRunPipeline:
         with open(tmp_path / "runs" / run_dir / "run_manifest.json") as fh:
             assert json.load(fh)["incomplete"] is True
 
-    def test_ingest_parses_each_grid_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def ingest_two_sensor_scene(tmp_path, monkeypatch, sensor_mode="combined"):
+        """stage_ingest of a two-sensor file scene with one plot; returns the
+        state, the grid files read, every grid file and the plot."""
         from test_io import FINE, write_two_sensor_manifest
 
         from plotburn import gridio
@@ -140,7 +143,7 @@ class TestRunPipeline:
                          FINE, "burned")
         gridio.write_plots_csv(tmp_path / "plots.csv", [plot])
         config = RunConfig(out_root=str(tmp_path), manifest_path=str(manifest),
-                           plots_path=str(tmp_path / "plots.csv"))
+                           plots_path=str(tmp_path / "plots.csv"), sensor_mode=sensor_mode)
         read = []
         real_read_grid = gridio.read_grid
 
@@ -151,6 +154,12 @@ class TestRunPipeline:
         monkeypatch.setattr(gridio, "read_grid", counting_read_grid)
         state = RunState(config, str(tmp_path))
         stage_ingest(state)
+        return state, read, files, plot
+
+    def test_ingest_parses_each_grid_once(self, tmp_path, monkeypatch):
+        from test_io import FINE
+
+        state, read, files, plot = self.ingest_two_sensor_scene(tmp_path, monkeypatch)
         assert len(read) == len(set(files)) == 2 * (4 + 1) + (9 + 1)
         assert sorted(read) == sorted(files)
         assert {c.geom for c in state.cubes.values()} == {FINE}
@@ -160,6 +169,21 @@ class TestRunPipeline:
         assert state.manifest["ingest"] == {
             "grids": 20, "cells": 10 * 12 * 12 + 10 * 6 * 6,
             "cells_converted": 10 * 4 * 12 + 10 * 4 * 6}
+
+    @pytest.mark.parametrize("sensor_mode", ["A_only", "B_only"])
+    def test_single_sensor_ingest_reads_only_its_grids(self, tmp_path, monkeypatch,
+                                                       sensor_mode):
+        from test_io import FINE
+
+        state, read, files, plot = self.ingest_two_sensor_scene(tmp_path, monkeypatch,
+                                                                sensor_mode)
+        sensor = sensor_mode[0]
+        kept = [name for name in files if name.startswith(f"{sensor}_")]
+        assert sorted(read) == sorted(kept)
+        assert state.manifest["ingest"]["grids"] == len(kept)
+        # The common grid is still sensor A's, sensor B's cells upsampled to it.
+        assert list(state.cubes) == [sensor] and state.cubes[sensor].geom == FINE
+        assert state.plots[0].n_pixels == plot.n_pixels
 
     def test_predictions_cover_all_plots(self, completed_run):
         _, run_dir = completed_run
@@ -280,6 +304,12 @@ class TestConfigRoundTrip:
         back = config_from_dict(doc)
         assert back == config
         assert back.config_hash() == config.config_hash()
+
+    def test_empty_scenario_is_the_default_scenario(self, tmp_path):
+        doc = {"out_root": str(tmp_path), "scenario": {}}
+        assert config_from_dict(doc).scenario == ScenarioConfig()
+        with pytest.raises(ValueError, match="scenario"):
+            RunConfig(out_root=str(tmp_path), scenario={})
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

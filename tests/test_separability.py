@@ -8,7 +8,7 @@ from plotburn.indices import SWIR_SET, unmix_char_fraction
 from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
                             GridGeometry, SceneCube, make_plot)
 from plotburn.separability import (SampleStats, m_statistic, plot_source_series,
-                                   separability_curve, signature_profile)
+                                   separability_curve)
 from plotburn.synth import default_endmembers
 
 
@@ -123,53 +123,6 @@ class TestSeparabilityCurve:
         cube, plots = build_plot_scene(4, range(5, 12), lambda i, d: 1.0 + 0.01 * i)
         curve = separability_curve([(p, day(5)) for p in plots], cube, "Red", 2)
         assert all(c == 0 for c in curve.n_per_offset)
-
-
-class TestSignatureProfile:
-    def test_identical_processes_overlap(self):
-        rng = np.random.default_rng(19)
-        n = 20
-        noise = rng.normal(0, 0.02, size=(n, 21))
-
-        def value(i, d):
-            return 0.5 + noise[i, d]
-
-        cube, plots = build_plot_scene(n, range(0, 21), value, band="NIR")
-        events = ([(p, "burn", day(10)) for p in plots[:10]]
-                  + [(p, "till", day(10)) for p in plots[10:]])
-        profile = signature_profile(events, cube, "NIR", 5)
-        for off in range(-5, 6):
-            mean_b, sd_b, n_b = profile.burned[off]
-            mean_t, sd_t, n_t = profile.tilled[off]
-            pooled_se = math.sqrt(sd_b ** 2 / n_b + sd_t ** 2 / n_t)
-            assert abs(mean_b - mean_t) < 2.0 * pooled_se + 1e-9
-            assert n_b == 10 and n_t == 10
-
-    def test_separation_confined_to_post_event_window(self):
-        def value(i, d):
-            base = 0.30 if d < 10 else 0.22
-            if i < 10 and 10 <= d < 13:       # burned plots dip for 3 days
-                base -= 0.08
-            return base + 0.002 * i
-
-        cube, plots = build_plot_scene(20, range(0, 21), value, band="NIR")
-        events = ([(p, "burn", day(10)) for p in plots[:10]]
-                  + [(p, "till", day(10)) for p in plots[10:]])
-        profile = signature_profile(events, cube, "NIR", 6)
-        for off in range(0, 3):
-            gap = profile.tilled[off][0] - profile.burned[off][0]
-            assert gap > 0.05
-        for off in list(range(-6, 0)) + list(range(3, 7)):
-            gap = abs(profile.tilled[off][0] - profile.burned[off][0])
-            assert gap < 0.03
-
-    def test_group_counts_reported(self):
-        cube, plots = build_plot_scene(6, range(0, 5), lambda i, d: 0.3)
-        events = ([(p, "burn", day(2)) for p in plots[:2]]
-                  + [(p, "till", day(2)) for p in plots[2:]])
-        profile = signature_profile(events, cube, "NIR", 2)
-        assert profile.burned[0][2] == 2
-        assert profile.tilled[0][2] == 4
 
 
 class TestPlotSourceSeries:

@@ -4,6 +4,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from conftest import gap_table
 from plotburn.scene import gap_statistics
 from plotburn.separability import plot_source_series
 from plotburn.synth import ScenarioConfig, generate, inject_gaps
@@ -92,7 +93,7 @@ class TestGapTruth:
     def test_gap_statistics_matches_truth_exactly(self, small_scenario):
         cubes = {"A": small_scenario.cube_a, "B": small_scenario.cube_b}
         report = gap_statistics(cubes, small_scenario.plots)
-        table = small_scenario.truth.gap_table()
+        table = gap_table(small_scenario.truth)
         for plot in small_scenario.plots:
             for sensor in ("A", "B"):
                 got = report.per_plot[plot.plot_id].get(sensor)
@@ -101,7 +102,7 @@ class TestGapTruth:
 
     def test_default_cloud_model_hits_gap_targets(self):
         scenario = generate(dataclasses.replace(SMALL, n_plots=40, seed=0))
-        table = scenario.truth.gap_table()
+        table = gap_table(scenario.truth)
         targets = {"A": (2.2, 8.4), "B": (6.8, 12.2)}
         for sensor, (t_mean, t_max) in targets.items():
             means = [v[sensor][1] for v in table.values() if sensor in v]
