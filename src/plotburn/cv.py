@@ -15,6 +15,7 @@ import numpy as np
 from .features import FeatureTable, table_matrix
 from .forest import (ForestModel, ForestParams, apply_impute, fit_impute_medians,
                      predict_scores, train_forest)
+from .thresholds import aggregate_plot
 
 LABEL_TO_CLASS = {"not_burned": 0, "burned": 1}
 
@@ -77,7 +78,8 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
     (holdout_plot_ids, train_row_indices) pairs; the leakage guard always
     re-checks the actual training rows. Imputation medians are fit on each
     fold's training rows only. schema names the table columns to train on
-    (default: all of them).
+    (default: all of them). plot_means holds each plot's aggregate_plot of
+    its out-of-fold scores, border pixels excluded.
     """
     plot_rows = table.plot_rows()
 
@@ -105,6 +107,7 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
                                        [plot_rows[p] for p in usable if p not in holdout])
             folds.append((holdout, train_idx))
 
+    border = table.border
     result = CvResult()
     for holdout, train_idx in folds:
         train_plot_ids = table.plot_id[train_idx]
@@ -118,7 +121,7 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
             X_plot = table_matrix(table, schema, plot_rows[p])
             scores = predict_scores(model, apply_impute(X_plot, medians))
             result.pixel_scores[p] = scores
-            result.plot_means[p] = float(scores.mean())
+            result.plot_means[p] = aggregate_plot(scores, border[plot_rows[p]])
         result.folds.append((tuple(holdout), int(train_idx.size)))
 
     missing = [p for p in usable if p not in result.pixel_scores]

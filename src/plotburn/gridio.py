@@ -275,9 +275,9 @@ def read_scene_manifest(manifest, rows=None):
     valid only when every band carries data, its value lands in [0, 1] after
     scaling, and the cloud probability (when provided) stays below the
     threshold. The common grid is the finest sensor's geometry (on a tie, the
-    first sensor in sorted order). Coarser grids are upsampled by their
-    integer cellsize factor with cubic convolution and clipped back to the
-    unit range.
+    first sensor in sorted order). A coarser pass is upsampled by its integer
+    cellsize factor with cubic convolution, all its bands in one call, and
+    clipped back to the unit range.
 
     rows, when given, are the common-grid rows to fill: every grid file is
     still read and checked once, but only the rows those are computed from
@@ -289,34 +289,24 @@ def read_scene_manifest(manifest, rows=None):
     cubes: dict[str, list[BandObservation]] = defaultdict(list)
     for grid in layout.passes:
         source_rows = None if rows is None else layout.source_rows(grid, rows)
-        bands = {}
-        valid = None
-        for band, band_path in grid.bands.items():
-            values, ok, _ = read_grid(band_path, source_rows)
-            values = values / layout.scale
-            ok = ok & np.isfinite(values) & (values >= 0.0) & (values <= 1.0)
-            bands[band] = values
-            valid = ok if valid is None else (valid & ok)
+        stack = np.empty((len(grid.bands), *grid.geom.shape))
+        valid = np.ones(grid.geom.shape, dtype=bool)
+        for i, band_path in enumerate(grid.bands.values()):
+            stack[i], ok, _ = read_grid(band_path, source_rows)
+            valid &= ok
+        stack /= layout.scale
+        valid &= (np.isfinite(stack) & (stack >= 0.0) & (stack <= 1.0)).all(axis=0)
         if grid.mask is not None:
             prob, mask_ok, _ = read_grid(grid.mask, source_rows)
             valid &= mask_ok & (prob < layout.threshold)
         if grid.geom != target:
-            bands, valid = _resample_to(bands, valid, layout.factor(grid), target, rows)
-        for values in bands.values():
-            values[~valid] = MASKED_FILL
-        cubes[grid.sensor].append(BandObservation(grid.sensor, grid.date, bands, valid,
-                                                  target))
+            stack, valid = upsample_cubic(stack, layout.factor(grid), valid, rows)
+            stack = np.clip(stack, 0.0, 1.0, out=stack)[:, :target.nrows, :target.ncols]
+            valid = valid[:target.nrows, :target.ncols]
+        stack[:, ~valid] = MASKED_FILL
+        cubes[grid.sensor].append(BandObservation(
+            grid.sensor, grid.date, dict(zip(grid.bands, stack)), valid, target))
     return {sensor: SceneCube(obs, target) for sensor, obs in cubes.items()}
-
-
-def _resample_to(bands, valid, factor: int, target: GridGeometry, rows):
-    fine = {}
-    fine_valid = None
-    for name, grid in bands.items():
-        up, ok = upsample_cubic(grid, factor, valid, rows)
-        fine[name] = np.clip(up, 0.0, 1.0)[:target.nrows, :target.ncols]
-        fine_valid = ok if fine_valid is None else (fine_valid & ok)
-    return fine, fine_valid[:target.nrows, :target.ncols]
 
 
 def format_wkt_polygon(polygon) -> str:

@@ -315,26 +315,18 @@ def stage_train(state: RunState) -> None:
     _write_importance(os.path.join(state.run_dir, "importance.csv"), state.model)
 
     # Plot-level scores: out-of-fold means for labeled plots, final-model
-    # scores for the rest; border pixels are excluded from the aggregation.
-    oof = state.cv_result.pixel_scores
-    unscored = [rows_by_plot[p] for p in state.labels
-                if p in rows_by_plot and p not in oof]
-    row_scores = np.full(len(table), np.nan)
-    if unscored:
-        idx = np.concatenate(unscored)
+    # scores for the rest, both by aggregate_plot's border rule.
+    state.plot_scores = dict(state.cv_result.plot_means)
+    rest = [p for p in state.labels if p in rows_by_plot and p not in state.plot_scores]
+    if rest:
+        idx = np.concatenate([rows_by_plot[p] for p in rest])
+        row_scores = np.full(len(table), np.nan)
         row_scores[idx] = predict_scores(state.model, apply_impute(
             table.X[np.ix_(idx, sel_cols)], medians))
-    state.plot_scores = {}
-    state.manifest.setdefault("flagged_plots", [])
-    for pid in state.labels:
-        idx = rows_by_plot.get(pid)
-        if idx is None:
-            state.manifest["flagged_plots"].append(pid)
-            continue
-        scores = np.asarray(oof[pid]) if pid in oof else row_scores[idx]
-        interior = ~border[idx]
-        keep = scores[interior] if interior.any() else scores
-        state.plot_scores[pid] = aggregate_plot(keep)
+        for pid in rest:
+            state.plot_scores[pid] = aggregate_plot(row_scores[rows_by_plot[pid]],
+                                                    border[rows_by_plot[pid]])
+    state.manifest["flagged_plots"] = [p for p in state.labels if p not in rows_by_plot]
 
 
 def stage_threshold(state: RunState) -> None:

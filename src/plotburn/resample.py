@@ -40,44 +40,46 @@ def _axis_taps(n_in: int, factor: int):
 
 def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = None,
                    rows: np.ndarray | None = None):
-    """Upsample a 2-D grid by an integer factor with cubic convolution.
+    """Upsample grids by an integer factor with cubic convolution.
 
-    Returns (fine_grid, fine_valid). An output cell is invalid whenever any
-    input cell under its 4x4 kernel support is invalid; invalid inputs
-    contribute value 0 so no masked value can leak through arithmetic.
-    rows, when given, are the output rows to compute; the others come back
-    NaN and invalid.
+    grid is one 2-D grid or a stack of them, (..., rows, cols), that share
+    valid, a 2-D mask. Returns (fine_grid, fine_valid), fine_valid 2-D. An
+    output cell is invalid whenever any input cell under its 4x4 kernel
+    support is invalid; invalid inputs contribute value 0 so no masked value
+    can leak through arithmetic. rows, when given, are the output rows to
+    compute; the others come back NaN and invalid.
     """
     if int(factor) != factor or factor < 1:
         raise SceneError(f"upsample factor must be an integer >= 1, got {factor}")
     factor = int(factor)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[0] < 4 or grid.shape[1] < 4:
-        raise SceneError("upsample_cubic needs a 2-D grid of at least 4x4 cells")
+    if grid.ndim < 2 or grid.shape[-2] < 4 or grid.shape[-1] < 4:
+        raise SceneError("upsample_cubic needs grids of at least 4x4 cells")
+    stack, (nrows, ncols) = grid.shape[:-2], grid.shape[-2:]
     if valid is None:
-        valid = np.ones(grid.shape, dtype=bool)
+        valid = np.ones((nrows, ncols), dtype=bool)
     filled = np.where(valid, grid, 0.0)
 
-    rtaps, rw = _axis_taps(grid.shape[0], factor)
-    ctaps, cw = _axis_taps(grid.shape[1], factor)
+    rtaps, rw = _axis_taps(nrows, factor)
+    ctaps, cw = _axis_taps(ncols, factor)
     shape = (rtaps.shape[1], ctaps.shape[1])
     if rows is not None:
         rtaps, rw = rtaps[:, rows], rw[:, rows]
 
     # Separable pass: rows first, then columns.
-    inter = np.zeros((rtaps.shape[1], grid.shape[1]))
-    inter_ok = np.ones((rtaps.shape[1], grid.shape[1]), dtype=bool)
+    inter = np.zeros(stack + (rtaps.shape[1], ncols))
+    inter_ok = np.ones((rtaps.shape[1], ncols), dtype=bool)
     for t in range(4):
-        inter += rw[t][:, None] * filled[rtaps[t], :]
+        inter += rw[t][:, None] * filled[..., rtaps[t], :]
         inter_ok &= valid[rtaps[t], :]
-    out = np.zeros((rtaps.shape[1], ctaps.shape[1]))
+    out = np.zeros(stack + (rtaps.shape[1], ctaps.shape[1]))
     out_ok = np.ones((rtaps.shape[1], ctaps.shape[1]), dtype=bool)
     for t in range(4):
-        out += cw[t][None, :] * inter[:, ctaps[t]]
+        out += cw[t] * inter[..., ctaps[t]]
         out_ok &= inter_ok[:, ctaps[t]]
-    out[~out_ok] = np.nan
+    out[..., ~out_ok] = np.nan
     if rows is None:
         return out, out_ok
-    full, full_ok = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
-    full[rows], full_ok[rows] = out, out_ok
+    full, full_ok = np.full(stack + shape, np.nan), np.zeros(shape, dtype=bool)
+    full[..., rows, :], full_ok[rows] = out, out_ok
     return full, full_ok

@@ -64,12 +64,16 @@ class PlotPrediction:
     group: str = "none"
 
 
-def aggregate_plot(pixel_scores) -> float:
+def aggregate_plot(pixel_scores, border=None) -> float:
     """Plot-level score: the arithmetic mean of the finite pixel scores.
 
-    Empty input raises so callers can flag the plot as missing.
+    Given the pixels' border flags, only interior pixels count, or every
+    pixel when all are border. Empty input raises so callers can flag the
+    plot as missing.
     """
     arr = np.asarray(pixel_scores, dtype=float)
+    if border is not None and not np.all(border):
+        arr = arr[~np.asarray(border, dtype=bool)]
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         raise ThresholdError("no valid pixel scores to aggregate")
@@ -86,14 +90,23 @@ def _as_arrays(preds):
     return scores, labels
 
 
+def _confusion_sweep(scores: np.ndarray, labels: np.ndarray, thresholds) -> np.ndarray:
+    """(false_burn, false_no_burn, true_burn, true_no_burn) at each of the
+    thresholds, from one sort of the scores."""
+    if np.isnan(scores).any():
+        raise ThresholdError("plot scores must not be NaN")
+    order = np.argsort(scores)
+    burned = np.concatenate(([0], np.cumsum(labels[order] == 1)))
+    unburned = np.concatenate(([0], np.cumsum(labels[order] == 0)))
+    # Scores at or below a threshold are not called burned.
+    below = np.searchsorted(scores[order], thresholds, side="right")
+    false_no_burn, true_no_burn = burned[below], unburned[below]
+    return np.stack([unburned[-1] - true_no_burn, false_no_burn,
+                     burned[-1] - false_no_burn, true_no_burn])
+
+
 def confusion_at(scores: np.ndarray, labels: np.ndarray, threshold: float) -> ConfusionCounts:
-    called = scores > threshold
-    return ConfusionCounts(
-        false_burn=int((called & (labels == 0)).sum()),
-        false_no_burn=int((~called & (labels == 1)).sum()),
-        true_burn=int((called & (labels == 1)).sum()),
-        true_no_burn=int((~called & (labels == 0)).sum()),
-    )
+    return ConfusionCounts(*map(int, _confusion_sweep(scores, labels, threshold)))
 
 
 def max_accuracy_threshold(preds) -> ThresholdChoice:
@@ -103,18 +116,15 @@ def max_accuracy_threshold(preds) -> ThresholdChoice:
     to the lower threshold, which favors burn calls.
     """
     scores, labels = _as_arrays(preds)
-    grid = np.percentile(scores, PERCENTILE_GRID)
     # The percentile grid cannot express "call everything" (score > t is
     # strict), so prepend a candidate strictly below the minimum.
-    candidates = [(-1.0, float(scores.min()) - 1.0)]
-    candidates += [(float(q), float(t)) for q, t in zip(PERCENTILE_GRID, grid)]
-    best = None
-    for q, t in candidates:
-        counts = confusion_at(scores, labels, t)
-        acc = counts.mean_accuracy
-        if best is None or acc > best[0] + 1e-12:
-            best = (acc, t, q, counts)
-    return ThresholdChoice(best[1], best[2], best[3])
+    percentiles = np.concatenate(([-1.0], PERCENTILE_GRID))
+    candidates = np.concatenate(([scores.min() - 1.0],
+                                 np.percentile(scores, PERCENTILE_GRID)))
+    counts = _confusion_sweep(scores, labels, candidates)
+    best = int(np.argmax(counts[2] + counts[3]))
+    return ThresholdChoice(float(candidates[best]), float(percentiles[best]),
+                           ConfusionCounts(*map(int, counts[:, best])))
 
 
 def balanced_accuracy_threshold(preds) -> ThresholdChoice:
@@ -129,11 +139,10 @@ def balanced_accuracy_threshold(preds) -> ThresholdChoice:
     """
     scores, labels = _as_arrays(preds)
     grid = np.percentile(scores, PERCENTILE_GRID)
-    diffs = []
-    for t in grid:
-        c = confusion_at(scores, labels, t)
-        diffs.append(c.burn_accuracy - c.no_burn_accuracy)
-    diffs = np.asarray(diffs)
+    false_burn, false_no_burn, true_burn, true_no_burn = _confusion_sweep(
+        scores, labels, grid)
+    diffs = (true_burn / (true_burn + false_no_burn)
+             - true_no_burn / (true_no_burn + false_burn))
 
     cross = None
     for k in range(len(grid)):

@@ -5,6 +5,7 @@ import pytest
 
 from test_features import assert_same_table
 
+from plotburn import gridio
 from plotburn.features import build_feature_table
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_endmembers_csv, read_events_csv, read_grid,
@@ -13,6 +14,7 @@ from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              write_grid, write_plots_csv, write_rows_csv,
                              write_scene_manifest)
 from plotburn.pipeline import PipelineError, RunConfig, run_pipeline
+from plotburn.resample import upsample_cubic
 from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry, make_plot
 from plotburn.synth import (ScenarioConfig, default_endmembers, generate,
                             write_scenario)
@@ -23,8 +25,8 @@ FINE = GridGeometry(12, 12, 0.0, 0.0, 3.0)
 COARSE = GridGeometry(6, 6, 0.0, 0.0, 6.0)
 
 
-def write_two_sensor_manifest(root, geom_b=COARSE, dates_a=1, mask=False):
-    """Sensor A on FINE and one sensor-B date on geom_b, unit-scaled.
+def write_two_sensor_manifest(root, geom_b=COARSE, dates_a=1, mask=False, dates_b=1):
+    """Sensor A on FINE and sensor B on geom_b, unit-scaled.
 
     Returns the manifest path and every distinct grid file it lists. With
     mask=True each observation gets a cloud-probability grid (all clear).
@@ -32,7 +34,8 @@ def write_two_sensor_manifest(root, geom_b=COARSE, dates_a=1, mask=False):
     rng = np.random.default_rng(4)
     entries = []
     files = []
-    dates = {"A": [f"2019-10-{20 + i}" for i in range(dates_a)], "B": ["2019-11-01"]}
+    dates = {"A": [f"2019-10-{20 + i}" for i in range(dates_a)],
+             "B": [f"2019-11-{1 + i:02d}" for i in range(dates_b)]}
     for sensor, geom in (("A", FINE), ("B", geom_b)):
         for date in dates[sensor]:
             mask_name = f"{sensor}_{date}_cloud.grid" if mask else None
@@ -221,6 +224,19 @@ class TestManifest:
         original, _, _ = read_grid(tmp_path / "B_2019-11-01_NIR.grid")
         # Sample-aligned upsampling reproduces the coarse samples exactly.
         assert np.allclose(obs.bands["NIR"][::2, ::2], original, atol=1e-9)
+
+    def test_coarse_pass_upsampled_in_one_call(self, tmp_path, monkeypatch):
+        path, _ = write_two_sensor_manifest(tmp_path, dates_b=2)
+        shapes = []
+
+        def recording_upsample(grid, *args):
+            shapes.append(grid.shape)
+            return upsample_cubic(grid, *args)
+
+        monkeypatch.setattr(gridio, "upsample_cubic", recording_upsample)
+        cubes = read_scene_manifest(path)
+        assert len(cubes["B"].observations) == 2
+        assert shapes == [(len(SENSOR_BANDS["B"]), *COARSE.shape)] * 2
 
     @pytest.mark.parametrize("geom_b, aligned", [
         (GridGeometry(7, 7, 0.0, -6.0, 6.0), True),

@@ -4,6 +4,7 @@ benchmark without breaking any other test. This only reads perfbench/.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -69,3 +70,29 @@ def test_every_forest_is_trained_through_the_traced_names(worker, tmp_path):
     assert tracer.counts["forest.train.calls"] == 1 + 2 + 1
     assert tracer.counts["cv.folds"] == 2
     assert tracer.inclusive()["forest.impute"] > 0
+
+
+def test_file_ingest_is_counted_through_the_traced_names(worker, tmp_path, monkeypatch):
+    # A files workload small enough for a test: sensor B on 3x coarser cells.
+    monkeypatch.setitem(worker.WORKLOADS, "small_files", {
+        "scenario": {"n_plots": 6, "plot_area_mean_ha": 0.01, "plot_area_median_ha": 0.01,
+                     "burn_probability": 0.5},
+        "run": {"n_trees": 3, "cv_mode": "auto"},
+        "source": "files", "tile_area_factor": 4.0, "coarse_factor_b": 3})
+    inputs = str(tmp_path / "inputs")
+    prepared = worker.prepare({"workload": "small_files", "inputs": inputs})
+    with open(os.path.join(inputs, "scene_manifest.json")) as fh:
+        entries = json.load(fh)["entries"]
+    grids = {e["grid"] for e in entries} | {e["mask"] for e in entries if e["mask"]}
+    coarse_passes = {e["date"] for e in entries if e["sensor"] == "B"}
+    config = worker.run_config("small_files", prepared["scene_seed"], 1, inputs,
+                               str(tmp_path / "runs"))
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer)
+        pipeline.run_pipeline(config)
+    finally:
+        tracer.restore()
+    # An upsample reached through another name would read 0 calls here.
+    assert tracer.counts["resample.upsample_cubic.calls"] == len(coarse_passes) > 0
+    assert tracer.counts["gridio.read_grid.calls"] == len(grids)

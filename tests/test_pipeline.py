@@ -14,6 +14,7 @@ from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfi
                                RunState, compare_ablations, config_from_dict, run_pipeline,
                                stage_ingest, stage_train)
 from plotburn.synth import ScenarioConfig
+from plotburn.thresholds import aggregate_plot
 
 SCENARIO = ScenarioConfig(n_plots=24, plot_area_mean_ha=0.02,
                           plot_area_median_ha=0.018, seed=5)
@@ -217,6 +218,30 @@ class TestRunPipeline:
                     math.fsum(inner) / len(inner), abs=1e-12)
                 checked += 1
         assert checked > 0
+
+    def test_cv_plot_means_are_the_pipeline_plot_scores(self, tmp_path, monkeypatch):
+        results = []
+
+        def recording_loocv(*args, **kwargs):
+            results.append(cv.loocv_plot(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline, "loocv_plot", recording_loocv)
+        run_dir = run_pipeline(base_config(tmp_path, n_trees=5))
+        (result,) = results
+        _, cv_rows = read_rows_csv(os.path.join(run_dir, "cv_scores.csv"))
+        _, pred_rows = read_rows_csv(os.path.join(run_dir, "predictions.csv"))
+        preds = {r[0]: float(r[1]) for r in pred_rows}
+        by_plot = {}
+        for plot_id, _, border, score in cv_rows:
+            by_plot.setdefault(plot_id, []).append((border == "1", float(score)))
+        assert sorted(result.plot_means) == sorted(by_plot)
+        mixed = 0
+        for plot_id, entries in by_plot.items():
+            inner = [s for b, s in entries if not b] or [s for _, s in entries]
+            mixed += len(inner) < len(entries)
+            assert result.plot_means[plot_id] == aggregate_plot(inner) == preds[plot_id]
+        assert mixed > 0
 
     def test_file_based_ingestion_path(self, tmp_path):
         from plotburn.synth import generate, write_scenario

@@ -72,3 +72,16 @@ class TestUpsampleCubic:
         assert np.array_equal(out[rows].view(np.int64), full[rows].view(np.int64))
         others = np.setdiff1d(np.arange(18), rows)
         assert not ok[others].any() and np.isnan(out[others]).all()
+
+    @pytest.mark.parametrize("rows", [None, [0], [0, 7, 17], list(range(18))])
+    def test_band_stack_equals_band_by_band(self, rows):
+        rng = np.random.default_rng(6)
+        stack = rng.uniform(0, 1, (4, 6, 5))
+        valid = rng.random((6, 5)) > 0.15
+        rows = None if rows is None else np.array(rows)
+        out, ok = upsample_cubic(stack, 3, valid, rows)
+        assert out.shape == (4, 18, 15)
+        for band, values in zip(out, stack):
+            want, want_ok = upsample_cubic(values, 3, valid, rows)
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(band.view(np.int64), want.view(np.int64))

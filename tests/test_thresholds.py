@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plotburn.thresholds import (ConfusionCounts, ThresholdError,
+from plotburn.thresholds import (PERCENTILE_GRID, ConfusionCounts, ThresholdChoice,
+                                 ThresholdError,
                                  aggregate_plot, balanced_accuracy_threshold,
                                  cohens_kappa, confusion_at, make_predictions,
                                  max_accuracy_threshold, prediction_summary)
@@ -38,6 +42,90 @@ def oracle_best_accuracy(preds):
     return best_acc, best_t
 
 
+def oracle_confusion_at(scores, labels, threshold):
+    """Confusion counts from one boolean pass over the scores."""
+    called = scores > threshold
+    return ConfusionCounts(
+        false_burn=int((called & (labels == 0)).sum()),
+        false_no_burn=int((~called & (labels == 1)).sum()),
+        true_burn=int((called & (labels == 1)).sum()),
+        true_no_burn=int((~called & (labels == 0)).sum()),
+    )
+
+
+def oracle_max_accuracy_threshold(scores, labels):
+    """The max policy as one confusion pass per candidate threshold."""
+    grid = np.percentile(scores, PERCENTILE_GRID)
+    candidates = [(-1.0, float(scores.min()) - 1.0)]
+    candidates += [(float(q), float(t)) for q, t in zip(PERCENTILE_GRID, grid)]
+    best = None
+    for q, t in candidates:
+        counts = oracle_confusion_at(scores, labels, t)
+        acc = counts.mean_accuracy
+        if best is None or acc > best[0] + 1e-12:
+            best = (acc, t, q, counts)
+    return ThresholdChoice(best[1], best[2], best[3])
+
+
+def oracle_balanced_accuracy_threshold(scores, labels):
+    """The balanced policy as one confusion pass per grid threshold."""
+    grid = np.percentile(scores, PERCENTILE_GRID)
+    diffs = []
+    for t in grid:
+        c = oracle_confusion_at(scores, labels, t)
+        diffs.append(c.burn_accuracy - c.no_burn_accuracy)
+    diffs = np.asarray(diffs)
+
+    cross = None
+    for k in range(len(grid)):
+        if diffs[k] == 0.0:
+            end = k
+            while end < len(grid) and diffs[end] == 0.0:
+                end += 1
+            q_hi = float(PERCENTILE_GRID[end]) if end < len(grid) else 100.0
+            cross = ((float(PERCENTILE_GRID[k]) + q_hi) / 2.0,)
+            break
+        if k + 1 < len(grid) and diffs[k] > 0.0 and diffs[k + 1] < 0.0:
+            frac = diffs[k] / (diffs[k] - diffs[k + 1])
+            q_c = float(PERCENTILE_GRID[k] + frac * (PERCENTILE_GRID[k + 1] - PERCENTILE_GRID[k]))
+            cross = (q_c, float(PERCENTILE_GRID[k]), float(PERCENTILE_GRID[k + 1]))
+            break
+    if cross is None:
+        k = int(np.argmin(np.abs(diffs)))
+        cross = (float(PERCENTILE_GRID[k]),)
+
+    best = None
+    for rank, q in enumerate(cross):
+        t = float(np.percentile(scores, q))
+        c = oracle_confusion_at(scores, labels, t)
+        key = (abs(c.burn_accuracy - c.no_burn_accuracy), rank, q)
+        if best is None or key < best[0]:
+            best = (key, t, q, c)
+    return ThresholdChoice(best[1], best[2], best[3])
+
+
+# Plot scores with many ties (a few levels) mixed with distinct values.
+tied_score_sets = st.lists(
+    st.tuples(st.one_of(st.integers(0, 4).map(lambda k: k / 4),
+                        st.floats(0.0, 1.0)),
+              st.integers(0, 1)),
+    min_size=2, max_size=60).filter(lambda preds: len({lab for _, lab in preds}) == 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_score_sets)
+def test_policies_equal_the_per_threshold_oracle(preds):
+    scores = np.asarray([s for s, _ in preds])
+    labels = np.asarray([lab for _, lab in preds])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert max_accuracy_threshold(preds) == oracle_max_accuracy_threshold(scores, labels)
+        assert (balanced_accuracy_threshold(preds)
+                == oracle_balanced_accuracy_threshold(scores, labels))
+    for t in np.concatenate([scores, [-1.0, 2.0], np.percentile(scores, [12.5, 50.0])]):
+        assert confusion_at(scores, labels, t) == oracle_confusion_at(scores, labels, t)
+
+
 class TestAggregatePlot:
     def test_constant_scores(self):
         assert aggregate_plot([0.8, 0.8, 0.8]) == pytest.approx(0.8, abs=1e-15)
@@ -57,6 +145,12 @@ class TestAggregatePlot:
     def test_empty_raises(self):
         with pytest.raises(ThresholdError):
             aggregate_plot([])
+
+    def test_border_pixels_excluded_unless_all_are_border(self):
+        scores = [0.2, 0.4, 0.9, np.nan]
+        assert aggregate_plot(scores, [True, False, False, False]) == \
+            pytest.approx(0.65, abs=1e-15)
+        assert aggregate_plot(scores, [True] * 4) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestMaxAccuracy:
@@ -96,6 +190,14 @@ class TestMaxAccuracy:
         with pytest.raises(ThresholdError):
             max_accuracy_threshold([(0.5, 1), (0.7, 1)])
 
+    def test_nan_score_rejected(self):
+        preds = [(0.5, 1), (np.nan, 0), (0.2, 0)]
+        for policy in (max_accuracy_threshold, balanced_accuracy_threshold):
+            with pytest.raises(ThresholdError, match="NaN"):
+                policy(preds)
+        with pytest.raises(ThresholdError, match="NaN"):
+            confusion_at(np.array([0.5, np.nan]), np.array([1, 0]), 0.3)
+
 
 class TestBalancedAccuracy:
     def test_symmetric_scores_balance_at_midpoint(self):
@@ -115,8 +217,6 @@ class TestBalancedAccuracy:
 
     def test_gap_at_returned_threshold_is_grid_minimal(self):
         rng = np.random.default_rng(2)
-        from plotburn.thresholds import PERCENTILE_GRID
-
         for trial in range(20):
             n = int(rng.integers(30, 200))
             labels = (rng.random(n) < 0.5).astype(int)
