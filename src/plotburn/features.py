@@ -59,12 +59,14 @@ BLOCK_ROWS = 1 << 14
 
 
 def pixel_stack(cube: SceneCube, rows, cols):
-    """(valid, bands) at the pixels, each (n_obs, n_px); bands keep the cube's
-    dtype, because index formulas compute in it and upcasting changes values.
+    """(valid, bands) at common-grid pixels, each (n_obs, n_px); bands keep
+    the cube's dtype, because index formulas compute in it and upcasting
+    changes values.
     """
     obs = cube.observations
-    valid = np.stack([o.valid[rows, cols] for o in obs])
-    bands = {b: np.stack([o.bands[b][rows, cols] for o in obs]) for b in obs[0].bands}
+    at = cube.index(rows, cols)
+    valid = np.stack([o.valid[at] for o in obs])
+    bands = {b: np.stack([o.bands[b][at] for o in obs]) for b in obs[0].bands}
     return valid, bands
 
 

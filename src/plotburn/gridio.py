@@ -1,17 +1,19 @@
 """File formats: ASCII grids, scene manifests, plot/endmember/event CSVs.
 
-Grid file: one header line "ncols nrows xll yll cellsize nodata" followed by
-exactly nrows lines of ncols ASCII floats, top row first; a blank or "#"
-comment line counts as a row and fails the check. read_grid converts only the
-rows it is asked for but checks every line: the line count, and that each line
-holds ncols numbers the converter accepts.
+Grid file: UTF-8 text, one header line "ncols nrows xll yll cellsize nodata"
+followed by exactly nrows lines of ncols ASCII floats, top row first; lines
+end in LF, CRLF or CR. A blank or "#" comment line counts as a row and fails
+the check. read_grid checks every line (the line count, and that each line
+holds ncols numbers the converter accepts) but converts only the block of
+rows and columns it is asked for, and returns just that block.
 
 The manifest is JSON with a reflectance scale divisor (10000 for DN-scaled
 grids, 1 for unit reflectance) and one entry per (sensor, date, band) grid,
 plus an optional cloud probability grid per observation. scan_scene_manifest
 reads only the grid headers and checks the geometry; read_scene_manifest then
-reads each grid once, converting the rows asked for on the common grid (for a
-coarser sensor, the rows under their cubic taps).
+reads each grid once, converting only the cells a window of the common grid
+is computed from (for a coarser sensor, the cells under their cubic taps),
+and holds each pass as window-sized arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .indices import SWIR_SET, EndmemberSet
-from .resample import _axis_taps, upsample_cubic
+from .resample import source_taps, upsample_cubic
 from .scene import (MASKED_FILL, SENSOR_BANDS, AlignmentError, BandObservation,
                     GridGeometry, Plot, SceneCube, SceneError, make_plot)
 
@@ -56,8 +58,11 @@ def write_grid(path, grid: np.ndarray, geom: GridGeometry, valid=None,
             fh.write("\n")
 
 
-def _read_header(fh, path) -> tuple[GridGeometry, float]:
-    header = fh.readline().split()
+def _parse_header(path, line: bytes) -> tuple[GridGeometry, float]:
+    try:
+        header = line.decode().split()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: line 1 is not UTF-8 text") from None
     if len(header) != 6:
         raise FormatError(f"{path}: bad grid header")
     geom = GridGeometry(int(header[0]), int(header[1]), float(header[2]),
@@ -67,26 +72,31 @@ def _read_header(fh, path) -> tuple[GridGeometry, float]:
 
 def _read_grid_header(path) -> GridGeometry:
     """The geometry a grid file's header line declares; no row is read."""
-    with open(path) as fh:
-        return _read_header(fh, path)[0]
+    with open(path, "rb") as fh:
+        head = b""
+        for chunk in iter(lambda: fh.read(1 << 12), b""):
+            head += chunk
+            if b"\n" in chunk or b"\r" in chunk:
+                break
+    return _parse_header(path, head.splitlines()[0] if head else head)[0]
 
 
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 
 
-def _parse_rows(lines: list[str]) -> np.ndarray:
-    return np.loadtxt(lines, dtype=float, ndmin=2)
+def _parse_rows(lines: list[str], cols=None) -> np.ndarray:
+    return np.loadtxt(lines, dtype=float, ndmin=2, usecols=cols)
 
 
-def _check_rows(path, body: bytes, raw: np.ndarray, nrows: int, ncols: int) -> None:
-    """Raise FormatError unless each of the nrows lines of body holds ncols
-    values _parse_rows accepts.
+def _check_rows(path, raw: np.ndarray, nrows: int, ncols: int) -> None:
+    """Raise FormatError unless each of the nrows lines of raw, the body's
+    bytes, is UTF-8 text holding ncols values _parse_rows accepts.
 
     Whether a token converts depends on where its runs of ASCII digits sit,
     not on their length or value. So each line is reduced to its shape,
     every digit run becoming one "0", and each distinct shape is parsed once:
     a grid of one number format has a handful of shapes however many rows it
-    has.
+    has. A shape is UTF-8 exactly when its line is.
     """
     # Keep every byte but the second and later digits of a run; UTF-8 never
     # uses ASCII digit bytes inside a multi-byte character.
@@ -95,15 +105,18 @@ def _check_rows(path, body: bytes, raw: np.ndarray, nrows: int, ncols: int) -> N
     keep[:1] = True
     np.logical_or(other[1:], other[:-1], out=keep[1:])
     shapes = np.compress(keep, raw).tobytes().translate(_DIGITS_TO_ZERO).split(b"\n")
-    distinct = [shape.decode() for shape in dict.fromkeys(shapes[:nrows])]
     try:
+        distinct = [shape.decode() for shape in dict.fromkeys(shapes[:nrows])]
         if _parse_rows(distinct).shape == (len(distinct), ncols):
             return
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError included
         pass
-    for row, line in enumerate(body.decode().split("\n")[:nrows]):
+    for row, line in enumerate(raw.tobytes().split(b"\n")[:nrows]):
         try:
-            n = _parse_rows([line]).size
+            n = _parse_rows([line.decode()]).size
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: line {row + 2} is not UTF-8 text "
+                              f"({exc.reason} at byte {exc.start + 1})") from None
         except ValueError as exc:
             # numpy names the position within the one line it was given.
             reason = str(exc).split(" at row ")[0]
@@ -114,32 +127,39 @@ def _check_rows(path, body: bytes, raw: np.ndarray, nrows: int, ncols: int) -> N
     raise FormatError(f"{path}: rows do not parse as {ncols} numbers each")
 
 
-def read_grid(path, rows=None):
-    """Returns (values, valid, geom); nodata cells are invalid and NaN-filled.
+def read_grid(path, rows=None, cols=None):
+    """Returns (values, valid, geom) of a block of the grid; nodata cells are
+    invalid and NaN-filled, and geom is the whole file's geometry.
 
-    Only the listed rows (every row when rows is None) are converted to
-    floats; cells of the other rows come back invalid and NaN. Every row is
-    still checked: the file must hold exactly nrows lines of ncols numbers.
+    The block is the listed rows by the listed columns, (len(rows),
+    len(cols)); None lists every row or column. Only the block's cells are
+    converted to floats, but every line is checked: the file must hold
+    exactly nrows lines of ncols numbers.
     """
-    with open(path) as fh:
-        geom, nodata = _read_header(fh, path)
-        body = fh.read().encode()
-    raw = np.frombuffer(body, dtype=np.uint8)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    body_start = data.find(b"\n") + 1 or len(data)
+    geom, nodata = _parse_header(path, data[:body_start].rstrip(b"\n"))
+    raw = np.frombuffer(data, dtype=np.uint8)[body_start:]
     ends = np.flatnonzero(raw == ord("\n"))
-    if not body.endswith(b"\n"):
-        ends = np.append(ends, len(body))
+    if raw[-1:].tobytes() != b"\n":
+        ends = np.append(ends, raw.size)
     if ends.size != geom.nrows:
         raise FormatError(f"{path}: expected {geom.nrows} rows of values, "
                           f"got {ends.size} lines")
-    _check_rows(path, body, raw, geom.nrows, geom.ncols)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    _check_rows(path, raw, geom.nrows, geom.ncols)
+    starts = np.concatenate(([0], ends[:-1] + 1)) + body_start
+    ends = ends + body_start
     rows = np.arange(geom.nrows) if rows is None else np.asarray(rows, dtype=np.int64)
-    values = np.full(geom.shape, np.nan)
-    valid = np.zeros(geom.shape, dtype=bool)
-    if rows.size:
-        data = _parse_rows([body[starts[r]:ends[r]].decode() for r in rows])
-        valid[rows] = data != nodata
-        values[rows] = np.where(valid[rows], data, np.nan)
+    cols = np.arange(geom.ncols) if cols is None else np.asarray(cols, dtype=np.int64)
+    if not rows.size or not cols.size:
+        values = np.zeros((rows.size, cols.size))
+        return values, values.astype(bool), geom
+    values = _parse_rows([data[starts[r]:ends[r]].decode() for r in rows], cols)
+    valid = values != nodata
+    values[~valid] = np.nan
     return values, valid, geom
 
 
@@ -179,18 +199,24 @@ class SceneLayout(NamedTuple):
         """The rows of grid's files that common-grid rows are computed from."""
         if grid.geom == self.geom:
             return rows
-        taps, _ = _axis_taps(grid.geom.nrows, self.factor(grid))
-        return np.unique(taps[:, rows])
+        return source_taps(grid.geom.nrows, self.factor(grid), rows)
 
-    def ingest_counts(self, rows: np.ndarray) -> dict[str, int]:
-        """Grids, cells in them and cells converted when reading rows."""
+    def source_cols(self, grid: GridPass, cols: np.ndarray) -> np.ndarray:
+        """The columns of grid's files that common-grid columns are computed from."""
+        if grid.geom == self.geom:
+            return cols
+        return source_taps(grid.geom.ncols, self.factor(grid), cols)
+
+    def ingest_counts(self, rows: np.ndarray, cols: np.ndarray) -> dict[str, int]:
+        """Grids, cells in them and cells converted when reading the common
+        grid's rows by cols."""
         counts = {"grids": 0, "cells": 0, "cells_converted": 0}
         for grid in self.passes:
             n = len(grid.bands) + (grid.mask is not None)
             counts["grids"] += n
             counts["cells"] += n * grid.geom.nrows * grid.geom.ncols
             counts["cells_converted"] += (n * self.source_rows(grid, rows).size
-                                          * grid.geom.ncols)
+                                          * self.source_cols(grid, cols).size)
         return counts
 
 
@@ -267,7 +293,7 @@ def _check_alignment(geom: GridGeometry, target: GridGeometry, label: str) -> No
         raise AlignmentError(f"{label}: resampled grid does not cover the common grid")
 
 
-def read_scene_manifest(manifest, rows=None):
+def read_scene_manifest(manifest, rows=None, cols=None):
     """Load a manifest into one SceneCube per sensor, all on one common grid.
 
     manifest is a manifest path or the SceneLayout scan_scene_manifest made
@@ -279,34 +305,50 @@ def read_scene_manifest(manifest, rows=None):
     cellsize factor with cubic convolution, all its bands in one call, and
     clipped back to the unit range.
 
-    rows, when given, are the common-grid rows to fill: every grid file is
-    still read and checked once, but only the rows those are computed from
-    are converted, and every cell outside them is invalid.
+    rows and cols are the common-grid rows and columns to fill (every one
+    when None). The cubes hold only their bounding window: window-shaped
+    arrays, the window's geometry, and its top-left cell as origin. Every
+    grid file is still read and checked once, but only the cells the listed
+    ones are computed from are converted, and every other window cell is
+    invalid.
     """
     layout = (manifest if isinstance(manifest, SceneLayout)
               else scan_scene_manifest(manifest))
     target = layout.geom
+    rows = np.arange(target.nrows) if rows is None else np.unique(rows)
+    cols = np.arange(target.ncols) if cols is None else np.unique(cols)
+    if not rows.size or not cols.size:
+        raise SceneError("no common-grid cells to read")
+    origin = (int(rows[0]), int(cols[0]))
+    shape = (int(rows[-1]) + 1 - origin[0], int(cols[-1]) + 1 - origin[1])
+    window = target.window(*origin, *shape)
+    at = np.ix_(rows - origin[0], cols - origin[1])
     cubes: dict[str, list[BandObservation]] = defaultdict(list)
     for grid in layout.passes:
-        source_rows = None if rows is None else layout.source_rows(grid, rows)
-        stack = np.empty((len(grid.bands), *grid.geom.shape))
-        valid = np.ones(grid.geom.shape, dtype=bool)
+        source = (layout.source_rows(grid, rows), layout.source_cols(grid, cols))
+        stack = np.empty((len(grid.bands), source[0].size, source[1].size))
+        valid = np.ones(stack.shape[1:], dtype=bool)
         for i, band_path in enumerate(grid.bands.values()):
-            stack[i], ok, _ = read_grid(band_path, source_rows)
+            stack[i], ok, _ = read_grid(band_path, *source)
             valid &= ok
         stack /= layout.scale
         valid &= (np.isfinite(stack) & (stack >= 0.0) & (stack <= 1.0)).all(axis=0)
         if grid.mask is not None:
-            prob, mask_ok, _ = read_grid(grid.mask, source_rows)
+            prob, mask_ok, _ = read_grid(grid.mask, *source)
             valid &= mask_ok & (prob < layout.threshold)
         if grid.geom != target:
-            stack, valid = upsample_cubic(stack, layout.factor(grid), valid, rows)
-            stack = np.clip(stack, 0.0, 1.0, out=stack)[:, :target.nrows, :target.ncols]
-            valid = valid[:target.nrows, :target.ncols]
+            stack, valid = upsample_cubic(stack, layout.factor(grid), valid, rows, cols,
+                                          grid.geom.shape)
+            np.clip(stack, 0.0, 1.0, out=stack)
         stack[:, ~valid] = MASKED_FILL
+        if stack.shape[1:] != shape:
+            # Rows (or columns) inside the window that were not asked for.
+            held, held_ok = np.full((len(stack), *shape), MASKED_FILL), np.zeros(shape, bool)
+            held[:, at[0], at[1]], held_ok[at] = stack, valid
+            stack, valid = held, held_ok
         cubes[grid.sensor].append(BandObservation(
-            grid.sensor, grid.date, dict(zip(grid.bands, stack)), valid, target))
-    return {sensor: SceneCube(obs, target) for sensor, obs in cubes.items()}
+            grid.sensor, grid.date, dict(zip(grid.bands, stack)), valid, window))
+    return {sensor: SceneCube(obs, window, origin) for sensor, obs in cubes.items()}
 
 
 def format_wkt_polygon(polygon) -> str:

@@ -23,7 +23,7 @@ from .cv import LABEL_TO_CLASS, fit_forest, loocv_plot, parse_cv_mode
 from .forest import ForestParams, apply_impute, predict_scores, save_forest, top_k_features
 # Not called here: perfbench/worker.py rebinds them by name.
 from .forest import fit_impute_medians, train_forest  # noqa: F401
-from .gridio import (read_endmembers_csv, read_events_csv, read_plots_csv,
+from .gridio import (FormatError, read_endmembers_csv, read_events_csv, read_plots_csv,
                      read_rows_csv, read_scene_manifest, scan_scene_manifest,
                      write_rows_csv)
 from .scene import gap_statistics
@@ -191,17 +191,27 @@ def stage_ingest(state: RunState) -> None:
         if not cfg.manifest_path:
             raise ValueError("a run from files needs a scene manifest (manifest_path)")
         # Plots are rasterised from the grid headers, so that only the grid
-        # rows they touch need converting.
+        # cells they need are converted and held.
         layout = scan_scene_manifest(cfg.manifest_path)
         state.plots = read_plots_csv(cfg.plots_path, layout.geom)
+        if not state.plots:
+            raise FormatError(f"{cfg.plots_path}: the plots file lists no plots")
         # The other sensor's grids go unread; the common grid stays the one
         # chosen from every sensor, so plots rasterise alike in every mode.
         layout = layout._replace(passes=tuple(g for g in layout.passes
                                               if g.sensor in sensors))
-        rows = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
-                                        + [p.rows for p in state.plots]))
-        state.cubes = read_scene_manifest(layout, rows)
-        state.manifest["ingest"] = layout.ingest_counts(rows)
+        # The cubes hold the plots' bounding window: every column across it,
+        # but of its rows only those plots touch.
+        rows = np.unique(np.concatenate([p.rows for p in state.plots]))
+        cols = np.concatenate([p.cols for p in state.plots])
+        cols = np.arange(cols.min(), cols.max() + 1)
+        state.cubes = read_scene_manifest(layout, rows, cols)
+        state.manifest["ingest"] = {
+            **layout.ingest_counts(rows, cols),
+            "window": {"rows": [int(rows[0]), int(rows[-1]) + 1],
+                       "cols": [int(cols[0]), int(cols[-1]) + 1]},
+            "cells_held": sum(len(o.bands) * o.valid.size for cube in state.cubes.values()
+                              for o in cube.observations)}
         if cfg.events_path:
             state.events = read_events_csv(cfg.events_path)
         state.endmembers = (read_endmembers_csv(cfg.endmembers_path)

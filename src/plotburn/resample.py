@@ -38,37 +38,57 @@ def _axis_taps(n_in: int, factor: int):
     return taps, _cubic_weights(frac)
 
 
+def source_taps(n_in: int, factor: int, out) -> np.ndarray:
+    """Input samples, sorted, that the cubic taps of output samples out read."""
+    taps, _ = _axis_taps(n_in, factor)
+    return np.unique(taps[:, out])
+
+
 def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = None,
-                   rows: np.ndarray | None = None):
+                   rows=None, cols=None, shape: tuple[int, int] | None = None):
     """Upsample grids by an integer factor with cubic convolution.
 
     grid is one 2-D grid or a stack of them, (..., rows, cols), that share
     valid, a 2-D mask. Returns (fine_grid, fine_valid), fine_valid 2-D. An
     output cell is invalid whenever any input cell under its 4x4 kernel
     support is invalid; invalid inputs contribute value 0 so no masked value
-    can leak through arithmetic. rows, when given, are the output rows to
-    compute; the others come back NaN and invalid.
+    can leak through arithmetic.
+
+    rows and cols, when given, are the output rows and columns to compute
+    (every one when None), and the result is that (len(rows), len(cols))
+    block. shape, when given, is the (nrows, ncols) of the whole input grid,
+    and grid holds only the cells those outputs read: its rows and columns
+    are source_taps(nrows, factor, rows) and source_taps(ncols, factor, cols).
+    Either way each output cell has the bits a whole-grid upsample gives it.
     """
     if int(factor) != factor or factor < 1:
         raise SceneError(f"upsample factor must be an integer >= 1, got {factor}")
     factor = int(factor)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim < 2 or grid.shape[-2] < 4 or grid.shape[-1] < 4:
+    if grid.ndim < 2 or min(shape or grid.shape[-2:]) < 4:
         raise SceneError("upsample_cubic needs grids of at least 4x4 cells")
-    stack, (nrows, ncols) = grid.shape[:-2], grid.shape[-2:]
+    stack, (nrows, ncols) = grid.shape[:-2], shape or grid.shape[-2:]
     if valid is None:
-        valid = np.ones((nrows, ncols), dtype=bool)
+        valid = np.ones(grid.shape[-2:], dtype=bool)
     filled = np.where(valid, grid, 0.0)
 
     rtaps, rw = _axis_taps(nrows, factor)
     ctaps, cw = _axis_taps(ncols, factor)
-    shape = (rtaps.shape[1], ctaps.shape[1])
     if rows is not None:
         rtaps, rw = rtaps[:, rows], rw[:, rows]
+    if cols is not None:
+        ctaps, cw = ctaps[:, cols], cw[:, cols]
+    if shape is not None:
+        # Taps index the whole grid; grid holds only the tapped samples.
+        rsrc, csrc = np.unique(rtaps), np.unique(ctaps)
+        if grid.shape[-2:] != (rsrc.size, csrc.size):
+            raise SceneError(f"grid of shape {grid.shape[-2:]} does not hold the "
+                             "cells the outputs read")
+        rtaps, ctaps = np.searchsorted(rsrc, rtaps), np.searchsorted(csrc, ctaps)
 
     # Separable pass: rows first, then columns.
-    inter = np.zeros(stack + (rtaps.shape[1], ncols))
-    inter_ok = np.ones((rtaps.shape[1], ncols), dtype=bool)
+    inter = np.zeros(stack + (rtaps.shape[1], grid.shape[-1]))
+    inter_ok = np.ones((rtaps.shape[1], grid.shape[-1]), dtype=bool)
     for t in range(4):
         inter += rw[t][:, None] * filled[..., rtaps[t], :]
         inter_ok &= valid[rtaps[t], :]
@@ -78,8 +98,4 @@ def upsample_cubic(grid: np.ndarray, factor: int, valid: np.ndarray | None = Non
         out += cw[t] * inter[..., ctaps[t]]
         out_ok &= inter_ok[:, ctaps[t]]
     out[..., ~out_ok] = np.nan
-    if rows is None:
-        return out, out_ok
-    full, full_ok = np.full(stack + shape, np.nan), np.zeros(shape, dtype=bool)
-    full[..., rows, :], full_ok[rows] = out, out_ok
-    return full, full_ok
+    return out, out_ok

@@ -63,6 +63,12 @@ class GridGeometry:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    def window(self, row0: int, col0: int, nrows: int, ncols: int) -> GridGeometry:
+        """The geometry of the nrows x ncols block whose top-left cell is (row0, col0)."""
+        return GridGeometry(ncols, nrows, self.xll + col0 * self.cellsize,
+                            self.yll + (self.nrows - row0 - nrows) * self.cellsize,
+                            self.cellsize)
+
     def cell_center(self, row, col):
         x = self.xll + (np.asarray(col) + 0.5) * self.cellsize
         y = self.yll + (self.nrows - np.asarray(row) - 0.5) * self.cellsize
@@ -97,10 +103,16 @@ class BandObservation:
 
 @dataclass
 class SceneCube:
-    """Time-ordered observation stack for one sensor on a common grid."""
+    """Time-ordered observation stack for one sensor on a window of the common grid.
+
+    geom is the window's geometry and origin the (row, col) of its top-left
+    cell on the common grid: (0, 0) when the window is the whole grid. Plots
+    address cells on the common grid; index maps them into the arrays.
+    """
 
     observations: list[BandObservation]
     geom: GridGeometry
+    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         dates = [o.date for o in self.observations]
@@ -109,6 +121,16 @@ class SceneCube:
         for o in self.observations:
             if o.geom != self.geom:
                 raise AlignmentError("observation geometry differs from cube geometry")
+
+    def index(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into the observations' arrays of common-grid cells (rows, cols)."""
+        r = np.asarray(rows) - self.origin[0]
+        c = np.asarray(cols) - self.origin[1]
+        if r.size and (min(r.min(), c.min()) < 0 or r.max() >= self.geom.nrows
+                       or c.max() >= self.geom.ncols):
+            raise SceneError(f"cells outside the {self.geom.nrows}x{self.geom.ncols} "
+                             f"window at {self.origin}")
+        return r, c
 
     @property
     def sensor(self) -> str:
@@ -245,8 +267,9 @@ def plot_observation_dates(cube: SceneCube, plot: Plot) -> list[dt.date]:
     """Dates on which at least PLOT_VALID_FRACTION of the plot's pixels are valid."""
     if plot.n_pixels == 0:
         return []
+    at = cube.index(plot.rows, plot.cols)
     return [o.date for o in cube.observations
-            if o.valid[plot.rows, plot.cols].mean() >= PLOT_VALID_FRACTION]
+            if o.valid[at].mean() >= PLOT_VALID_FRACTION]
 
 
 @dataclass

@@ -329,13 +329,13 @@ def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
         for pid, _, _ in relevant:
             targets = [by_id[pid]] if pid is not None else plots
             for plot in targets:
-                valid[plot.rows, plot.cols] = False
+                valid[cube.index(plot.rows, plot.cols)] = False
                 touched.add(plot.plot_id)
         bands = {name: np.where(valid, grid, MASKED_FILL)
                  for name, grid in obs.bands.items()}
         observations.append(BandObservation(obs.sensor, obs.date, bands, valid, obs.geom))
         newly_masked[obs.date] = touched
-    new_cube = SceneCube(observations, cube.geom)
+    new_cube = SceneCube(observations, cube.geom, cube.origin)
 
     if truth is None:
         return new_cube, None

@@ -71,9 +71,12 @@ class TestGridFiles:
         grid = np.random.default_rng(1).uniform(0, 1, geom.shape)
         write_grid(tmp_path / "band.grid", grid, geom)
         values, ok, _ = read_grid(tmp_path / "band.grid", [0, 3, 5])
-        assert np.array_equal(ok.any(axis=1), [1, 0, 0, 1, 0, 1])
-        assert np.array_equal(values[ok], grid[[0, 3, 5]].ravel())
-        assert np.isnan(values[~ok]).all()
+        # Only the listed rows come back; the rest are not converted.
+        assert values.shape == ok.shape == (3, 4) and ok.all()
+        assert np.array_equal(values, grid[[0, 3, 5]])
+        values, ok, _ = read_grid(tmp_path / "band.grid", [5, 1], range(1, 3))
+        assert values.shape == ok.shape == (2, 2) and ok.all()
+        assert np.array_equal(values, grid[np.ix_([5, 1], [1, 2])])
 
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.grid"
@@ -102,7 +105,50 @@ class TestGridFiles:
                 read_grid(path, rows=[0])
         else:
             values, ok, _ = read_grid(path, rows=[0])
-            assert ok[0].all() and not ok[1].any()
+            assert ok.shape == (1, 2) and ok.all()
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
+    def test_cr_line_endings_read_as_lf(self, tmp_path, newline):
+        geom = GridGeometry(5, 4, 0.0, 0.0, 1.0)
+        valid = np.ones(geom.shape, dtype=bool)
+        valid[1, 2] = False
+        write_grid(tmp_path / "lf.grid", np.random.default_rng(2).uniform(0, 1, geom.shape),
+                   geom, valid)
+        (tmp_path / "cr.grid").write_bytes(
+            (tmp_path / "lf.grid").read_bytes().replace(b"\n", newline))
+        for rows, cols in ((None, None), ([1, 3], range(1, 4))):
+            want, want_ok, want_geom = read_grid(tmp_path / "lf.grid", rows, cols)
+            got, got_ok, got_geom = read_grid(tmp_path / "cr.grid", rows, cols)
+            assert got_geom == want_geom == geom
+            assert np.array_equal(got_ok, want_ok)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert gridio._read_grid_header(tmp_path / "cr.grid") == geom
+
+    @pytest.mark.parametrize("where", ["header", "converted-row", "unconverted-row"])
+    def test_non_utf8_byte_fails_naming_the_file(self, tmp_path, where):
+        lines = [b"2 2 0.0 0.0 1.0 -9999.0", b"0.5 0.25", b"0.5 0.75"]
+        line = {"header": 0, "converted-row": 1, "unconverted-row": 2}[where]
+        lines[line] += b" \xe9"
+        path = tmp_path / "latin1.grid"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match=rf"latin1.grid: line {line + 1}.* not UTF-8"):
+            read_grid(path, rows=[0])
+
+    def test_column_block_tokenised_like_the_full_line(self, tmp_path):
+        lines = ["3 3 0.0 0.0 1.0 -9999.0",
+                 "\t 0.5\t\t0.25   -9999.0  ",
+                 "1e-3 \t .75\t1.5 # trailing comment",
+                 "  2.0 3.0 4.0#comment"]
+        path = tmp_path / "ws.grid"
+        path.write_text("\n".join(lines) + "\n")
+        full, full_ok, _ = read_grid(path)
+        assert np.array_equal(full_ok, [[1, 1, 0], [1, 1, 1], [1, 1, 1]])
+        for rows in ([0, 1, 2], [2], [0, 2]):
+            for cols in (range(0, 1), range(1, 2), range(2, 3), range(1, 3), range(0, 3)):
+                got, ok, _ = read_grid(path, rows, cols)
+                want = np.ix_(rows, cols)
+                assert np.array_equal(ok, full_ok[want])
+                assert np.array_equal(got.view(np.int64), full[want].view(np.int64))
 
 
 class TestWkt:
@@ -300,6 +346,30 @@ def rows_plot(first, last, cols=(1, 12)):
     return plot
 
 
+def assert_plot_pixels_equal_a_full_read(path, plot):
+    """Reading the plot's window gives every plot pixel the bits of a full read."""
+    full = read_scene_manifest(path)
+    window = read_scene_manifest(scan_scene_manifest(path), plot.rows, plot.cols)
+    origin = (plot.rows.min(), plot.cols.min())
+    shape = (plot.rows.max() + 1 - origin[0], plot.cols.max() + 1 - origin[1])
+    for sensor in ("A", "B"):
+        assert full[sensor].origin == (0, 0) and full[sensor].geom == TILE_FINE
+        assert window[sensor].origin == origin
+        assert window[sensor].geom == TILE_FINE.window(*origin, *shape)
+        (want,) = full[sensor].observations
+        (got,) = window[sensor].observations
+        at_full = full[sensor].index(plot.rows, plot.cols)
+        at = window[sensor].index(plot.rows, plot.cols)
+        assert want.valid[at_full].any()
+        assert np.array_equal(got.valid[at], want.valid[at_full])
+        for band, values in want.bands.items():
+            ok = want.valid[at_full]
+            assert got.bands[band].shape == shape
+            assert np.array_equal(got.bands[band][at][ok].view(np.int64),
+                                  values[at_full][ok].view(np.int64))
+            assert np.isnan(got.bands[band][~got.valid]).all()
+
+
 class TestPlotRowWindows:
     """Reading only the rows plots touch gives every plot pixel the bits of a
     full read, at the window's edges and through the cubic taps of the 3x
@@ -311,24 +381,20 @@ class TestPlotRowWindows:
                                   "straddles-coarse-rows-0-1", "straddles-coarse-rows-1-2",
                                   "coarse-row-middle", "every-row"])
     def test_plot_pixels_equal_a_full_read(self, tmp_path, first, last):
+        assert_plot_pixels_equal_a_full_read(write_tile_scene(tmp_path),
+                                             rows_plot(first, last))
+
+    def test_rows_between_plots_are_held_invalid(self, tmp_path):
         path = write_tile_scene(tmp_path)
-        full = read_scene_manifest(path)
-        plot = rows_plot(first, last)
-        window = read_scene_manifest(scan_scene_manifest(path), plot.rows)
-        at = (plot.rows, plot.cols)
-        outside = np.setdiff1d(np.arange(TILE_FINE.nrows), plot.rows)
-        for sensor in ("A", "B"):
-            (want,) = full[sensor].observations
-            (got,) = window[sensor].observations
-            assert want.valid[at].any()
-            assert np.array_equal(got.valid[at], want.valid[at])
-            assert not got.valid[outside].any()
-            for band, values in want.bands.items():
-                ok = want.valid[at]
-                assert got.bands[band].shape == values.shape
-                assert np.array_equal(got.bands[band][at][ok].view(np.int64),
-                                      values[at][ok].view(np.int64))
-                assert np.isnan(got.bands[band][~got.valid]).all()
+        top, bottom = rows_plot(2, 3), rows_plot(9, 10)
+        rows = np.concatenate([top.rows, bottom.rows])
+        cols = np.concatenate([top.cols, bottom.cols])
+        for cube in read_scene_manifest(scan_scene_manifest(path), rows, cols).values():
+            assert cube.origin == (2, 1) and cube.geom.shape == (9, 12)
+            (obs,) = cube.observations
+            assert obs.valid[[0, 1, 7, 8]].any(axis=1).all()
+            assert not obs.valid[2:7].any()
+            assert all(np.isnan(grid[2:7]).all() for grid in obs.bands.values())
 
     def test_coarse_rows_read_are_the_cubic_taps(self, tmp_path):
         layout = scan_scene_manifest(write_tile_scene(tmp_path))
@@ -339,9 +405,37 @@ class TestPlotRowWindows:
         assert layout.source_rows(coarse, np.array([0])).tolist() == [0, 1, 2]
         assert layout.source_rows(coarse, np.array([3, 5])).tolist() == [0, 1, 2, 3]
         assert layout.source_rows(coarse, np.array([17])).tolist() == [4, 5]
-        counts = layout.ingest_counts(np.array([17]))
+        counts = layout.ingest_counts(np.array([17]), np.arange(24))
         assert counts == {"grids": 15, "cells": 5 * 24 * 18 + 10 * 8 * 6,
                           "cells_converted": 5 * 24 + 10 * 2 * 8}
+
+
+class TestPlotColumnWindows:
+    """Reading only the columns plots span gives every plot pixel the bits of
+    a full read, at the tile's first and last columns and through the clamped
+    cubic taps of the 3x coarser sensor."""
+
+    @pytest.mark.parametrize("first, last", [(0, 0), (0, 1), (23, 23), (22, 23), (2, 3),
+                                             (5, 6), (7, 7), (0, 23)],
+                             ids=["first-col", "left-two", "last-col", "right-two",
+                                  "straddles-coarse-cols-0-1", "straddles-coarse-cols-1-2",
+                                  "coarse-col-middle", "every-col"])
+    @pytest.mark.parametrize("rows", [(12, 15), (0, 17)], ids=["lower-rows", "every-row"])
+    def test_plot_pixels_equal_a_full_read(self, tmp_path, first, last, rows):
+        assert_plot_pixels_equal_a_full_read(write_tile_scene(tmp_path),
+                                             rows_plot(*rows, cols=(first, last)))
+
+    def test_coarse_cols_read_are_the_cubic_taps(self, tmp_path):
+        layout = scan_scene_manifest(write_tile_scene(tmp_path))
+        coarse = next(g for g in layout.passes if g.sensor == "B")
+        # As for rows: fine column 0 samples coarse columns 0..2, fine
+        # columns 2..3 straddle coarse columns 0 and 1, and fine column 23
+        # samples the last two of the 8 coarse columns.
+        assert layout.source_cols(coarse, np.array([0])).tolist() == [0, 1, 2]
+        assert layout.source_cols(coarse, np.array([2, 3])).tolist() == [0, 1, 2, 3]
+        assert layout.source_cols(coarse, np.array([23])).tolist() == [6, 7]
+        counts = layout.ingest_counts(np.array([17]), np.arange(2, 4))
+        assert counts["cells_converted"] == 5 * 2 + 10 * 2 * 4
 
 
 def corrupt_line(path, row, kind):

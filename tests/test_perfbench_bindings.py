@@ -96,3 +96,26 @@ def test_file_ingest_is_counted_through_the_traced_names(worker, tmp_path, monke
     # An upsample reached through another name would read 0 calls here.
     assert tracer.counts["resample.upsample_cubic.calls"] == len(coarse_passes) > 0
     assert tracer.counts["gridio.read_grid.calls"] == len(grids)
+
+
+def test_window_ingest_counts_the_converted_cells(worker, tmp_path):
+    # The tracer's read_grid items are the cells converted, since read_grid
+    # returns only the block it converts.
+    from test_io import rows_plot, write_tile_scene
+
+    from plotburn import gridio
+
+    manifest = write_tile_scene(tmp_path)
+    gridio.write_plots_csv(tmp_path / "plots.csv", [rows_plot(4, 9, cols=(5, 13))])
+    config = pipeline.RunConfig(out_root=str(tmp_path), manifest_path=str(manifest),
+                                plots_path=str(tmp_path / "plots.csv"))
+    state = pipeline.RunState(config, str(tmp_path))
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer)
+        pipeline.stage_ingest(state)
+    finally:
+        tracer.restore()
+    assert tracer.counts["gridio.read_grid.calls"] > 0
+    assert tracer.counts["resample.upsample_cubic.calls"] > 0
+    assert tracer.counts["gridio.read_grid.items"] == state.manifest["ingest"]["cells_converted"]

@@ -130,6 +130,26 @@ class TestRunPipeline:
         with open(tmp_path / "runs" / run_dir / "run_manifest.json") as fh:
             assert json.load(fh)["incomplete"] is True
 
+    def test_plots_file_without_plots_fails_at_ingest(self, tmp_path, monkeypatch):
+        from test_io import write_two_sensor_manifest
+
+        from plotburn import gridio
+
+        manifest, _ = write_two_sensor_manifest(tmp_path)
+        gridio.write_plots_csv(tmp_path / "plots.csv", [])
+        config = RunConfig(out_root=str(tmp_path / "runs"), manifest_path=str(manifest),
+                           plots_path=str(tmp_path / "plots.csv"))
+        read = []
+        monkeypatch.setattr(gridio, "read_grid", lambda *args: read.append(args))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "ingest"
+        assert "plots.csv: the plots file lists no plots" in str(err.value)
+        assert read == []
+        (run_dir,) = os.listdir(tmp_path / "runs")
+        with open(tmp_path / "runs" / run_dir / "run_manifest.json") as fh:
+            assert json.load(fh)["incomplete"] is True
+
     @staticmethod
     def ingest_two_sensor_scene(tmp_path, monkeypatch, sensor_mode="combined"):
         """stage_ingest of a two-sensor file scene with one plot; returns the
@@ -148,9 +168,9 @@ class TestRunPipeline:
         read = []
         real_read_grid = gridio.read_grid
 
-        def counting_read_grid(path, rows=None):
+        def counting_read_grid(path, rows=None, cols=None):
             read.append(os.path.basename(path))
-            return real_read_grid(path, rows)
+            return real_read_grid(path, rows, cols)
 
         monkeypatch.setattr(gridio, "read_grid", counting_read_grid)
         state = RunState(config, str(tmp_path))
@@ -163,13 +183,17 @@ class TestRunPipeline:
         state, read, files, plot = self.ingest_two_sensor_scene(tmp_path, monkeypatch)
         assert len(read) == len(set(files)) == 2 * (4 + 1) + (9 + 1)
         assert sorted(read) == sorted(files)
-        assert {c.geom for c in state.cubes.values()} == {FINE}
+        # The cubes hold the plot's window, fine rows 7..10 by columns 1..4.
+        assert {c.geom for c in state.cubes.values()} == {FINE.window(7, 1, 4, 4)}
+        assert {c.origin for c in state.cubes.values()} == {(7, 1)}
         assert state.plots[0].n_pixels == plot.n_pixels
-        # The plot covers fine rows 7..10, whose cubic taps reach rows 2..5
-        # of sensor B's 6 m grid.
+        # The window's cubic taps reach rows 2..5 and columns 0..4 of sensor
+        # B's 6 m grid.
         assert state.manifest["ingest"] == {
             "grids": 20, "cells": 10 * 12 * 12 + 10 * 6 * 6,
-            "cells_converted": 10 * 4 * 12 + 10 * 4 * 6}
+            "cells_converted": 10 * 4 * 4 + 10 * 4 * 5,
+            "window": {"rows": [7, 11], "cols": [1, 5]},
+            "cells_held": (2 * 4 + 9) * 4 * 4}
 
     @pytest.mark.parametrize("sensor_mode", ["A_only", "B_only"])
     def test_single_sensor_ingest_reads_only_its_grids(self, tmp_path, monkeypatch,
@@ -183,7 +207,8 @@ class TestRunPipeline:
         assert sorted(read) == sorted(kept)
         assert state.manifest["ingest"]["grids"] == len(kept)
         # The common grid is still sensor A's, sensor B's cells upsampled to it.
-        assert list(state.cubes) == [sensor] and state.cubes[sensor].geom == FINE
+        assert list(state.cubes) == [sensor]
+        assert state.cubes[sensor].geom == FINE.window(7, 1, 4, 4)
         assert state.plots[0].n_pixels == plot.n_pixels
 
     def test_predictions_cover_all_plots(self, completed_run):

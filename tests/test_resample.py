@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plotburn.resample import upsample_cubic
+from plotburn.resample import source_taps, upsample_cubic
 from plotburn.scene import SceneError
 
 
@@ -68,10 +68,28 @@ class TestUpsampleCubic:
         valid = rng.random((6, 5)) > 0.1
         full, full_ok = upsample_cubic(grid, 3, valid)
         out, ok = upsample_cubic(grid, 3, valid, np.array(rows))
-        assert np.array_equal(ok[rows], full_ok[rows])
-        assert np.array_equal(out[rows].view(np.int64), full[rows].view(np.int64))
-        others = np.setdiff1d(np.arange(18), rows)
-        assert not ok[others].any() and np.isnan(out[others]).all()
+        assert out.shape == ok.shape == (len(rows), 15)
+        assert np.array_equal(ok, full_ok[rows])
+        assert np.array_equal(out.view(np.int64), full[rows].view(np.int64))
+
+    @pytest.mark.parametrize("cols", [[0], [14], [2, 3], [5, 6, 7, 8], list(range(15))],
+                             ids=["first", "last", "straddles-0-1", "straddles-1-2", "every"])
+    @pytest.mark.parametrize("rows", [[0], [16, 17], [4, 9], list(range(18))],
+                             ids=["first", "last-two", "apart", "every"])
+    def test_tapped_cells_alone_give_the_full_upsample(self, rows, cols):
+        """Given the whole grid's shape, upsample_cubic needs only the input
+        cells under the outputs' taps, and gives them a full upsample's bits."""
+        rng = np.random.default_rng(8)
+        stack = rng.uniform(0, 1, (2, 6, 5))
+        valid = rng.random((6, 5)) > 0.1
+        full, full_ok = upsample_cubic(stack, 3, valid)
+        at = np.ix_(source_taps(6, 3, rows), source_taps(5, 3, cols))
+        out, ok = upsample_cubic(stack[:, at[0], at[1]], 3, valid[at], rows, cols, (6, 5))
+        want = np.ix_(rows, cols)
+        assert np.array_equal(ok, full_ok[want])
+        assert np.array_equal(out.view(np.int64), full[:, want[0], want[1]].view(np.int64))
+        with pytest.raises(SceneError, match="does not hold"):
+            upsample_cubic(stack[:, :1, :1], 3, valid[:1, :1], rows, cols, (6, 5))
 
     @pytest.mark.parametrize("rows", [None, [0], [0, 7, 17], list(range(18))])
     def test_band_stack_equals_band_by_band(self, rows):
@@ -80,7 +98,7 @@ class TestUpsampleCubic:
         valid = rng.random((6, 5)) > 0.15
         rows = None if rows is None else np.array(rows)
         out, ok = upsample_cubic(stack, 3, valid, rows)
-        assert out.shape == (4, 18, 15)
+        assert out.shape == (4, 18 if rows is None else len(rows), 15)
         for band, values in zip(out, stack):
             want, want_ok = upsample_cubic(values, 3, valid, rows)
             assert np.array_equal(ok, want_ok)

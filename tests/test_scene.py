@@ -147,3 +147,27 @@ class TestSceneInvariants:
         valid[0, 0] = False
         obs = make_obs("A", day(0), geom10, 0.4, valid)
         assert np.isnan(obs.bands["Blue"][0, 0])
+
+    def test_window_cube_reads_common_grid_cells(self, geom10):
+        from plotburn.features import pixel_stack
+        from plotburn.scene import BandObservation, SceneCube, SceneError
+
+        plot = _single_plot(geom10)  # rows and columns 1..4
+        valid = np.ones(geom10.shape, dtype=bool)
+        valid[plot.rows[:9], plot.cols[:9]] = False
+        full = make_cube("A", geom10, {0: 0.2, 1: 0.3, 2: 0.4}, valid_by_date={1: valid})
+        part = geom10.window(1, 0, 5, 5)
+        window = SceneCube([BandObservation(o.sensor, o.date,
+                                            {b: g[1:6, :5] for b, g in o.bands.items()},
+                                            o.valid[1:6, :5], part)
+                            for o in full.observations], part, (1, 0))
+        assert part == GridGeometry(5, 5, 0.0, 4.0, 1.0)
+        assert plot_observation_dates(window, plot) == plot_observation_dates(full, plot)
+        want = pixel_stack(full, plot.rows, plot.cols)
+        got = pixel_stack(window, plot.rows, plot.cols)
+        assert np.array_equal(got[0], want[0])
+        for band in want[1]:
+            assert np.array_equal(got[1][band], want[1][band], equal_nan=True)
+        for cell in ((0, 1), (1, 5), (6, 1)):
+            with pytest.raises(SceneError, match="outside"):
+                window.index(*cell)
