@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .indices import SWIR_SET, EndmemberSet
-from .resample import source_taps, upsample_cubic
+from .resample import cubic_taps, upsample_cubic
 from .scene import (MASKED_FILL, SENSOR_BANDS, AlignmentError, BandObservation,
                     GridGeometry, Plot, SceneCube, SceneError, make_plot)
 
@@ -60,14 +60,13 @@ def write_grid(path, grid: np.ndarray, geom: GridGeometry, valid=None,
 
 def _parse_header(path, line: bytes) -> tuple[GridGeometry, float]:
     try:
-        header = line.decode().split()
+        ncols, nrows, xll, yll, cellsize, nodata = line.decode().split()
+        geom = GridGeometry(int(ncols), int(nrows), float(xll), float(yll), float(cellsize))
+        return geom, float(nodata)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: line 1 is not UTF-8 text") from None
-    if len(header) != 6:
-        raise FormatError(f"{path}: bad grid header")
-    geom = GridGeometry(int(header[0]), int(header[1]), float(header[2]),
-                        float(header[3]), float(header[4]))
-    return geom, float(header[5])
+    except ValueError as exc:  # SceneError included
+        raise FormatError(f"{path}: line 1: bad grid header ({exc})") from None
 
 
 def _read_grid_header(path) -> GridGeometry:
@@ -192,31 +191,29 @@ class SceneLayout(NamedTuple):
     passes: tuple[GridPass, ...]
     geom: GridGeometry
 
-    def factor(self, grid: GridPass) -> int:
-        return int(round(grid.geom.cellsize / self.geom.cellsize))
-
-    def source_rows(self, grid: GridPass, rows: np.ndarray) -> np.ndarray:
-        """The rows of grid's files that common-grid rows are computed from."""
-        if grid.geom == self.geom:
-            return rows
-        return source_taps(grid.geom.nrows, self.factor(grid), rows)
-
-    def source_cols(self, grid: GridPass, cols: np.ndarray) -> np.ndarray:
-        """The columns of grid's files that common-grid columns are computed from."""
-        if grid.geom == self.geom:
-            return cols
-        return source_taps(grid.geom.ncols, self.factor(grid), cols)
+    def taps(self, rows: np.ndarray, cols: np.ndarray) -> dict:
+        """Each sensor's row and column cubic_taps for the common grid's rows
+        by cols, or None for a sensor already on the common grid. A sensor's
+        passes share one geometry, so one plan serves all of them."""
+        plans = {}
+        for sensor, geom in {grid.sensor: grid.geom for grid in self.passes}.items():
+            factor = int(round(geom.cellsize / self.geom.cellsize))
+            plans[sensor] = None if geom == self.geom else (
+                cubic_taps(geom.nrows, factor, rows), cubic_taps(geom.ncols, factor, cols))
+        return plans
 
     def ingest_counts(self, rows: np.ndarray, cols: np.ndarray) -> dict[str, int]:
         """Grids, cells in them and cells converted when reading the common
         grid's rows by cols."""
+        plans = self.taps(rows, cols)
         counts = {"grids": 0, "cells": 0, "cells_converted": 0}
         for grid in self.passes:
             n = len(grid.bands) + (grid.mask is not None)
+            plan = plans[grid.sensor]
             counts["grids"] += n
             counts["cells"] += n * grid.geom.nrows * grid.geom.ncols
-            counts["cells_converted"] += (n * self.source_rows(grid, rows).size
-                                          * self.source_cols(grid, cols).size)
+            counts["cells_converted"] += n * (rows.size * cols.size if plan is None else
+                                              plan[0].source.size * plan[1].source.size)
         return counts
 
 
@@ -226,7 +223,8 @@ def scan_scene_manifest(path) -> SceneLayout:
     Checks what read_scene_manifest needs of the geometry before any cell is
     converted: bands and cloud mask of one (sensor, date) share a geometry,
     every date of a sensor has the same one, and each coarser grid shares the
-    common grid's top-left corner with a cellsize an integer multiple of it.
+    common grid's top-left corner with a cellsize an integer multiple of it
+    and at least the 4x4 cells cubic convolution reads.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -236,16 +234,21 @@ def scan_scene_manifest(path) -> SceneLayout:
 
     grouped: dict[tuple[str, dt.date], dict] = defaultdict(dict)
     masks: dict[tuple[str, dt.date], str] = {}
-    for entry in doc["entries"]:
-        sensor = entry["sensor"]
+    for i, entry in enumerate(doc["entries"]):
+        try:
+            sensor, band, grid, date = (entry[k] for k in ("sensor", "band", "grid", "date"))
+        except KeyError as exc:
+            raise FormatError(f"{path}: entries[{i}]: missing key {exc}") from None
+        try:
+            date = dt.date.fromisoformat(date)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: entries[{i}]: bad date {date!r} ({exc})") from None
         if sensor not in SENSOR_BANDS:
             raise FormatError(f"{path}: unknown sensor {sensor!r} "
                               f"(allowed: {', '.join(sorted(SENSOR_BANDS))})")
-        date = dt.date.fromisoformat(entry["date"])
-        band = entry["band"]
         if band in grouped[(sensor, date)]:
             raise FormatError(f"duplicate grid for {sensor} {date} {band}")
-        grouped[(sensor, date)][band] = os.path.join(base, entry["grid"])
+        grouped[(sensor, date)][band] = os.path.join(base, grid)
         if entry.get("mask"):
             masks[(sensor, date)] = os.path.join(base, entry["mask"])
     if not grouped:
@@ -291,6 +294,9 @@ def _check_alignment(geom: GridGeometry, target: GridGeometry, label: str) -> No
                          f"multiple of {target.cellsize}")
     if geom.nrows * factor < target.nrows or geom.ncols * factor < target.ncols:
         raise AlignmentError(f"{label}: resampled grid does not cover the common grid")
+    if min(geom.shape) < 4:
+        raise SceneError(f"{label}: a {geom.nrows}x{geom.ncols} grid is too small to "
+                         "upsample; cubic convolution needs at least 4x4 cells")
 
 
 def read_scene_manifest(manifest, rows=None, cols=None):
@@ -323,9 +329,11 @@ def read_scene_manifest(manifest, rows=None, cols=None):
     shape = (int(rows[-1]) + 1 - origin[0], int(cols[-1]) + 1 - origin[1])
     window = target.window(*origin, *shape)
     at = np.ix_(rows - origin[0], cols - origin[1])
+    plans = layout.taps(rows, cols)
     cubes: dict[str, list[BandObservation]] = defaultdict(list)
     for grid in layout.passes:
-        source = (layout.source_rows(grid, rows), layout.source_cols(grid, cols))
+        plan = plans[grid.sensor]
+        source = (rows, cols) if plan is None else (plan[0].source, plan[1].source)
         stack = np.empty((len(grid.bands), source[0].size, source[1].size))
         valid = np.ones(stack.shape[1:], dtype=bool)
         for i, band_path in enumerate(grid.bands.values()):
@@ -336,9 +344,8 @@ def read_scene_manifest(manifest, rows=None, cols=None):
         if grid.mask is not None:
             prob, mask_ok, _ = read_grid(grid.mask, *source)
             valid &= mask_ok & (prob < layout.threshold)
-        if grid.geom != target:
-            stack, valid = upsample_cubic(stack, layout.factor(grid), valid, rows, cols,
-                                          grid.geom.shape)
+        if plan is not None:
+            stack, valid = upsample_cubic(stack, valid, *plan)
             np.clip(stack, 0.0, 1.0, out=stack)
         stack[:, ~valid] = MASKED_FILL
         if stack.shape[1:] != shape:
@@ -384,9 +391,12 @@ def read_plots_csv(path, geom: GridGeometry) -> list[Plot]:
     plots = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            polygon = parse_wkt_polygon(row["wkt_polygon"])
-            plots.append(make_plot(row["plot_id"], polygon, geom,
-                                   row["label"], row["group"]))
+            try:
+                polygon = parse_wkt_polygon(row["wkt_polygon"])
+                plots.append(make_plot(row["plot_id"], polygon, geom,
+                                       row["label"], row["group"]))
+            except ValueError as exc:  # FormatError, SceneError, EmptyPlotError
+                raise type(exc)(f"{path}: plot {row.get('plot_id')!r}: {exc}") from None
     return plots
 
 

@@ -56,7 +56,7 @@ class GridGeometry:
     cellsize: float
 
     def __post_init__(self):
-        if self.ncols < 1 or self.nrows < 1 or self.cellsize <= 0:
+        if self.ncols < 1 or self.nrows < 1 or not self.cellsize > 0:
             raise SceneError("grid geometry must have positive dimensions")
 
     @property

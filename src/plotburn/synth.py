@@ -74,6 +74,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if (type(self.n_plots) is bool or not isinstance(self.n_plots, (int, np.integer))
+                or self.n_plots < 1):
+            raise ValueError(f"n_plots must be an integer of at least 1, got {self.n_plots!r}")
+        for name in ("resolution", "plot_area_mean_ha", "plot_area_median_ha"):
+            value = getattr(self, name)
+            if (type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not value > 0):
+                raise ValueError(f"{name} must be a number greater than 0, got {value!r}")
         if not (0.0 <= self.burn_probability <= 1.0):
             raise SceneError("burn probability must be in [0, 1]")
         if self.char_half_life_vis <= 0 or self.char_half_life_ir <= 0:

@@ -31,6 +31,18 @@ class TestStageCommands:
         _, rows = read_rows_csv(out / "plots.csv")
         assert (out / "scene_manifest.json").exists() and len(rows) == 4
 
+    def test_synth_rejects_bad_sizes(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        assert main(["synth", "--n-plots", "0", "--out", str(out)]) == 1
+        assert "error: n_plots must be an integer of at least 1, got 0" in \
+            capsys.readouterr().err
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(dict(SCENARIO_DOC, plot_area_median_ha=0)))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error: plot_area_median_ha must be a number greater than 0, got 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_ingest_writes_gap_report(self, scene_dir, tmp_path):
         rc = main(["ingest", "--manifest", str(scene_dir / "scene_manifest.json"),
                    "--plots", str(scene_dir / "plots.csv"), "--out", str(tmp_path)])

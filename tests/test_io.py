@@ -15,7 +15,8 @@ from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              write_scene_manifest)
 from plotburn.pipeline import PipelineError, RunConfig, run_pipeline
 from plotburn.resample import upsample_cubic
-from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry, make_plot
+from plotburn.scene import (SENSOR_BANDS, AlignmentError, EmptyPlotError, GridGeometry,
+                            SceneError, make_plot)
 from plotburn.synth import (ScenarioConfig, default_endmembers, generate,
                             write_scenario)
 
@@ -83,6 +84,22 @@ class TestGridFiles:
         path.write_text("3 2 0.0 0.0 1.0 -9999.0\n1 2 3\n")
         with pytest.raises(FormatError):
             read_grid(path)
+
+    @pytest.mark.parametrize("header", ["3.0 2 0 0 1 -9999", "3 2.5 0 0 1 -9999",
+                                        "3 2 west 0 1 -9999", "3 2 0 0 1 none",
+                                        "0 2 0 0 1 -9999", "3 -2 0 0 1 -9999",
+                                        "3 2 0 0 0 -9999", "3 2 0 0 -1 -9999",
+                                        "3 2 0 0 nan -9999", "3 2 0 0 1"],
+                             ids=["float-ncols", "float-nrows", "text-xll", "text-nodata",
+                                  "zero-ncols", "negative-nrows", "zero-cellsize",
+                                  "negative-cellsize", "nan-cellsize", "five-fields"])
+    def test_malformed_header_fails_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.grid"
+        path.write_text(header + "\n1 2 3\n4 5 6\n")
+        with pytest.raises(FormatError, match=r"bad.grid: line 1: bad grid header"):
+            read_grid(path)
+        with pytest.raises(FormatError, match=r"bad.grid: line 1: bad grid header"):
+            gridio._read_grid_header(path)
 
     @pytest.mark.parametrize("body", ["1 2\n\n3 4\n", "1 2\n# note\n3 4\n",
                                       "1 2\n3 4\n\n"],
@@ -226,6 +243,47 @@ class TestManifest:
              "mask": None}])
         with pytest.raises(FormatError, match=r"unknown sensor 'C' \(allowed: A, B\)"):
             read_scene_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("broken, message", [
+        ({"band": None}, r"entries\[1\]: missing key 'band'"),
+        ({"grid": None}, r"entries\[1\]: missing key 'grid'"),
+        ({"date": "2019-13-01"}, r"entries\[1\]: bad date '2019-13-01' \(month must be"),
+        ({"date": 20191020}, r"entries\[1\]: bad date 20191020"),
+    ], ids=["no-band", "no-grid", "month-13", "date-not-text"])
+    def test_bad_entry_fails_naming_the_manifest_and_entry(self, tmp_path, broken, message):
+        path, _ = write_two_sensor_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["entries"][1].update(broken)
+        doc["entries"][1] = {k: v for k, v in doc["entries"][1].items() if v is not None}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"m.json: " + message):
+            scan_scene_manifest(path)
+
+    @pytest.mark.parametrize("geom_b, message", [
+        (GridGeometry(8, 8, 0.0, 0.0, 4.5), "not an integer multiple"),
+        (GridGeometry(8, 3, 0.0, 0.0, 12.0), "needs at least 4x4 cells"),
+    ], ids=["bad-factor", "3-row-grid"])
+    def test_coarse_grid_checked_at_scan(self, tmp_path, monkeypatch, geom_b, message):
+        # The geometry is wrong from the headers alone, so no cell is read.
+        path, _ = write_two_sensor_manifest(tmp_path, geom_b=geom_b)
+        monkeypatch.setattr(gridio, "read_grid", None)
+        with pytest.raises(SceneError, match="B 2019-11-01: .*" + message):
+            scan_scene_manifest(path)
+
+    @pytest.mark.parametrize("row, error, message", [
+        ('far,burned,none,"POLYGON ((900 900, 903 900, 903 903, 900 903))"', EmptyPlotError,
+         "plot 'far': polygon lies outside the grid extent"),
+        ('p2,burnt,none,"POLYGON ((0 0, 9 0, 9 9, 0 9))"', SceneError,
+         "plot 'p2': bad label 'burnt'"),
+        ('p3,burned,none,"POLYGON ((0 0, 9 0, 9 9 9))"', FormatError,
+         "plot 'p3': bad WKT coordinate"),
+    ], ids=["outside-grid", "bad-label", "bad-wkt"])
+    def test_bad_plot_fails_naming_the_file_and_plot(self, tmp_path, row, error, message):
+        path = tmp_path / "plots.csv"
+        path.write_text("plot_id,label,group,wkt_polygon\n"
+                        f'p1,burned,none,"POLYGON ((0 0, 9 0, 9 9, 0 9))"\n{row}\n')
+        with pytest.raises(error, match=r"plots.csv: " + message):
+            read_plots_csv(path, FINE)
 
     def test_dn_scale_and_cloud_mask(self, tmp_path):
         geom = GridGeometry(6, 6, 0.0, 0.0, 3.0)
@@ -402,9 +460,9 @@ class TestPlotRowWindows:
         # Fine row 0 samples coarse rows 0..2 (its top tap clamps to row 0),
         # fine rows 3..5 sit on coarse row 1 and sample rows 0..3, and fine
         # row 17 samples rows 4 and 5.
-        assert layout.source_rows(coarse, np.array([0])).tolist() == [0, 1, 2]
-        assert layout.source_rows(coarse, np.array([3, 5])).tolist() == [0, 1, 2, 3]
-        assert layout.source_rows(coarse, np.array([17])).tolist() == [4, 5]
+        for rows, source in (([0], [0, 1, 2]), ([3, 5], [0, 1, 2, 3]), ([17], [4, 5])):
+            row_taps, _ = layout.taps(np.array(rows), np.arange(24))[coarse.sensor]
+            assert row_taps.source.tolist() == source
         counts = layout.ingest_counts(np.array([17]), np.arange(24))
         assert counts == {"grids": 15, "cells": 5 * 24 * 18 + 10 * 8 * 6,
                           "cells_converted": 5 * 24 + 10 * 2 * 8}
@@ -431,9 +489,9 @@ class TestPlotColumnWindows:
         # As for rows: fine column 0 samples coarse columns 0..2, fine
         # columns 2..3 straddle coarse columns 0 and 1, and fine column 23
         # samples the last two of the 8 coarse columns.
-        assert layout.source_cols(coarse, np.array([0])).tolist() == [0, 1, 2]
-        assert layout.source_cols(coarse, np.array([2, 3])).tolist() == [0, 1, 2, 3]
-        assert layout.source_cols(coarse, np.array([23])).tolist() == [6, 7]
+        for cols, source in (([0], [0, 1, 2]), ([2, 3], [0, 1, 2, 3]), ([23], [6, 7])):
+            _, col_taps = layout.taps(np.arange(18), np.array(cols))[coarse.sensor]
+            assert col_taps.source.tolist() == source
         counts = layout.ingest_counts(np.array([17]), np.arange(2, 4))
         assert counts["cells_converted"] == 5 * 2 + 10 * 2 * 4
 
@@ -459,8 +517,8 @@ class TestMalformedRowsOutsidePlots:
         plot = rows_plot(0, 2)
         write_plots_csv(tmp_path / "plots.csv", [plot])
         layout = scan_scene_manifest(path)
-        grid = next(g for g in layout.passes if g.sensor == name[0])
-        assert row not in layout.source_rows(grid, plot.rows)
+        plan = layout.taps(plot.rows, plot.cols)[name[0]]
+        assert row not in (plot.rows if plan is None else plan[0].source)
         corrupt_line(tmp_path / name, row, kind)
         config = RunConfig(out_root=str(tmp_path / "runs"), manifest_path=str(path),
                            plots_path=str(tmp_path / "plots.csv"), n_trees=2)

@@ -40,6 +40,16 @@ class TestGenerate:
                     assert valid_vals.min() >= 0.0 and valid_vals.max() <= 1.0
                     assert np.isnan(grid[~obs.valid]).all()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_plots", 0), ("n_plots", -3), ("n_plots", 2.0), ("n_plots", True),
+        ("resolution", 0.0), ("resolution", -3.0), ("plot_area_mean_ha", 0.0),
+        ("plot_area_median_ha", 0), ("plot_area_median_ha", float("nan")),
+        ("plot_area_mean_ha", "1.4"),
+    ])
+    def test_bad_sizes_rejected_when_made(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            dataclasses.replace(SMALL, **{field: value})
+
     def test_zero_burn_probability(self):
         scenario = generate(dataclasses.replace(SMALL, burn_probability=0.0))
         assert not any(scenario.truth.burned.values())
