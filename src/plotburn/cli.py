@@ -11,7 +11,6 @@ environment variable sets the default output root.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -20,7 +19,7 @@ import sys
 from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
-from .gridio import read_rows_csv, write_rows_csv
+from .gridio import read_plot_rows, read_rows_csv, write_rows_csv
 from .separability import CURVE_CSV_HEADER
 from .thresholds import PlotPrediction
 
@@ -110,11 +109,10 @@ def cmd_separability(args) -> int:
 
 def cmd_train(args) -> int:
     state = _stage_state(args, _load_run_config(args))
+    for row in read_plot_rows(args.plots_path):
+        state.labels[row["plot_id"]] = row["label"]
+        state.groups[row["plot_id"]] = row["group"]
     state.table = feats.read_feature_csv(args.features)
-    with open(args.plots_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            state.labels[rec["plot_id"]] = rec["label"]
-            state.groups[rec["plot_id"]] = rec["group"]
     pipe.stage_train(state)
     write_rows_csv(os.path.join(args.out, "scores.csv"),
                    ["plot_id", "mean_score", "label", "group"],
@@ -262,10 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except pipe.PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (pipe.PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

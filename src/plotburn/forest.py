@@ -301,33 +301,3 @@ def save_forest(path, model: ForestModel) -> None:
                 fh.write(f"{tree.feature[i]} {float(tree.threshold[i])!r} "
                          f"{tree.left[i]} {tree.right[i]} "
                          f"{float(tree.votes[i, 0])!r} {float(tree.votes[i, 1])!r}\n")
-
-
-def load_forest(path) -> ForestModel:
-    """The model save_forest wrote; a malformed file raises ForestError."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != FOREST_MAGIC:
-        raise ForestError(f"{path}: not a forest file")
-    try:
-        seed, min_leaf, oob, n_features = (line.split()[1] for line in lines[1:5])
-        pos = 5 + int(n_features)
-        features = [line.split() for line in lines[5:pos]]
-        schema = [name for _, name, _ in features]
-        importance = np.asarray([float(imp) for _, _, imp in features])
-        n_trees = int(lines[pos].split()[1])
-        trees = []
-        for t in range(n_trees):
-            n_nodes = int(lines[pos + 1].split()[1])
-            block = lines[pos + 2:pos + 2 + n_nodes]
-            if len(block) != n_nodes:
-                raise ValueError(f"tree {t} has {len(block)} of its {n_nodes} node lines")
-            feat, thr, left, right, v0, v1 = np.loadtxt(block, ndmin=2, unpack=True)
-            trees.append(Tree(feat.astype(np.int64), thr, left.astype(np.int64),
-                              right.astype(np.int64), np.column_stack((v0, v1))))
-            pos += 1 + n_nodes
-        params = ForestParams(n_trees, int(min_leaf), int(seed))
-        oob = None if oob == "-" else float(oob)
-    except (IndexError, ValueError) as exc:
-        raise ForestError(f"{path}: malformed forest file: {exc}") from exc
-    return ForestModel(trees, schema, importance, oob, params)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .indices import SWIR_SET, EndmemberSet
 from .resample import cubic_taps, upsample_cubic
-from .scene import (MASKED_FILL, SENSOR_BANDS, AlignmentError, BandObservation,
-                    GridGeometry, Plot, SceneCube, SceneError, make_plot)
+from .scene import (GROUPS, LABELS, MASKED_FILL, SENSOR_BANDS, AlignmentError,
+                    BandObservation, GridGeometry, Plot, SceneCube, SceneError, make_plot)
 
 DEFAULT_NODATA = -9999.0
 DEFAULT_SCALE = 10000.0
@@ -228,6 +228,8 @@ def scan_scene_manifest(path) -> SceneLayout:
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise FormatError(f"{path}: a manifest is a JSON object with an \"entries\" list")
     scale = float(doc.get("scale", DEFAULT_SCALE))
     threshold = float(doc.get("cloud_threshold", DEFAULT_CLOUD_THRESHOLD))
     base = os.path.dirname(os.path.abspath(path))
@@ -235,6 +237,9 @@ def scan_scene_manifest(path) -> SceneLayout:
     grouped: dict[tuple[str, dt.date], dict] = defaultdict(dict)
     masks: dict[tuple[str, dt.date], str] = {}
     for i, entry in enumerate(doc["entries"]):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: entries[{i}]: an entry is a JSON object, "
+                              f"got {entry!r}")
         try:
             sensor, band, grid, date = (entry[k] for k in ("sensor", "band", "grid", "date"))
         except KeyError as exc:
@@ -379,6 +384,16 @@ def parse_wkt_polygon(wkt: str) -> list[tuple[float, float]]:
     return pts
 
 
+def _read_csv(path, columns) -> list[dict[str, str]]:
+    """A CSV file's rows, short rows padded with ""; its header must hold the columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise FormatError(f"{path}: missing column(s) {missing}")
+        return list(reader)
+
+
 def write_plots_csv(path, plots: list[Plot]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -387,16 +402,29 @@ def write_plots_csv(path, plots: list[Plot]) -> None:
             w.writerow([p.plot_id, p.label, p.group, format_wkt_polygon(p.polygon)])
 
 
+def read_plot_rows(path) -> list[dict[str, str]]:
+    """The plots file's rows: each plot_id once, each label and group a known one."""
+    rows = _read_csv(path, ["plot_id", "label", "group", "wkt_polygon"])
+    seen = set()
+    for row in rows:
+        plot_id = row["plot_id"]
+        if plot_id in seen:
+            raise FormatError(f"{path}: plot {plot_id!r} is listed more than once")
+        seen.add(plot_id)
+        for key, allowed in (("label", LABELS), ("group", GROUPS)):
+            if row[key] not in allowed:
+                raise SceneError(f"{path}: plot {plot_id!r}: bad {key} {row[key]!r}")
+    return rows
+
+
 def read_plots_csv(path, geom: GridGeometry) -> list[Plot]:
     plots = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                polygon = parse_wkt_polygon(row["wkt_polygon"])
-                plots.append(make_plot(row["plot_id"], polygon, geom,
-                                       row["label"], row["group"]))
-            except ValueError as exc:  # FormatError, SceneError, EmptyPlotError
-                raise type(exc)(f"{path}: plot {row.get('plot_id')!r}: {exc}") from None
+    for row in read_plot_rows(path):
+        try:
+            polygon = parse_wkt_polygon(row["wkt_polygon"])
+            plots.append(make_plot(row["plot_id"], polygon, geom, row["label"], row["group"]))
+        except ValueError as exc:  # FormatError, EmptyPlotError
+            raise type(exc)(f"{path}: plot {row['plot_id']!r}: {exc}") from None
     return plots
 
 
@@ -411,12 +439,11 @@ def write_endmembers_csv(path, endmembers: EndmemberSet) -> None:
 
 def read_endmembers_csv(path) -> EndmemberSet:
     spectra = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            spectra[row["name"]] = np.array([float(row[b]) for b in SWIR_SET])
+    for row in _read_csv(path, ["name", *SWIR_SET]):
+        spectra[row["name"]] = np.array([float(row[b]) for b in SWIR_SET])
     missing = {"veg", "soil", "char"} - set(spectra)
     if missing:
-        raise FormatError(f"endmember file missing rows {sorted(missing)}")
+        raise FormatError(f"{path}: endmember file missing rows {sorted(missing)}")
     return EndmemberSet(spectra["veg"], spectra["soil"], spectra["char"])
 
 
@@ -431,11 +458,13 @@ def write_events_csv(path, events: list[tuple[str, str, dt.date]]) -> None:
 
 def read_events_csv(path) -> list[tuple[str, str, dt.date]]:
     out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+    for row in _read_csv(path, ["plot_id", "event", "date"]):
+        try:
             if row["event"] not in ("burn", "till"):
-                raise FormatError(f"unknown event kind {row['event']!r}")
+                raise ValueError(f"unknown event kind {row['event']!r}")
             out.append((row["plot_id"], row["event"], dt.date.fromisoformat(row["date"])))
+        except ValueError as exc:
+            raise FormatError(f"{path}: plot {row['plot_id']!r}: {exc}") from None
     return out
 
 

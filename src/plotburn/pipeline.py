@@ -9,7 +9,6 @@ so determinism only depends on the seed in the configuration.
 from __future__ import annotations
 
 import dataclasses
-import datetime as dt
 import hashlib
 import json
 import os
@@ -92,19 +91,8 @@ class RunConfig:
     def forest_params(self) -> ForestParams:
         return ForestParams(self.n_trees, self.min_leaf, self.seed)
 
-    def to_jsonable(self) -> dict:
-        doc = dataclasses.asdict(self)
-        if self.scenario is not None:
-            sc = doc["scenario"]
-            for key, value in list(sc.items()):
-                if isinstance(value, dt.date):
-                    sc[key] = value.isoformat()
-                if isinstance(value, tuple):
-                    sc[key] = list(value)
-        return doc
-
     def config_hash(self) -> str:
-        text = json.dumps(self.to_jsonable(), sort_keys=True)
+        text = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -117,17 +105,9 @@ def _check_keys(doc: dict, cls, what: str) -> None:
 def config_from_dict(doc: dict) -> RunConfig:
     """The RunConfig of a JSON document; unknown keys are an error."""
     _check_keys(doc, RunConfig, "run config")
-    doc = dict(doc)
     if doc.get("scenario") is not None:
-        sc = dict(doc["scenario"])
-        _check_keys(sc, synthmod.ScenarioConfig, "scenario")
-        for key, value in list(sc.items()):
-            if key in ("season_start", "season_end", "burn_window_start",
-                       "burn_window_end") and isinstance(value, str):
-                sc[key] = dt.date.fromisoformat(value)
-            if key == "char_amp_range":
-                sc[key] = tuple(value)
-        doc["scenario"] = synthmod.ScenarioConfig(**sc)
+        _check_keys(doc["scenario"], synthmod.ScenarioConfig, "scenario")
+        doc = dict(doc, scenario=synthmod.ScenarioConfig(**doc["scenario"]))
     return RunConfig(**doc)
 
 
@@ -389,7 +369,7 @@ def run_pipeline(config: RunConfig) -> str:
     """Execute every stage into a fresh run directory; returns its path."""
     run_dir = allocate_run_dir(config)
     state = RunState(config, run_dir)
-    state.manifest = {"config": config.to_jsonable(),
+    state.manifest = {"config": dataclasses.asdict(config),
                       "config_hash": config.config_hash(),
                       "seed": config.seed, "stages": {}, "incomplete": True}
     try:

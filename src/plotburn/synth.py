@@ -37,6 +37,20 @@ CHAR_DELTAS = {"Blue": -0.045, "Green": -0.065, "Red": -0.085,
                "NIR": -0.08, "SWIR1": -0.10, "SWIR2": -0.07}
 VISIBLE_BANDS = ("Blue", "Green", "Red")
 
+# The burning season the scene spans, and the days events fall on.
+SEASON_START = dt.date(2019, 10, 10)
+SEASON_END = dt.date(2019, 12, 15)
+BURN_WINDOW_START = dt.date(2019, 10, 18)
+BURN_WINDOW_END = dt.date(2019, 12, 2)
+TILL_LAG_MAX_DAYS = 2
+# Each cloud event lasts 3 to 5 days and covers each plot with probability 0.5.
+CLOUD_EVENT_MIN_DAYS = 3
+CLOUD_EVENT_MAX_DAYS = 5
+CLOUD_EVENT_COVERAGE = 0.5
+NOISE_SD_B = 0.01                 # sensor-B pixel noise
+CHAR_AMP_RANGE = (0.85, 1.15)     # per-plot scale of CHAR_DELTAS
+TREATMENT_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -45,11 +59,6 @@ class ScenarioConfig:
     plot_area_mean_ha: float = 1.4
     plot_area_median_ha: float = 0.9
     burn_probability: float = 0.68
-    season_start: dt.date = dt.date(2019, 10, 10)
-    season_end: dt.date = dt.date(2019, 12, 15)
-    burn_window_start: dt.date = dt.date(2019, 10, 18)
-    burn_window_end: dt.date = dt.date(2019, 12, 2)
-    till_lag_max_days: int = 2
     char_half_life_vis: float = 1.5
     char_half_life_ir: float = 3.0
     revisit_a: float = 1.8          # mean days between generated passes
@@ -57,20 +66,12 @@ class ScenarioConfig:
     cloud_dropout_a: float = 0.08   # per plot-observation loss probability
     cloud_dropout_b: float = 0.15
     n_cloud_events: int = 3
-    cloud_event_min_days: int = 3
-    cloud_event_max_days: int = 5
-    cloud_event_coverage: float = 0.5
     noise_sd_a: float = 0.02        # pixel noise, sensor A is the noisier one
-    noise_sd_b: float = 0.01
     plot_jitter_common_sd: float = 0.03   # shared brightness offset per plot
     plot_jitter_band_sd: float = 0.005    # independent per-band offset
-    char_amp_range: tuple[float, float] = (0.85, 1.15)
-    # Per-band signal levels; None falls back to the module defaults.
+    # Per-band pre-event levels; None falls back to PRE_LEVELS.
     pre_levels: dict | None = None
-    till_levels: dict | None = None
-    char_deltas: dict | None = None
     unlabeled_fraction: float = 0.0
-    treatment_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -200,8 +201,6 @@ def _half_life(band: str, cfg: ScenarioConfig) -> float:
 def generate(cfg: ScenarioConfig) -> Scenario:
     """Build both sensor cubes, the plot set, and the ground truth tables."""
     pre_levels = cfg.pre_levels or PRE_LEVELS
-    till_levels = cfg.till_levels or TILL_LEVELS
-    char_deltas = cfg.char_deltas or CHAR_DELTAS
     master = np.random.SeedSequence(cfg.seed)
     (ss_geom, ss_assign, ss_jitter, ss_days_a, ss_days_b,
      ss_drop_a, ss_drop_b, ss_events, ss_noise) = master.spawn(9)
@@ -212,23 +211,23 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     dims = _sample_plot_dims(cfg, rng_geom)
     origins, (nrows, ncols) = _pack_plots(dims)
     geom = GridGeometry(ncols, nrows, 0.0, 0.0, cfg.resolution)
-    n_days = (cfg.season_end - cfg.season_start).days + 1
+    n_days = (SEASON_END - SEASON_START).days + 1
 
     truth = GroundTruth()
     plot_specs = []
     burn_days = {}
-    win0 = (cfg.burn_window_start - cfg.season_start).days
-    win1 = (cfg.burn_window_end - cfg.season_start).days
+    win0 = (BURN_WINDOW_START - SEASON_START).days
+    win1 = (BURN_WINDOW_END - SEASON_START).days
     for i in range(cfg.n_plots):
         plot_id = f"p{i:04d}"
         burned = bool(rng_assign.random() < cfg.burn_probability)
         event_day = int(rng_assign.integers(win0, win1 + 1))
-        lag = int(rng_assign.integers(0, cfg.till_lag_max_days + 1))
+        lag = int(rng_assign.integers(0, TILL_LAG_MAX_DAYS + 1))
         unlabeled = bool(rng_assign.random() < cfg.unlabeled_fraction)
-        group = "treatment" if rng_assign.random() < cfg.treatment_fraction else "control"
+        group = "treatment" if rng_assign.random() < TREATMENT_FRACTION else "control"
         truth.burned[plot_id] = burned
         if burned:
-            burn_date = cfg.season_start + dt.timedelta(days=event_day)
+            burn_date = SEASON_START + dt.timedelta(days=event_day)
             truth.burn_date[plot_id] = burn_date
             truth.till_date[plot_id] = burn_date + dt.timedelta(days=lag)
             burn_days[plot_id] = event_day
@@ -236,13 +235,13 @@ def generate(cfg: ScenarioConfig) -> Scenario:
             base_day = event_day        # tilling level steps in at the burn
         else:
             truth.burn_date[plot_id] = None
-            truth.till_date[plot_id] = cfg.season_start + dt.timedelta(days=event_day + lag)
+            truth.till_date[plot_id] = SEASON_START + dt.timedelta(days=event_day + lag)
             label = "unlabeled" if unlabeled else "not_burned"
             base_day = event_day + lag
         jitter_common = rng_jitter.normal(0.0, cfg.plot_jitter_common_sd)
         jitter_band = {b: jitter_common + rng_jitter.normal(0.0, cfg.plot_jitter_band_sd)
                        for b in SENSOR_BANDS["B"]}
-        amp = rng_jitter.uniform(*cfg.char_amp_range)
+        amp = rng_jitter.uniform(*CHAR_AMP_RANGE)
         plot_specs.append({
             "plot_id": plot_id, "burned": burned, "base_day": base_day,
             "burn_day": event_day if burned else None,
@@ -263,10 +262,9 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     rng_events = np.random.Generator(np.random.PCG64(ss_events))
     event_windows = []
     for _ in range(cfg.n_cloud_events):
-        start = int(rng_events.integers(0, max(1, n_days - cfg.cloud_event_max_days)))
-        length = int(rng_events.integers(cfg.cloud_event_min_days,
-                                         cfg.cloud_event_max_days + 1))
-        covered = rng_events.random(cfg.n_plots) < cfg.cloud_event_coverage
+        start = int(rng_events.integers(0, max(1, n_days - CLOUD_EVENT_MAX_DAYS)))
+        length = int(rng_events.integers(CLOUD_EVENT_MIN_DAYS, CLOUD_EVENT_MAX_DAYS + 1))
+        covered = rng_events.random(cfg.n_plots) < CLOUD_EVENT_COVERAGE
         event_windows.append((start, start + length, covered))
 
     def masked_plots(sensor, day, rng_drop):
@@ -281,25 +279,25 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     for sensor, days, drop_ss in (("A", days_a, ss_drop_a), ("B", days_b, ss_drop_b)):
         rng_drop = np.random.Generator(np.random.PCG64(drop_ss))
         bands = SENSOR_BANDS[sensor]
-        noise_sd = cfg.noise_sd_a if sensor == "A" else cfg.noise_sd_b
+        noise_sd = cfg.noise_sd_a if sensor == "A" else NOISE_SD_B
         observations = []
         truth.valid_obs[sensor] = {p.plot_id: [] for p in plots}
         for obs_i, day in enumerate(days):
-            date = cfg.season_start + dt.timedelta(days=day)
+            date = SEASON_START + dt.timedelta(days=day)
             lost = masked_plots(sensor, day, rng_drop)
             rng_noise = np.random.Generator(np.random.PCG64(ss_noise.spawn(1)[0]))
             grids = {}
             valid = np.ones(geom.shape, dtype=bool)
             for band in bands:
-                grid = till_levels[band] + noise_sd * rng_noise.standard_normal(geom.shape)
+                grid = TILL_LEVELS[band] + noise_sd * rng_noise.standard_normal(geom.shape)
                 for plot, spec in zip(plots, plot_specs):
-                    level = pre_levels[band] if day < spec["base_day"] else till_levels[band]
+                    level = pre_levels[band] if day < spec["base_day"] else TILL_LEVELS[band]
                     if spec["burned"] and day >= spec["burn_day"]:
                         tau = _half_life(band, cfg)
                         decay = 0.5 ** ((day - spec["burn_day"]) / tau)
-                        level += spec["amp"] * char_deltas[band] * decay
+                        level += spec["amp"] * CHAR_DELTAS[band] * decay
                     level += spec["jitter"][band]
-                    grid[plot.rows, plot.cols] += level - till_levels[band]
+                    grid[plot.rows, plot.cols] += level - TILL_LEVELS[band]
                 grids[band] = np.clip(grid, 0.0, 1.0).astype(np.float32)
             for plot, is_lost in zip(plots, lost):
                 if is_lost:
@@ -313,51 +311,6 @@ def generate(cfg: ScenarioConfig) -> Scenario:
 
     return Scenario(cube_by_sensor["A"], cube_by_sensor["B"], plots, truth,
                     default_endmembers())
-
-
-def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
-                truth: GroundTruth | None = None) -> tuple[SceneCube, GroundTruth | None]:
-    """Invalidate per-plot regions (or whole observations) over date ranges.
-
-    schedule entries are (plot_id | None, start_date, end_date) with the end
-    exclusive; None hits every plot. Returns a new cube and, when a truth
-    table is given, a copy updated to match.
-    """
-    by_id = {p.plot_id: p for p in plots}
-    observations = []
-    newly_masked: dict[dt.date, set[str]] = {}
-    for obs in cube.observations:
-        relevant = [(pid, start, end) for pid, start, end in schedule
-                    if start <= obs.date < end]
-        if not relevant:
-            observations.append(obs)
-            continue
-        valid = obs.valid.copy()
-        touched = set()
-        for pid, _, _ in relevant:
-            targets = [by_id[pid]] if pid is not None else plots
-            for plot in targets:
-                valid[cube.index(plot.rows, plot.cols)] = False
-                touched.add(plot.plot_id)
-        bands = {name: np.where(valid, grid, MASKED_FILL)
-                 for name, grid in obs.bands.items()}
-        observations.append(BandObservation(obs.sensor, obs.date, bands, valid, obs.geom))
-        newly_masked[obs.date] = touched
-    new_cube = SceneCube(observations, cube.geom, cube.origin)
-
-    if truth is None:
-        return new_cube, None
-    new_truth = GroundTruth(dict(truth.burned), dict(truth.burn_date),
-                            dict(truth.till_date),
-                            {s: {p: list(ds) for p, ds in per.items()}
-                             for s, per in truth.valid_obs.items()})
-    sensor = cube.sensor
-    for date, touched in newly_masked.items():
-        for plot_id in touched:
-            dates = new_truth.valid_obs[sensor].get(plot_id)
-            if dates and date in dates:
-                dates.remove(date)
-    return new_cube, new_truth
 
 
 TRUTH_CSV_HEADER = ["plot_id", "burned", "burn_date", "till_date"]

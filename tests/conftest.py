@@ -3,7 +3,10 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from plotburn.scene import MASKED_FILL, SENSOR_BANDS, BandObservation, GridGeometry, SceneCube
+from plotburn.forest import FOREST_MAGIC, ForestError, ForestModel, ForestParams, Tree
+from plotburn.scene import (MASKED_FILL, SENSOR_BANDS, BandObservation, GridGeometry, Plot,
+                            SceneCube)
+from plotburn.synth import GroundTruth
 
 D0 = dt.date(2019, 10, 10)
 
@@ -49,6 +52,81 @@ def gap_table(truth) -> dict[str, dict[str, tuple[int, float, float]]]:
             table.setdefault(plot_id, {})[sensor] = (
                 len(dates), float(np.mean(gaps)), float(max(gaps)))
     return table
+
+
+def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
+                truth: GroundTruth | None = None) -> tuple[SceneCube, GroundTruth | None]:
+    """Invalidate per-plot regions (or whole observations) over date ranges.
+
+    schedule entries are (plot_id | None, start_date, end_date) with the end
+    exclusive; None hits every plot. Returns a new cube and, when a truth
+    table is given, a copy updated to match.
+    """
+    by_id = {p.plot_id: p for p in plots}
+    observations = []
+    newly_masked: dict[dt.date, set[str]] = {}
+    for obs in cube.observations:
+        relevant = [(pid, start, end) for pid, start, end in schedule
+                    if start <= obs.date < end]
+        if not relevant:
+            observations.append(obs)
+            continue
+        valid = obs.valid.copy()
+        touched = set()
+        for pid, _, _ in relevant:
+            targets = [by_id[pid]] if pid is not None else plots
+            for plot in targets:
+                valid[cube.index(plot.rows, plot.cols)] = False
+                touched.add(plot.plot_id)
+        bands = {name: np.where(valid, grid, MASKED_FILL)
+                 for name, grid in obs.bands.items()}
+        observations.append(BandObservation(obs.sensor, obs.date, bands, valid, obs.geom))
+        newly_masked[obs.date] = touched
+    new_cube = SceneCube(observations, cube.geom, cube.origin)
+
+    if truth is None:
+        return new_cube, None
+    new_truth = GroundTruth(dict(truth.burned), dict(truth.burn_date),
+                            dict(truth.till_date),
+                            {s: {p: list(ds) for p, ds in per.items()}
+                             for s, per in truth.valid_obs.items()})
+    sensor = cube.sensor
+    for date, touched in newly_masked.items():
+        for plot_id in touched:
+            dates = new_truth.valid_obs[sensor].get(plot_id)
+            if dates and date in dates:
+                dates.remove(date)
+    return new_cube, new_truth
+
+
+def load_forest(path) -> ForestModel:
+    """The model save_forest wrote; a malformed file raises ForestError."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != FOREST_MAGIC:
+        raise ForestError(f"{path}: not a forest file")
+    try:
+        seed, min_leaf, oob, n_features = (line.split()[1] for line in lines[1:5])
+        pos = 5 + int(n_features)
+        features = [line.split() for line in lines[5:pos]]
+        schema = [name for _, name, _ in features]
+        importance = np.asarray([float(imp) for _, _, imp in features])
+        n_trees = int(lines[pos].split()[1])
+        trees = []
+        for t in range(n_trees):
+            n_nodes = int(lines[pos + 1].split()[1])
+            block = lines[pos + 2:pos + 2 + n_nodes]
+            if len(block) != n_nodes:
+                raise ValueError(f"tree {t} has {len(block)} of its {n_nodes} node lines")
+            feat, thr, left, right, v0, v1 = np.loadtxt(block, ndmin=2, unpack=True)
+            trees.append(Tree(feat.astype(np.int64), thr, left.astype(np.int64),
+                              right.astype(np.int64), np.column_stack((v0, v1))))
+            pos += 1 + n_nodes
+        params = ForestParams(n_trees, int(min_leaf), int(seed))
+        oob = None if oob == "-" else float(oob)
+    except (IndexError, ValueError) as exc:
+        raise ForestError(f"{path}: malformed forest file: {exc}") from exc
+    return ForestModel(trees, schema, importance, oob, params)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import gap_table
+from conftest import gap_table, inject_gaps
 from test_features import oracle_vdiff
 from test_indices import oracle_index
 
@@ -26,7 +26,7 @@ from plotburn.indices import ALL_INDICES, SWIR_SET, EndmemberSet, compute_index
 from plotburn.pipeline import RunConfig, compare_ablations, run_pipeline
 from plotburn.scene import gap_statistics
 from plotburn.separability import SampleStats, m_statistic, separability_curve
-from plotburn.synth import ScenarioConfig, generate, inject_gaps
+from plotburn.synth import ScenarioConfig, generate
 from plotburn.thresholds import (balanced_accuracy_threshold,
                                  max_accuracy_threshold)
 

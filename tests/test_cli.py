@@ -24,6 +24,20 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+def edited_plots(scene_dir, path, edit):
+    """The scene's plots file with edit applied to its header and rows, at path."""
+    header, rows = read_rows_csv(scene_dir / "plots.csv")
+    write_rows_csv(path, *edit(header, rows))
+    return path
+
+
+def drop_column(name):
+    def edit(header, rows):
+        j = header.index(name)
+        return header[:j] + header[j + 1:], [r[:j] + r[j + 1:] for r in rows]
+    return edit
+
+
 class TestStageCommands:
     def test_synth_without_config(self, tmp_path):
         out = tmp_path / "scene"
@@ -140,6 +154,44 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
         assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "separability"])
+    def test_input_without_a_column_is_an_error(self, scene_dir, tmp_path, capsys, command):
+        # ingest reads a plots file without `group`; separability an events
+        # file without `event`.
+        args = ["--manifest", str(scene_dir / "scene_manifest.json")]
+        if command == "ingest":
+            plots = edited_plots(scene_dir, tmp_path / "plots.csv", drop_column("group"))
+            args += ["--plots", str(plots), "--out", str(tmp_path / "out")]
+            message = "plots.csv: missing column(s) ['group']"
+        else:
+            events = tmp_path / "events.csv"
+            events.write_text("plot_id,date\np0000,2019-11-02\n")
+            args += ["--plots", str(scene_dir / "plots.csv"), "--events", str(events),
+                     "--out", str(tmp_path / "curve.csv")]
+            message = "events.csv: missing column(s) ['event']"
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, rows: (header, [r[:1] + ["burnt"] + r[2:] for r in rows[:1]]
+                               + rows[1:]),
+         "plot 'p0000': bad label 'burnt'"),
+        (drop_column("group"), "missing column(s) ['group']"),
+    ], ids=["typo-label", "no-group-column"])
+    def test_train_checks_the_plots_file(self, scene_dir, tmp_path, capsys, edit, message):
+        feat_out = tmp_path / "features"
+        assert main(["features", "--manifest", str(scene_dir / "scene_manifest.json"),
+                     "--plots", str(scene_dir / "plots.csv"),
+                     "--out", str(feat_out)]) == 0
+        plots = edited_plots(scene_dir, tmp_path / "plots.csv", edit)
+        rc = main(["train", "--features", str(feat_out / "features.csv"),
+                   "--plots", str(plots), "--n-trees", "5", "--out", str(tmp_path / "model")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"plots.csv: {message}" in err
+        assert not (tmp_path / "model" / "scores.csv").exists()
 
     def test_train_without_labeled_plots_is_an_error(self, scene_dir, tmp_path,
                                                      capsys):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import load_forest
 from plotburn import forest
 from plotburn.forest import (DegenerateModelError, ForestError, ForestParams,
                              SchemaMismatchError, apply_impute, fit_impute_medians,
-                             load_forest, predict_scores, save_forest, top_k_features,
-                             train_forest)
+                             predict_scores, save_forest, top_k_features, train_forest)
 
 
 def separable_data(n=200, n_features=6, margin=10.0, seed=0):

@@ -7,6 +7,7 @@ from test_features import assert_same_table
 
 from plotburn import gridio
 from plotburn.features import build_feature_table
+from plotburn.indices import SWIR_SET
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_endmembers_csv, read_events_csv, read_grid,
                              read_plots_csv, read_rows_csv, read_scene_manifest,
@@ -255,6 +256,21 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["entries"][1].update(broken)
         doc["entries"][1] = {k: v for k, v in doc["entries"][1].items() if v is not None}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"m.json: " + message):
+            scan_scene_manifest(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], r'a manifest is a JSON object with an "entries" list'),
+        ({"scale": 1.0}, r'a manifest is a JSON object with an "entries" list'),
+        ({"entries": {}}, r'a manifest is a JSON object with an "entries" list'),
+        ("oops", r"entries\[1\]: an entry is a JSON object, got 'oops'"),
+    ], ids=["top-level-list", "no-entries", "entries-not-a-list", "string-entry"])
+    def test_malformed_manifest_fails_naming_the_manifest(self, tmp_path, doc, message):
+        path, _ = write_two_sensor_manifest(tmp_path)
+        if doc == "oops":
+            doc = json.loads(path.read_text())
+            doc["entries"].insert(1, "oops")
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=r"m.json: " + message):
             scan_scene_manifest(path)
@@ -575,7 +591,51 @@ class TestCloudMask:
             write_masked_scene(tmp_path, np.zeros((4, 4)), GridGeometry(4, 4, 0.0, 0.0, 3.0))
 
 
+PLOT_ROW = 'p1,burned,none,"POLYGON ((0 0, 9 0, 9 9, 0 9))"\n'
+BANDS_HEADER = ",".join(SWIR_SET)
+
+
+def read_plots(path):
+    return read_plots_csv(path, FINE)
+
+
 class TestSmallCsvs:
+    @pytest.mark.parametrize("read, text, error, message", [
+        (read_plots, "plot_id,label,wkt_polygon\n", FormatError,
+         r"missing column\(s\) \['group'\]"),
+        (read_plots, "", FormatError, r"missing column\(s\) \['plot_id', 'label'"),
+        (read_plots, "plot_id,label,group,wkt_polygon\np1,burned\n", SceneError,
+         r"plot 'p1': bad group ''"),
+        (read_plots, "plot_id,label,group,wkt_polygon\np1,burned,none\n", FormatError,
+         r"plot 'p1': not a WKT polygon"),
+        (read_events_csv, "plot_id,date\np1,2019-11-02\n", FormatError,
+         r"missing column\(s\) \['event'\]"),
+        (read_events_csv, "plot_id,event,date\np1,burnt,2019-11-02\n", FormatError,
+         r"plot 'p1': unknown event kind 'burnt'"),
+        (read_events_csv, "plot_id,event,date\np1,burn,2019-11-31\n", FormatError,
+         r"plot 'p1': day is out of range"),
+        (read_events_csv, "plot_id,event,date\np1,burn\n", FormatError,
+         r"plot 'p1': Invalid isoformat"),
+        (read_endmembers_csv, "name," + BANDS_HEADER.replace(",SWIR2", "") + "\n",
+         FormatError, r"missing column\(s\) \['SWIR2'\]"),
+        (read_endmembers_csv, BANDS_HEADER + "\n", FormatError,
+         r"missing column\(s\) \['name'\]"),
+    ], ids=["plots-no-group", "plots-empty", "plots-short-row", "plots-no-wkt",
+            "events-no-event", "events-bad-kind", "events-bad-date", "events-short-row",
+            "endmembers-no-band", "endmembers-no-name"])
+    def test_bad_file_fails_naming_the_file(self, tmp_path, read, text, error, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=r"input.csv: " + message):
+            read(path)
+
+    def test_repeated_plot_id_rejected(self, tmp_path):
+        path = tmp_path / "plots.csv"
+        path.write_text("plot_id,label,group,wkt_polygon\n" + PLOT_ROW
+                        + PLOT_ROW.replace("burned", "not_burned"))
+        with pytest.raises(FormatError, match=r"plots.csv: plot 'p1' is listed more than once"):
+            read_plots_csv(path, FINE)
+
     def test_endmembers_round_trip(self, tmp_path):
         em = default_endmembers()
         write_endmembers_csv(tmp_path / "em.csv", em)

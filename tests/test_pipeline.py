@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import load_forest
 from plotburn import cv, pipeline
 from plotburn.features import FeatureTable, read_feature_csv, table_matrix
-from plotburn.forest import apply_impute, fit_impute_medians, load_forest, predict_scores
+from plotburn.forest import apply_impute, fit_impute_medians, predict_scores
 from plotburn.gridio import read_rows_csv
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
                                RunState, compare_ablations, config_from_dict, run_pipeline,
                                stage_ingest, stage_train)
-from plotburn.synth import ScenarioConfig
+from plotburn.synth import PRE_LEVELS, ScenarioConfig
 from plotburn.thresholds import aggregate_plot
 
 SCENARIO = ScenarioConfig(n_plots=24, plot_area_mean_ha=0.02,
@@ -347,13 +348,32 @@ class TestTrainMemory:
         assert peak <= 1.6 * X.nbytes, peak / X.nbytes
 
 
+# Former ScenarioConfig fields, now constants in plotburn.synth, as a config spelled them.
+FIXED_GENERATOR_VALUES = {
+    "season_start": "2019-10-10", "season_end": "2019-12-15",
+    "burn_window_start": "2019-10-18", "burn_window_end": "2019-12-02",
+    "till_lag_max_days": 2, "cloud_event_min_days": 3, "cloud_event_max_days": 5,
+    "cloud_event_coverage": 0.5, "noise_sd_b": 0.01, "char_amp_range": [0.85, 1.15],
+    "till_levels": None, "char_deltas": None, "treatment_fraction": 0.5,
+}
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self, tmp_path):
-        config = base_config(tmp_path)
-        doc = json.loads(json.dumps(config.to_jsonable()))
-        back = config_from_dict(doc)
-        assert back == config
-        assert back.config_hash() == config.config_hash()
+        custom = dataclasses.replace(SCENARIO, pre_levels=dict(PRE_LEVELS, NIR=0.55),
+                                     unlabeled_fraction=0.3)
+        for scenario in (SCENARIO, custom):
+            config = base_config(tmp_path, scenario=scenario)
+            doc = json.loads(json.dumps(dataclasses.asdict(config)))
+            back = config_from_dict(doc)
+            assert back == config
+            assert back.config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize("key", FIXED_GENERATOR_VALUES)
+    def test_fixed_generator_values_are_unknown_keys(self, tmp_path, key):
+        doc = {"out_root": str(tmp_path), "scenario": {key: FIXED_GENERATOR_VALUES[key]}}
+        with pytest.raises(ValueError, match=rf"unknown scenario key\(s\) \['{key}'\]"):
+            config_from_dict(doc)
 
     def test_empty_scenario_is_the_default_scenario(self, tmp_path):
         doc = {"out_root": str(tmp_path), "scenario": {}}

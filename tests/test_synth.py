@@ -4,10 +4,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import gap_table
+from conftest import gap_table, inject_gaps
 from plotburn.scene import gap_statistics
 from plotburn.separability import plot_source_series
-from plotburn.synth import ScenarioConfig, generate, inject_gaps
+from plotburn import synth
+from plotburn.synth import ScenarioConfig, generate
 
 SMALL = ScenarioConfig(n_plots=30, plot_area_mean_ha=0.05,
                        plot_area_median_ha=0.04, seed=1)
@@ -70,8 +71,8 @@ class TestGenerate:
         for plot_id, burned in truth.burned.items():
             if burned:
                 assert truth.till_date[plot_id] >= truth.burn_date[plot_id]
-                assert (SMALL.burn_window_start <= truth.burn_date[plot_id]
-                        <= SMALL.burn_window_end)
+                assert (synth.BURN_WINDOW_START <= truth.burn_date[plot_id]
+                        <= synth.BURN_WINDOW_END)
 
     def test_signal_levels_configurable(self):
         from plotburn.synth import PRE_LEVELS
