@@ -26,11 +26,14 @@ from .thresholds import PlotPrediction
 DEFAULT_OUT = os.environ.get("PLOTBURN_OUT", "runs")
 
 
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        return pipe.json_object(json.load(fh), path)
+
+
 def _load_run_config(args) -> pipe.RunConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+    path = getattr(args, "config", None)
+    doc = _read_config(path) if path else {}
     doc.setdefault("out_root", DEFAULT_OUT)
     for f in dataclasses.fields(pipe.RunConfig):
         value = getattr(args, f.name, None)
@@ -40,16 +43,16 @@ def _load_run_config(args) -> pipe.RunConfig:
         doc["scenario"] = {}
     if getattr(args, "no_border", False):
         doc["include_border"] = False
-    return pipe.config_from_dict(doc)
+    return pipe.config_from_dict(doc, path or "the run config")
 
 
 def _scenario_from_args(args) -> synthmod.ScenarioConfig:
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _read_config(args.config)
         doc = loaded.get("scenario", loaded)
-    cfg = pipe.config_from_dict({"out_root": ".", "scenario": doc}).scenario
+    cfg = pipe.config_from_dict({"out_root": ".", "scenario": doc},
+                                args.config or "the run config").scenario
     overrides = {}
     if args.n_plots is not None:
         overrides["n_plots"] = args.n_plots

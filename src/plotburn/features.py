@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import types
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +57,9 @@ class FeatureTable:
 
 # Rows per block of build_feature_table; bounds BASMA's (n_obs * rows, 9) stacks.
 BLOCK_ROWS = 1 << 14
+# Pixel series per temporal_columns call: a block's sources go in groups of
+# up to this many series, at least one source per call.
+GROUP_SERIES = 1 << 11
 
 
 def pixel_stack(cube: SceneCube, rows, cols):
@@ -187,11 +191,23 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
         block = slice(start, start + BLOCK_ROWS)
         for cube in cubes:
             valid, bands = pixel_stack(cube, rows[block], cols[block])
+            n = valid.shape[1]
             X[block, col[f"n_obs_{cube.sensor}"]] = valid.sum(axis=0)
-            for source in _sources(cube.sensor, indices):
-                first = col[f"{cube.sensor}_{source}_{TEMPORAL_NAMES[0]}"]
-                X[block, first:first + len(TEMPORAL_NAMES)] = temporal_columns(
-                    source_values(valid, bands, source, endmembers))
+            # A sensor's sources hold adjacent columns, and temporal_columns
+            # treats each series alone: one call covers a group of sources,
+            # their matrices side by side.
+            sources = _sources(cube.sensor, indices)
+            per_call = max(1, GROUP_SERIES // n)
+            for k in range(0, len(sources), per_call):
+                group = sources[k:k + per_call]
+                joined = np.empty((valid.shape[0], len(group) * n))
+                for j, source in enumerate(group):
+                    joined[:, j * n:(j + 1) * n] = source_values(valid, bands, source,
+                                                                 endmembers)
+                first = col[f"{cube.sensor}_{group[0]}_{TEMPORAL_NAMES[0]}"]
+                stop = first + len(group) * len(TEMPORAL_NAMES)
+                stats = temporal_columns(joined).reshape(len(group), n, -1)
+                X[block, first:stop] = stats.transpose(1, 0, 2).reshape(n, -1)
     n_obs = X[:, [col[f"n_obs_{c.sensor}"] for c in cubes]]
     for plot, stop in zip(plots, np.cumsum(n_px)):
         if not n_obs[stop - plot.n_pixels:stop].any():
@@ -220,18 +236,25 @@ FEATURE_CSV_FIXED = ["plot_id", "pixel_id", "border", "n_obs_A", "n_obs_B"]
 
 
 def write_feature_csv(path, table: FeatureTable) -> None:
-    """Fixed columns (0 for a column the table lacks), then features by name."""
+    """Fixed columns (0 for a column the table lacks), then features by name.
+
+    csv.writer formats the fixed fields; it would write each float as its
+    repr, so the floats are joined from their reprs, one line at a time.
+    """
     col = {name: j for j, name in enumerate(table.schema)}
     names = sorted(n for n in table.schema if n not in FEATURE_CSV_FIXED)
     fixed = [col.get(name) for name in FEATURE_CSV_FIXED[2:]]
     order = [col[name] for name in names]
+    # A writer whose file's write returns the line: writerow gives the fields
+    # quoted as csv quotes them, ending in the writer's "\r\n".
+    line = csv.writer(types.SimpleNamespace(write=str)).writerow
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FEATURE_CSV_FIXED + names)
+        fh.write(line(FEATURE_CSV_FIXED + names))
         for i, values in enumerate(table.X):
-            w.writerow([table.plot_id[i], table.pixel_id[i],
-                        *(0 if j is None else int(values[j]) for j in fixed),
-                        *values[order].tolist()])
+            head = line([table.plot_id[i], table.pixel_id[i],
+                         *(0 if j is None else int(values[j]) for j in fixed)])
+            floats = ",".join(map(repr, values[order].tolist()))
+            fh.write(f"{head[:-2]},{floats}\r\n")
 
 
 def read_feature_csv(path) -> FeatureTable:

@@ -440,7 +440,14 @@ def write_endmembers_csv(path, endmembers: EndmemberSet) -> None:
 def read_endmembers_csv(path) -> EndmemberSet:
     spectra = {}
     for row in _read_csv(path, ["name", *SWIR_SET]):
-        spectra[row["name"]] = np.array([float(row[b]) for b in SWIR_SET])
+        values = []
+        for band in SWIR_SET:
+            try:
+                values.append(float(row[band]))
+            except ValueError:
+                raise FormatError(f"{path}: endmember {row['name']!r}: {band} value "
+                                  f"{row[band]!r} is not a number") from None
+        spectra[row["name"]] = np.array(values)
     missing = {"veg", "soil", "char"} - set(spectra)
     if missing:
         raise FormatError(f"{path}: endmember file missing rows {sorted(missing)}")

@@ -102,12 +102,21 @@ def _check_keys(doc: dict, cls, what: str) -> None:
         raise ValueError(f"unknown {what} key(s) {unknown}")
 
 
-def config_from_dict(doc: dict) -> RunConfig:
-    """The RunConfig of a JSON document; unknown keys are an error."""
-    _check_keys(doc, RunConfig, "run config")
+def json_object(value, what: str) -> dict:
+    """value, which must be a JSON object; what names it in the error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def config_from_dict(doc: dict, source: str = "the run config") -> RunConfig:
+    """The RunConfig of a JSON document, which source names; the document and
+    its "scenario", when set, must be objects, and unknown keys are an error."""
+    _check_keys(json_object(doc, source), RunConfig, "run config")
     if doc.get("scenario") is not None:
-        _check_keys(doc["scenario"], synthmod.ScenarioConfig, "scenario")
-        doc = dict(doc, scenario=synthmod.ScenarioConfig(**doc["scenario"]))
+        scenario = json_object(doc["scenario"], f'{source}: "scenario"')
+        _check_keys(scenario, synthmod.ScenarioConfig, "scenario")
+        doc = dict(doc, scenario=synthmod.ScenarioConfig(**scenario))
     return RunConfig(**doc)
 
 

@@ -273,6 +273,24 @@ class TestRunCommand:
         assert f"error: unknown {unknown}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", "[1, 2]", "bad.json must be a JSON object, got list"),
+        ("synth", "[1, 2]", "bad.json must be a JSON object, got list"),
+        ("run", '{"scenario": 5}', 'bad.json: "scenario" must be a JSON object, got int'),
+        ("synth", '{"scenario": 5}', 'bad.json: "scenario" must be a JSON object, got int'),
+    ], ids=["run-array", "synth-array", "run-scenario-number", "synth-scenario-number"])
+    def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys, command, text,
+                                                      message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        out = ["--out-root", str(tmp_path / "runs")] if command == "run" else [
+            "--out", str(tmp_path / "runs")]
+        rc = main([command, "--config", str(cfg_path), *out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation_exit_codes(self, tmp_path):

@@ -1,13 +1,17 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import day, make_cube
 from plotburn import features, synth
-from plotburn.features import (STAT_NAMES, TEMPORAL_NAMES, build_feature_table,
-                               feature_schema, read_feature_csv, table_matrix,
-                               table_schema, temporal_columns, write_feature_csv)
+from plotburn.features import (FEATURE_CSV_FIXED, STAT_NAMES, TEMPORAL_NAMES, FeatureTable,
+                               build_feature_table, feature_schema, read_feature_csv,
+                               table_matrix, table_schema, temporal_columns,
+                               write_feature_csv)
 from plotburn.indices import ALL_INDICES
 from plotburn.scene import SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot
 
@@ -228,6 +232,25 @@ class TestTemporalColumns:
                 assert_same_bits(got[px], want)
         assert {0, 1, 2, 3} <= seen_counts and max(seen_counts) >= 30
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(1, 40),
+           widths=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+           hole_frac=st.floats(0.0, 1.0))
+    def test_joined_matrices_give_the_joined_columns(self, seed, n_obs, widths, hole_frac):
+        # build_feature_table joins a group of sources' matrices column-wise
+        # and calls the kernel once; each series must come out as it would alone.
+        rng = np.random.default_rng(seed)
+        parts = []
+        for width in widths:
+            m = rng.normal(0.3, 0.2, size=(n_obs, width))
+            m[:, rng.random(width) < 0.2] = rng.choice([0.1, 1 / 3, -0.0])
+            holes = rng.random(m.shape) < hole_frac
+            m[holes] = rng.choice([np.nan, np.inf, -np.inf], size=holes.sum())
+            m[:, rng.random(width) < 0.1] = np.nan
+            parts.append(m)
+        joined = temporal_columns(np.concatenate(parts, axis=1))
+        assert_same_bits(joined, np.concatenate([temporal_columns(m) for m in parts]))
+
 
 class TestBuildFeatureTable:
     def test_single_pixel_composes_unit_operations(self):
@@ -393,6 +416,113 @@ class TestBuildFeatureTable:
         assert_same_bits(np.concatenate([single.X for single in singles]), table.X)
         pixel_ids = np.concatenate([single.pixel_id for single in singles])
         assert list(pixel_ids) == list(table.pixel_id)
+
+    @pytest.mark.parametrize("blocks", [None, 7])
+    def test_rows_do_not_depend_on_how_sources_are_grouped(self, monkeypatch, small_scene,
+                                                           blocks):
+        if blocks:
+            monkeypatch.setattr(features, "BLOCK_ROWS", blocks)
+        table = build_all_indices(small_scene)
+        rows = min(len(table), features.BLOCK_ROWS)
+        # One source per call (the ungrouped build), three with a partial last
+        # group, and every source of a sensor in one call.
+        for cap in (1, 3 * rows + 1, 1 << 30):
+            monkeypatch.setattr(features, "GROUP_SERIES", cap)
+            assert_same_bits(build_all_indices(small_scene).X, table.X)
+
+    @pytest.mark.parametrize("blocks, cap", [(None, None), (7, 20), (7, 5)])
+    def test_stats_calls_hold_at_most_the_cap(self, monkeypatch, small_scene, blocks, cap):
+        if blocks:
+            monkeypatch.setattr(features, "BLOCK_ROWS", blocks)
+        if cap:
+            monkeypatch.setattr(features, "GROUP_SERIES", cap)
+        widths = []
+
+        def counting(matrix):
+            widths.append(matrix.shape[1])
+            return temporal_columns(matrix)
+
+        monkeypatch.setattr(features, "temporal_columns", counting)
+        table = build_all_indices(small_scene)
+        sources = sum(n.endswith("_min") for n in table.schema)
+        assert sum(widths) == len(table) * sources
+        # A call holds a group of sources up to the cap, or one source's
+        # block where that alone is over it.
+        block = min(len(table), features.BLOCK_ROWS)
+        assert max(widths) <= max(features.GROUP_SERIES, block)
+        if features.GROUP_SERIES >= 2 * block:
+            n_blocks = -(-len(table) // features.BLOCK_ROWS)
+            assert len(widths) < n_blocks * sources
+
+
+@pytest.fixture(scope="module")
+def small_scene():
+    return synth.generate(synth.ScenarioConfig(
+        n_plots=5, plot_area_mean_ha=0.004, plot_area_median_ha=0.004, seed=2))
+
+
+def build_all_indices(scen):
+    return build_feature_table(scen.cube_a, scen.cube_b, scen.plots, list(ALL_INDICES),
+                               endmembers=scen.endmembers)
+
+
+def oracle_write_feature_csv(path, table):
+    """write_feature_csv as one csv.writer row per table row."""
+    col = {name: j for j, name in enumerate(table.schema)}
+    names = sorted(n for n in table.schema if n not in FEATURE_CSV_FIXED)
+    fixed = [col.get(name) for name in FEATURE_CSV_FIXED[2:]]
+    order = [col[name] for name in names]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(FEATURE_CSV_FIXED + names)
+        for i, values in enumerate(table.X):
+            w.writerow([table.plot_id[i], table.pixel_id[i],
+                        *(0 if j is None else int(values[j]) for j in fixed),
+                        *values[order].tolist()])
+
+
+def odd_table(sensors, indices, border, n_rows, seed=0):
+    """A table whose features hold awkward floats and whose ids need quoting."""
+    schema = feature_schema(sensors, indices, border)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.0, size=(n_rows, len(schema))) * 10.0 ** rng.integers(
+        -12, 12, size=(n_rows, len(schema)))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324, 0.1 + 0.2])
+    X.reshape(-1)[::3] = np.resize(special, X.reshape(-1)[::3].size)
+    for j, name in enumerate(schema):
+        if name.startswith("n_obs_"):
+            X[:, j] = rng.integers(0, 40, size=n_rows)
+        elif name == "border":
+            X[:, j] = rng.integers(0, 2, size=n_rows)
+    plots = ["p,1", 'q"2', "r 3", "s\n4", "t5"]
+    plot_id = np.array([plots[i % len(plots)] for i in range(n_rows)], dtype=object)
+    pixel_id = np.array([f"{p}_{i}_{i + 1}" for i, p in enumerate(plot_id)], dtype=object)
+    return FeatureTable(X, schema, plot_id, pixel_id)
+
+
+class TestFeatureCsvBytes:
+    @pytest.mark.parametrize("sensors, indices, border, n_rows", [
+        (["A", "B"], ["NBR", "CI"], True, 23), (["A", "B"], ["NBR"], True, 0),
+        (["B"], [], False, 9), (["A"], list(ALL_INDICES), True, 4)],
+        ids=["two-sensors", "zero-rows", "b-only-no-border", "a-all-indices"])
+    def test_equals_the_csv_writer(self, tmp_path, sensors, indices, border, n_rows):
+        table = odd_table(sensors, indices, border, n_rows)
+        write_feature_csv(tmp_path / "new.csv", table)
+        oracle_write_feature_csv(tmp_path / "old.csv", table)
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "old.csv").read_bytes()
+        if n_rows:
+            for text in (b'"p,1"', b'"q""2"', b'"s\n4"', b",nan", b",-inf", b",-0.0",
+                         b",5e-324", b",1e+16", b",1e-07"):
+                assert text in got
+        else:
+            assert got.count(b"\r\n") == 1
+
+    def test_built_table_equals_the_csv_writer(self, tmp_path, small_scene):
+        table = build_all_indices(small_scene)
+        write_feature_csv(tmp_path / "new.csv", table)
+        oracle_write_feature_csv(tmp_path / "old.csv", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestTableRoundTrip:

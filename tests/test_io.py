@@ -636,6 +636,18 @@ class TestSmallCsvs:
         with pytest.raises(FormatError, match=r"plots.csv: plot 'p1' is listed more than once"):
             read_plots_csv(path, FINE)
 
+    def test_endmember_value_not_a_number(self, tmp_path):
+        path = tmp_path / "em.csv"
+        write_endmembers_csv(path, default_endmembers())
+        header, veg, soil, char = path.read_text().splitlines()
+        band = SWIR_SET[1]
+        values = soil.split(",")
+        values[1 + SWIR_SET.index(band)] = "x"
+        path.write_text("\n".join([header, veg, ",".join(values), char]) + "\n")
+        with pytest.raises(FormatError,
+                           match=rf"em.csv: endmember 'soil': {band} value 'x' is not a number"):
+            read_endmembers_csv(path)
+
     def test_endmembers_round_trip(self, tmp_path):
         em = default_endmembers()
         write_endmembers_csv(tmp_path / "em.csv", em)

@@ -33,6 +33,8 @@ def test_tracer_installs_and_restores_every_binding(worker):
     originals = {(pipeline, "STAGES"): pipeline.STAGES,
                  (pipeline, "save_forest"): forest.save_forest,
                  (features, "compute_index"): features.compute_index,
+                 (features, "build_feature_table"): features.build_feature_table,
+                 (features, "write_feature_csv"): features.write_feature_csv,
                  (features, "table_matrix"): features.table_matrix}
     tracer = worker.Tracer()
     try:
