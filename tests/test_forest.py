@@ -75,6 +75,39 @@ def oracle_best_split(X, y, idx, candidates, min_leaf):
     return best_dec, best_f, best_thr
 
 
+def oracle_predict_class(tree, X, rows=None):
+    """Hard majority vote of the landing leaf for each row of X, or of
+    X[rows], routed one tree at a time: the reference forest._route must
+    match for every (row, tree) pair."""
+    node = np.zeros(X.shape[0] if rows is None else rows.size, dtype=np.int64)
+    active = tree.feature[node] >= 0
+    while active.any():
+        idx = np.nonzero(active)[0]
+        cur = node[idx]
+        f = tree.feature[cur]
+        go_left = X[idx if rows is None else rows[idx], f] <= tree.threshold[cur]
+        node[idx] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active[idx] = tree.feature[node[idx]] >= 0
+    return (tree.votes[node, 1] > tree.votes[node, 0]).astype(np.int64)
+
+
+def oracle_medians(X):
+    """fit_impute_medians one column at a time with np.median."""
+    medians = np.zeros(X.shape[1])
+    for j in range(X.shape[1]):
+        col = X[np.isfinite(X[:, j]), j]
+        if col.size:
+            medians[j] = np.median(col)
+    return medians
+
+
+def oracle_rank_codes(X):
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0]))
+    for j in range(X.shape[1]):
+        codes[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+    return codes
+
+
 def adversarial_column(kind, n, rng):
     """Values that stress an exact split search: heavy ties, signed zeros,
     doubles two ulps apart and consecutive doubles (whose midpoints round to
@@ -98,6 +131,22 @@ def adversarial_column(kind, n, rng):
 
 
 COLUMN_KINDS = ["normal", "ties", "signed-zeros", "neighbours", "adjacent", "constant"]
+
+
+class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("n_trees", 0), ("n_trees", -1), ("n_trees", 2.0), ("n_trees", True),
+        ("min_leaf", 0), ("min_leaf", "5"), ("min_leaf", False),
+        ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", True),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ForestError, match=f"^{field} must be an integer of at least"):
+            ForestParams(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = ForestParams(np.int64(3), np.int32(1), np.uint64(0))
+        X, y = separable_data(n=40)
+        assert train_forest(X, y, schema_for(X.shape[1]), params).n_trees == 3
 
 
 class TestTrainForest:
@@ -267,10 +316,77 @@ class TestPrediction:
     def test_rows_route_without_a_gather(self):
         X, y = separable_data(n=120, margin=1.0, seed=18)
         model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(5, seed=2))
-        rows = np.random.default_rng(4).integers(0, X.shape[0], size=70)
-        for tree in model.trees:
-            assert np.array_equal(tree.predict_class(X, rows), tree.predict_class(X[rows]))
-            assert tree.predict_class(X, rows[:0]).size == 0
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, X.shape[0], size=70)
+        tree_of = rng.integers(0, model.n_trees, size=70)
+        assert np.array_equal(forest._route(model.trees, X, rows, tree_of),
+                              forest._route(model.trees, X[rows], np.arange(70), tree_of))
+        assert forest._route(model.trees, X, rows[:0], tree_of[:0]).size == 0
+
+    @pytest.mark.parametrize("n_features, min_leaf", [(6, 1), (40, 3)])
+    def test_router_equals_the_oracle_on_every_pair(self, n_features, min_leaf):
+        X, y = separable_data(n=150, n_features=n_features, margin=1.0, seed=19)
+        X[:, 1] = np.round(X[:, 1], 1)           # ties route left at the threshold
+        model = train_forest(X, y, schema_for(n_features),
+                             ForestParams(12, min_leaf=min_leaf, seed=7))
+        rng = np.random.default_rng(5)
+        probe = np.vstack([X, rng.normal(0, 3, size=(60, n_features))])
+        rows = rng.integers(0, probe.shape[0], size=(model.n_trees, 300))
+        tree_of = np.repeat(np.arange(model.n_trees), 300)
+        got = forest._route(model.trees, probe, rows.ravel(), tree_of)
+        want = np.concatenate([oracle_predict_class(t, probe, r)
+                               for t, r in zip(model.trees, rows)])
+        assert np.array_equal(got, want)
+        every = np.tile(np.arange(probe.shape[0]), model.n_trees)
+        tree_of = np.repeat(np.arange(model.n_trees), probe.shape[0])
+        assert np.array_equal(
+            forest._route(model.trees, probe, every, tree_of),
+            np.concatenate([oracle_predict_class(t, probe) for t in model.trees]))
+        assert 0 < want.sum() < want.size
+        assert max(t.n_nodes for t in model.trees) > 3
+
+    @pytest.mark.parametrize("cap", [1, 100], ids=["one-pair", "mid-forest"])
+    def test_routing_passes_hold_at_most_the_cap(self, monkeypatch, cap):
+        X, y = separable_data(n=90, margin=1.0, seed=20)
+        probe = np.random.default_rng(6).normal(0, 2, size=(23, X.shape[1]))
+        params = ForestParams(9, min_leaf=2, seed=4)
+        model = train_forest(X, y, schema_for(X.shape[1]), params)
+        scores = predict_scores(model, probe)
+        real_route = forest._route
+        calls = []
+
+        def route(trees, X, rows, tree_of):
+            # Each pass packs only the trees its pairs use, first to last.
+            assert tree_of.min() == 0 and tree_of.max() == len(trees) - 1
+            calls.append((rows.size, len(trees)))
+            return real_route(trees, X, rows, tree_of)
+
+        monkeypatch.setattr(forest, "_ROUTE_PAIRS", cap)
+        monkeypatch.setattr(forest, "_route", route)
+        capped = train_forest(X, y, schema_for(X.shape[1]), params)
+        oob_calls, calls[:] = list(calls), []
+        capped_scores = predict_scores(capped, probe)
+        for group in (oob_calls, calls):
+            # One call per group: every group but the last holds the cap.
+            pairs = [size for size, _ in group]
+            assert max(pairs) <= cap and all(p == cap for p in pairs[:-1])
+        assert sum(size for size, _ in calls) == 23 * params.n_trees
+        # Groups end inside the forest, and some inside a tree's pairs: that
+        # tree is packed by two passes.
+        assert len(oob_calls) > 1 and sum(n for _, n in oob_calls) > params.n_trees
+        assert capped.oob_accuracy == model.oob_accuracy
+        assert np.array_equal(bits(capped.importance), bits(model.importance))
+        assert_same_trees(capped, model)
+        assert np.array_equal(capped_scores, scores)
+
+    def test_whole_forest_routes_in_one_pass_under_the_cap(self, monkeypatch):
+        X, y = separable_data(n=60, seed=21)
+        calls = []
+        real_route = forest._route
+        monkeypatch.setattr(forest, "_route", lambda *a: calls.append(a) or real_route(*a))
+        model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(30, seed=3))
+        predict_scores(model, X[:20])
+        assert [len(trees) for trees, *_ in calls] == [30, 30]
 
     def test_scores_live_on_vote_lattice(self):
         X, y = separable_data(seed=10)
@@ -369,6 +485,72 @@ class TestPersistence:
         top = top_k_features(model, 3)
         assert len(top) == 3
         assert top[0] == "f0"
+
+
+ODD_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+              1.0, -2.5]
+
+
+def odd_matrix(seed, n, n_cols):
+    """Columns mixing normal values with NaN, infinities, signed zeros, the
+    smallest subnormals and values whose pairwise sum overflows; column 0 is
+    all missing."""
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random((n, n_cols)) < rng.random(n_cols),
+                 rng.choice(ODD_VALUES, size=(n, n_cols)),
+                 rng.normal(size=(n, n_cols)).round(1))
+    X[:, 0] = rng.choice([np.nan, np.inf, -np.inf], size=n)
+    return X
+
+
+SORT_BLOCKS = [None, 1, 7]       # the module's, one cell, and uneven column blocks
+
+
+class TestColumnSorts:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), n_cols=st.integers(1, 12),
+           block=st.sampled_from(SORT_BLOCKS))
+    @example(seed=1, n=7, n_cols=12, block=7)
+    @example(seed=2, n=8, n_cols=5, block=1)
+    def test_medians_equal_np_median(self, seed, n, n_cols, block):
+        X = odd_matrix(seed, n, n_cols)
+        with mock.patch.object(forest, "_SORT_CELLS", block or forest._SORT_CELLS), \
+                np.errstate(over="ignore"):
+            got = fit_impute_medians(X)
+            want = oracle_medians(X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_median_examples_cover_every_case(self):
+        # Signed-zero middles read 0.0, a halved subnormal keeps its sign,
+        # and two 1.7e308 middles overflow to inf, as np.median gives.
+        X = np.array([[-0.0, -0.0, -5e-324, 1.7e308, np.nan],
+                      [-0.0, -0.0, 0.0, 1.7e308, np.inf],
+                      [np.nan, 3.0, np.nan, np.nan, -np.inf]])
+        with np.errstate(over="ignore"):
+            got, want = fit_impute_medians(X), oracle_medians(X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.view(np.int64).tolist() == bits([0.0, 0.0, -0.0, np.inf, 0.0]).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), n_cols=st.integers(1, 12),
+           block=st.sampled_from(SORT_BLOCKS))
+    @example(seed=3, n=257, n_cols=12, block=7)
+    def test_ranks_equal_np_unique(self, seed, n, n_cols, block):
+        X = np.nan_to_num(odd_matrix(seed, n, n_cols), nan=0.25)
+        with mock.patch.object(forest, "_SORT_CELLS", block or forest._SORT_CELLS):
+            got = forest._rank_codes(X)
+        want = oracle_rank_codes(X)
+        assert got.dtype == want.dtype == np.min_scalar_type(n)
+        assert np.array_equal(got, want)
+
+    def test_blocks_cover_the_columns_once(self, monkeypatch):
+        monkeypatch.setattr(forest, "_SORT_CELLS", 20)
+        X = np.arange(60.0).reshape(6, 10)
+        blocks = list(forest._column_blocks(X))
+        assert [(c.start, c.stop) for c, _ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 12)]
+        assert np.array_equal(np.vstack([b for _, b in blocks]), X.T)
+        monkeypatch.setattr(forest, "_SORT_CELLS", 1)
+        assert len(list(forest._column_blocks(X))) == 10
 
 
 class TestImpute:
