@@ -19,7 +19,7 @@ import sys
 from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
-from .gridio import read_plot_rows, read_rows_csv, write_rows_csv
+from .gridio import FormatError, read_plot_rows, read_rows_csv, write_rows_csv
 from .separability import CURVE_CSV_HEADER
 from .thresholds import PlotPrediction
 
@@ -69,6 +69,21 @@ def cmd_synth(args) -> int:
     for kind, path in paths.items():
         print(f"  {kind}: {path}")
     return 0
+
+
+def _parse_rows(path, n_fields: int, parse) -> list:
+    """parse(*row) of each data row of a CSV file; a row without n_fields
+    fields, or one parse rejects, is a FormatError naming the file and row."""
+    _, rows = read_rows_csv(path)
+    out = []
+    for i, row in enumerate(rows, 1):
+        try:
+            if len(row) != n_fields:
+                raise ValueError(f"{len(row)} field(s), expected {n_fields}")
+            out.append(parse(*row))
+        except ValueError as exc:
+            raise FormatError(f"{path}: data row {i}: {exc}") from None
+    return out
 
 
 def _stage_state(args, config: pipe.RunConfig | None = None) -> pipe.RunState:
@@ -128,11 +143,12 @@ def cmd_train(args) -> int:
 
 def cmd_threshold(args) -> int:
     state = _stage_state(args)
-    _, rows = read_rows_csv(args.scores)
-    for plot_id, score, label, group in rows:
+
+    def score_row(plot_id, score, label, group):
         state.plot_scores[plot_id] = float(score)
         state.labels[plot_id] = label
         state.groups[plot_id] = group
+    _parse_rows(args.scores, 4, score_row)
     pipe.stage_threshold(state)
     print(f"thresholds: max={state.choice_max.threshold!r} "
           f"(percentile {state.choice_max.percentile}), "
@@ -143,9 +159,11 @@ def cmd_threshold(args) -> int:
 
 def cmd_report(args) -> int:
     state = _stage_state(args)
-    _, rows = read_rows_csv(args.predictions)
-    state.predictions = [PlotPrediction(r[0], float(r[1]), int(r[2]), int(r[3]),
-                                        r[4], r[5]) for r in rows]
+
+    def prediction_row(plot_id, mean_score, call_max, call_balanced, label, group):
+        return PlotPrediction(plot_id, float(mean_score), int(call_max), int(call_balanced),
+                              label, group)
+    state.predictions = _parse_rows(args.predictions, 6, prediction_row)
     pipe.stage_report(state)
     print(f"report tables in {args.out}")
     return 0

@@ -1,4 +1,5 @@
-"""Plot-holdout cross-validation.
+"""Plot-holdout cross-validation, and the one path from a feature table to a
+forest and its plot scores: row_classes, fit_forest and score_plots.
 
 Labels live at the plot level and pixels within a plot are strongly
 correlated, so every fold holds out whole plots. A leakage guard re-derives
@@ -50,11 +51,29 @@ def parse_cv_mode(mode) -> tuple[str, int]:
                      f"got {mode!r}")
 
 
-def fit_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
+def row_classes(table: FeatureTable, labels: dict[str, str]) -> np.ndarray:
+    """Each row's class by its plot's label; -1 unless burned or not_burned."""
+    return np.asarray([LABEL_TO_CLASS.get(labels.get(p), -1) for p in table.plot_id],
+                      dtype=np.int64)
+
+
+def fit_forest(table: FeatureTable, rows: np.ndarray, names: list[str], y: np.ndarray,
                params: ForestParams) -> tuple[ForestModel, np.ndarray]:
-    """(model, medians) of a forest on X, a fresh gather that is imputed in place."""
+    """(model, medians) of a forest on the named columns of table's rows."""
+    X = table_matrix(table, names, rows)
     medians = fit_impute_medians(X)
-    return train_forest(apply_impute(X, medians), y, schema, params), medians
+    return train_forest(apply_impute(X, medians), y, names, params), medians
+
+
+def score_plots(model: ForestModel, medians: np.ndarray, table: FeatureTable,
+                plot_rows: dict[str, np.ndarray], plots: list[str]) -> dict[str, np.ndarray]:
+    """Each listed plot's row scores, from one gather and one predict_scores call."""
+    if not plots:
+        return {}
+    rows = [plot_rows[p] for p in plots]
+    X = apply_impute(table_matrix(table, model.schema, np.concatenate(rows)), medians)
+    return dict(zip(plots, np.split(predict_scores(model, X),
+                                    np.cumsum([r.size for r in rows[:-1]]))))
 
 
 def grouped_plot_folds(plot_ids: list[str], n_groups: int, seed: int) -> list[tuple[str, ...]]:
@@ -76,8 +95,9 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
     mode is "loocv", "grouped:<k>" or "auto" (leave-one-plot-out for small
     plot sets, grouped otherwise). Custom folds may be supplied as
     (holdout_plot_ids, train_row_indices) pairs; the leakage guard always
-    re-checks the actual training rows. Imputation medians are fit on each
-    fold's training rows only. schema names the table columns to train on
+    re-checks the actual training rows, and every training row's plot must be
+    labeled burned or not_burned. Imputation medians are fit on each fold's
+    training rows only. schema names the table columns to train on
     (default: all of them). plot_means holds each plot's aggregate_plot of
     its out-of-fold scores, border pixels excluded.
     """
@@ -93,7 +113,7 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
 
     if schema is None:
         schema = table.schema
-    classes = {p: LABEL_TO_CLASS[labels[p]] for p in usable}
+    row_class = row_classes(table, labels)
 
     if folds is None:
         kind, n_groups = parse_cv_mode(mode)
@@ -109,19 +129,19 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
 
     border = table.border
     result = CvResult()
-    for holdout, train_idx in folds:
+    for i, (holdout, train_idx) in enumerate(folds):
         train_plot_ids = table.plot_id[train_idx]
         check_fold_leakage(train_plot_ids, holdout)
-        y_train = np.asarray([classes[p] for p in train_plot_ids], dtype=np.int64)
-        model, medians = fit_forest(table_matrix(table, schema, train_idx),
-                                    y_train, schema, params)
-        for p in holdout:
-            if p not in plot_rows:
-                continue
-            X_plot = table_matrix(table, schema, plot_rows[p])
-            scores = predict_scores(model, apply_impute(X_plot, medians))
-            result.pixel_scores[p] = scores
-            result.plot_means[p] = aggregate_plot(scores, border[plot_rows[p]])
+        y = row_class[train_idx]
+        if (y < 0).any():
+            raise ValueError(f"fold {i} trains on plot(s) {sorted(set(train_plot_ids[y < 0]))} "
+                             "that are not labeled burned or not_burned")
+        model, medians = fit_forest(table, train_idx, schema, y, params)
+        scores = score_plots(model, medians, table, plot_rows,
+                             [p for p in holdout if p in plot_rows])
+        for p, plot_scores in scores.items():
+            result.pixel_scores[p] = plot_scores
+            result.plot_means[p] = aggregate_plot(plot_scores, border[plot_rows[p]])
         result.folds.append((tuple(holdout), int(train_idx.size)))
 
     missing = [p for p in usable if p not in result.pixel_scores]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gridio import FormatError
 from .indices import (ALL_INDICES, INDEX_REGISTRY, EndmemberSet, compute_index,
                       indices_for_bands)
 from .scene import SENSOR_BANDS, Plot, SceneCube
@@ -260,11 +261,19 @@ def write_feature_csv(path, table: FeatureTable) -> None:
 def read_feature_csv(path) -> FeatureTable:
     """The table of a feature CSV, columns back in feature_schema order."""
     with open(path, newline="") as fh:
-        file_cols = next(csv.reader(fh))[2:]
+        header = next(csv.reader(fh), [])
+    missing = [c for c in FEATURE_CSV_FIXED if c not in header[:len(FEATURE_CSV_FIXED)]]
+    if missing:
+        raise FormatError(f"{path}: missing column(s) {missing}; a feature CSV "
+                          f"begins with {FEATURE_CSV_FIXED}")
+    file_cols = header[2:]
     load = functools.partial(np.loadtxt, path, delimiter=",", quotechar='"',
                              skiprows=1, ndmin=2)
-    data = load(usecols=range(2, 2 + len(file_cols)))
-    ids = load(usecols=(0, 1), dtype=str).astype(object)
+    try:
+        data = load(usecols=range(2, 2 + len(file_cols)))
+        ids = load(usecols=(0, 1), dtype=str).astype(object)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     names = file_cols[len(FEATURE_CSV_FIXED) - 2:]
     sensors = {n.split("_", 1)[0] for n in names} & SENSOR_BANDS.keys()
     has_border = bool((data[:, file_cols.index("border")] == 1.0).any())
@@ -272,6 +281,6 @@ def read_feature_csv(path) -> FeatureTable:
               if n in file_cols]
     unknown = sorted(set(names) - set(schema))
     if unknown:
-        raise ValueError(f"{path}: unknown feature column(s) {unknown}")
+        raise FormatError(f"{path}: unknown feature column(s) {unknown}")
     return FeatureTable(data[:, [file_cols.index(n) for n in schema]], schema,
                         ids[:, 0], ids[:, 1])

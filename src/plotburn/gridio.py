@@ -395,11 +395,9 @@ def _read_csv(path, columns) -> list[dict[str, str]]:
 
 
 def write_plots_csv(path, plots: list[Plot]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["plot_id", "label", "group", "wkt_polygon"])
-        for p in plots:
-            w.writerow([p.plot_id, p.label, p.group, format_wkt_polygon(p.polygon)])
+    write_rows_csv(path, ["plot_id", "label", "group", "wkt_polygon"],
+                   [[p.plot_id, p.label, p.group, format_wkt_polygon(p.polygon)]
+                    for p in plots])
 
 
 def read_plot_rows(path) -> list[dict[str, str]]:
@@ -429,12 +427,8 @@ def read_plots_csv(path, geom: GridGeometry) -> list[Plot]:
 
 
 def write_endmembers_csv(path, endmembers: EndmemberSet) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", *SWIR_SET])
-        for name, spec in (("veg", endmembers.veg), ("soil", endmembers.soil),
-                           ("char", endmembers.char)):
-            w.writerow([name, *[repr(float(v)) for v in np.asarray(spec)]])
+    write_rows_csv(path, ["name", *SWIR_SET], [[name, *map(float, getattr(endmembers, name))]
+                                               for name in ("veg", "soil", "char")])
 
 
 def read_endmembers_csv(path) -> EndmemberSet:
@@ -456,11 +450,8 @@ def read_endmembers_csv(path) -> EndmemberSet:
 
 def write_events_csv(path, events: list[tuple[str, str, dt.date]]) -> None:
     """Events are (plot_id, kind, date) with kind in {burn, till}."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["plot_id", "event", "date"])
-        for plot_id, kind, date in events:
-            w.writerow([plot_id, kind, date.isoformat()])
+    write_rows_csv(path, ["plot_id", "event", "date"],
+                   [[plot_id, kind, date.isoformat()] for plot_id, kind, date in events])
 
 
 def read_events_csv(path) -> list[tuple[str, str, dt.date]]:
@@ -486,7 +477,10 @@ def write_rows_csv(path, header: list[str], rows) -> None:
 
 
 def read_rows_csv(path):
+    """(header, rows) of a CSV file; a file without a header line is an error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: the file is empty")
+        return header, list(reader)

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import features as feats
 from . import synth as synthmod
-from .cv import LABEL_TO_CLASS, fit_forest, loocv_plot, parse_cv_mode
-from .forest import ForestParams, apply_impute, predict_scores, save_forest, top_k_features
+from .cv import (LABEL_TO_CLASS, fit_forest, loocv_plot, parse_cv_mode, row_classes,
+                 score_plots)
+from .forest import ForestParams, save_forest, top_k_features
 # Not called here: perfbench/worker.py rebinds them by name.
-from .forest import fit_impute_medians, train_forest  # noqa: F401
+from .forest import apply_impute, fit_impute_medians, predict_scores, train_forest  # noqa: F401
 from .gridio import (FormatError, read_endmembers_csv, read_events_csv, read_plots_csv,
                      read_rows_csv, read_scene_manifest, scan_scene_manifest,
                      write_rows_csv)
@@ -76,8 +77,8 @@ class RunConfig:
             raise ValueError(f"selection must be one of {SELECTION_MODES}, "
                              f"got {self.selection!r}")
         parse_cv_mode(self.cv_mode)
-        for name, low in (("n_trees", 1), ("top_k_features", 1), ("min_leaf", 1),
-                          ("max_offset", 0), ("seed", 0)):
+        self.forest_params()
+        for name, low in (("top_k_features", 1), ("max_offset", 0)):
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
@@ -278,14 +279,13 @@ def stage_train(state: RunState) -> None:
     params = cfg.forest_params()
     table = state.table
     rows_by_plot = table.plot_rows()
-    row_class = np.asarray([LABEL_TO_CLASS.get(state.labels.get(p), -1)
-                            for p in table.plot_id], dtype=np.int64)
+    row_class = row_classes(table, state.labels)
     labeled_idx = np.flatnonzero(row_class >= 0)
     if labeled_idx.size == 0:
         raise ValueError("no labeled plots with feature rows")
     y = row_class[labeled_idx]
 
-    ranking, medians = fit_forest(table.X[labeled_idx], y, table.schema, params)
+    ranking, medians = fit_forest(table, labeled_idx, table.schema, y, params)
     _write_importance(os.path.join(state.run_dir, "importance_full.csv"), ranking)
     if cfg.selection == "importance":
         state.selected = sorted(top_k_features(ranking, cfg.top_k_features))
@@ -303,13 +303,11 @@ def stage_train(state: RunState) -> None:
     write_rows_csv(os.path.join(state.run_dir, "cv_scores.csv"),
                    ["plot_id", "pixel_id", "border", "score"], cv_rows)
 
-    sel_cols = [table.schema.index(n) for n in state.selected]
     if state.selected == ranking.schema:
         # Same rows, columns and params as the ranking forest: the same model.
         state.model = ranking
     else:
-        state.model, medians = fit_forest(table.X[np.ix_(labeled_idx, sel_cols)], y,
-                                          state.selected, params)
+        state.model, medians = fit_forest(table, labeled_idx, state.selected, y, params)
     save_forest(os.path.join(state.run_dir, "model.txt"), state.model)
     _write_importance(os.path.join(state.run_dir, "importance.csv"), state.model)
 
@@ -317,14 +315,8 @@ def stage_train(state: RunState) -> None:
     # scores for the rest, both by aggregate_plot's border rule.
     state.plot_scores = dict(state.cv_result.plot_means)
     rest = [p for p in state.labels if p in rows_by_plot and p not in state.plot_scores]
-    if rest:
-        idx = np.concatenate([rows_by_plot[p] for p in rest])
-        row_scores = np.full(len(table), np.nan)
-        row_scores[idx] = predict_scores(state.model, apply_impute(
-            table.X[np.ix_(idx, sel_cols)], medians))
-        for pid in rest:
-            state.plot_scores[pid] = aggregate_plot(row_scores[rows_by_plot[pid]],
-                                                    border[rows_by_plot[pid]])
+    for pid, scores in score_plots(state.model, medians, table, rows_by_plot, rest).items():
+        state.plot_scores[pid] = aggregate_plot(scores, border[rows_by_plot[pid]])
     state.manifest["flagged_plots"] = [p for p in state.labels if p not in rows_by_plot]
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import plotburn
 from plotburn.cli import _load_run_config, build_parser, main
 from plotburn.gridio import read_rows_csv, write_rows_csv
 from plotburn.synth import ScenarioConfig
@@ -29,6 +30,9 @@ def edited_plots(scene_dir, path, edit):
     header, rows = read_rows_csv(scene_dir / "plots.csv")
     write_rows_csv(path, *edit(header, rows))
     return path
+
+
+FEATURE_HEADER = "plot_id,pixel_id,border,n_obs_A,n_obs_B,A_NIR_max\n"
 
 
 def drop_column(name):
@@ -210,6 +214,41 @@ class TestStageCommands:
         assert rc == 1
         assert "error: no labeled plots with feature rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, name, text, message", [
+        ("threshold", "--scores", "scores.csv", "", "the file is empty"),
+        ("report", "--predictions", "predictions.csv", "", "the file is empty"),
+        ("threshold", "--scores", "scores.csv",
+         "plot_id,mean_score,label,group\np0000,0.5,burned\n",
+         "data row 1: 3 field(s), expected 4"),
+        ("threshold", "--scores", "scores.csv",
+         "plot_id,mean_score,label,group\np0000,0.5,burned,treatment\np0001,x,burned,treatment\n",
+         "data row 2: could not convert string to float: 'x'"),
+        ("report", "--predictions", "predictions.csv",
+         "plot_id,mean_score,call_max,call_balanced,label,group\np0000,0.5,1\n",
+         "data row 1: 3 field(s), expected 6"),
+        ("train", "--features", "features.csv", "", "missing column(s) ['plot_id', "),
+        ("train", "--features", "features.csv",
+         "plot_id,pixel_id,n_obs_A,n_obs_B,A_NIR_max\np0000,x0,3,2,0.5\n",
+         "missing column(s) ['border']"),
+        ("train", "--features", "features.csv",
+         FEATURE_HEADER + "p0000,x0,0,3,2,0.5\np0000,x1,0,3,2,oops\n",
+         "could not convert string 'oops'"),
+        ("train", "--features", "features.csv",
+         FEATURE_HEADER + "p0000,x0,0,3,2,0.5\np0000,x1,0,3\n", "at row 2"),
+    ], ids=["empty-scores", "empty-predictions", "short-score-row", "non-numeric-score",
+            "short-prediction-row", "empty-features", "no-border-column",
+            "non-numeric-feature", "short-feature-row"])
+    def test_malformed_input_csv_is_an_error(self, scene_dir, tmp_path, capsys,
+                                             command, flag, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        args = [command, flag, str(path), "--out", str(tmp_path / "out")]
+        if command == "train":
+            args += ["--plots", str(scene_dir / "plots.csv"), "--n-trees", "2"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name}: " in err and message in err
+
 
 class TestRunCommand:
     def test_synth_flag_runs_the_default_scenario(self):
@@ -294,7 +333,9 @@ class TestRunCommand:
 
 class TestEntryPoint:
     def test_module_invocation_exit_codes(self, tmp_path):
-        env = dict(os.environ, PLOTBURN_OUT=str(tmp_path))
+        # The child runs this checkout's package, with or without PYTHONPATH.
+        env = dict(os.environ, PLOTBURN_OUT=str(tmp_path),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(plotburn.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "plotburn.cli", "ingest", "--manifest",
              "missing.json", "--plots", "missing.csv", "--out", str(tmp_path)],

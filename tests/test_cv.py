@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from plotburn.cv import LeakageError, check_fold_leakage, grouped_plot_folds, loocv_plot
+from plotburn import cv
+from plotburn.cv import (LeakageError, check_fold_leakage, fit_forest, grouped_plot_folds,
+                         loocv_plot, row_classes, score_plots)
 from plotburn.features import FeatureTable
 from plotburn.forest import ForestParams
 from plotburn.pipeline import RunConfig
@@ -98,6 +100,52 @@ class TestLoocv:
         rows, labels = toy_rows(n_plots=8)
         result = loocv_plot(rows, labels, PARAMS, mode="auto")
         assert len(result.folds) == 8
+
+    def test_fold_training_on_an_unlabeled_plot_is_an_error(self):
+        table, labels = toy_rows(n_plots=6)
+        labels["plot005"] = "unlabeled"
+        plot_rows = table.plot_rows()
+        train_idx = np.concatenate([plot_rows[f"plot{p:03d}"] for p in range(1, 6)])
+        with pytest.raises(ValueError, match=r"fold 0 trains on plot\(s\) \['plot005'\]"):
+            loocv_plot(table, labels, PARAMS, folds=[(("plot000",), train_idx)])
+
+    def test_one_prediction_per_fold(self, monkeypatch):
+        table, labels = toy_rows(n_plots=10)
+        calls = []
+
+        def counted(model, X, _predict=cv.predict_scores):
+            calls.append(X.shape[0])
+            return _predict(model, X)
+        monkeypatch.setattr(cv, "predict_scores", counted)
+        result = loocv_plot(table, labels, PARAMS, mode="grouped:3")
+        assert len(calls) == len(result.folds) == 3
+        assert sum(calls) == len(table)
+
+
+class TestForestInputs:
+    def test_row_classes(self):
+        table, labels = toy_rows(n_plots=4, px_per_plot=2)
+        labels.update(plot002="unlabeled")
+        del labels["plot003"]
+        assert row_classes(table, labels).tolist() == [0, 0, 1, 1, -1, -1, -1, -1]
+
+    def test_scoring_plots_together_equals_scoring_each_alone(self):
+        table, labels = toy_rows(n_plots=8)
+        table.X[::5, 1] = np.nan
+        plot_rows = table.plot_rows()
+        train = np.concatenate([plot_rows[p] for p in sorted(labels)[:6]])
+        names = ["s2", "s0", "s1"]
+        model, medians = fit_forest(table, train, names, row_classes(table, labels)[train],
+                                    PARAMS)
+        assert model.schema == names
+        plots = ["plot007", "plot000", "plot006", "plot003"]
+        together = score_plots(model, medians, table, plot_rows, plots)
+        assert list(together) == plots
+        for p in plots:
+            alone = score_plots(model, medians, table, plot_rows, [p])[p]
+            assert together[p].tobytes() == alone.tobytes()
+            assert together[p].size == plot_rows[p].size
+        assert score_plots(model, medians, table, plot_rows, []) == {}
 
 
 class TestGroupedFolds:
