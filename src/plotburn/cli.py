@@ -204,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate inputs and emit the gap report")
     p.add_argument("--manifest", required=True, dest="manifest_path")
     p.add_argument("--plots", required=True, dest="plots_path")
+    p.add_argument("--sensor-mode", choices=pipe.SENSOR_MODES, dest="sensor_mode")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ingest)
 
@@ -234,6 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-trees", type=int, dest="n_trees")
     p.add_argument("--top-k-features", type=int, dest="top_k_features")
     p.add_argument("--cv-mode", dest="cv_mode")
+    p.add_argument("--selection", choices=pipe.SELECTION_MODES)
+    p.add_argument("--min-leaf", type=int, dest="min_leaf")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)

@@ -10,10 +10,12 @@ rows and columns it is asked for, and returns just that block.
 The manifest is JSON with a reflectance scale divisor (10000 for DN-scaled
 grids, 1 for unit reflectance) and one entry per (sensor, date, band) grid,
 plus an optional cloud probability grid per observation. scan_scene_manifest
-reads only the grid headers and checks the geometry; read_scene_manifest then
-reads each grid once, converting only the cells a window of the common grid
-is computed from (for a coarser sensor, the cells under their cubic taps),
-and holds each pass as window-sized arrays.
+checks the manifest's values (scale a finite number above 0, cloud_threshold
+a finite number, an entry's sensor, band and grid strings and its mask a
+string or null), then reads only the grid headers and checks the geometry;
+read_scene_manifest then reads each grid once, converting only the cells a
+window of the common grid is computed from (for a coarser sensor, the cells
+under their cubic taps), and holds each pass as window-sized arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import os
 from collections import defaultdict
 from typing import NamedTuple
@@ -35,6 +38,8 @@ from .scene import (GROUPS, LABELS, MASKED_FILL, SENSOR_BANDS, AlignmentError,
 DEFAULT_NODATA = -9999.0
 DEFAULT_SCALE = 10000.0
 DEFAULT_CLOUD_THRESHOLD = 0.5
+# The JSON types of a manifest entry's grid fields.
+_ENTRY_TYPES = {"sensor": str, "band": str, "grid": str, "mask": (str, type(None))}
 
 
 class FormatError(ValueError):
@@ -230,8 +235,10 @@ def scan_scene_manifest(path) -> SceneLayout:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise FormatError(f"{path}: a manifest is a JSON object with an \"entries\" list")
-    scale = float(doc.get("scale", DEFAULT_SCALE))
-    threshold = float(doc.get("cloud_threshold", DEFAULT_CLOUD_THRESHOLD))
+    scale = _manifest_number(path, doc, "scale", DEFAULT_SCALE)
+    if not scale > 0:
+        raise FormatError(f"{path}: 'scale' must be a number greater than 0, got {scale!r}")
+    threshold = _manifest_number(path, doc, "cloud_threshold", DEFAULT_CLOUD_THRESHOLD)
     base = os.path.dirname(os.path.abspath(path))
 
     grouped: dict[tuple[str, dt.date], dict] = defaultdict(dict)
@@ -244,6 +251,11 @@ def scan_scene_manifest(path) -> SceneLayout:
             sensor, band, grid, date = (entry[k] for k in ("sensor", "band", "grid", "date"))
         except KeyError as exc:
             raise FormatError(f"{path}: entries[{i}]: missing key {exc}") from None
+        for key, kind in _ENTRY_TYPES.items():
+            if not isinstance(entry.get(key), kind):
+                raise FormatError(f"{path}: entries[{i}]: {key!r} must be a string"
+                                  f"{' or null' if key == 'mask' else ''}, "
+                                  f"got {entry.get(key)!r}")
         try:
             date = dt.date.fromisoformat(date)
         except (TypeError, ValueError) as exc:
@@ -284,6 +296,18 @@ def scan_scene_manifest(path) -> SceneLayout:
         if grid.geom != target:
             _check_alignment(grid.geom, target, f"{grid.sensor} {grid.date}")
     return SceneLayout(scale, threshold, tuple(passes), target)
+
+
+def _manifest_number(path, doc: dict, key: str, default: float) -> float:
+    """doc[key] (default when absent) as a float; anything but a finite JSON
+    number is a FormatError naming the manifest."""
+    value = doc.get(key, default)
+    try:
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise TypeError
+    except (TypeError, OverflowError):
+        raise FormatError(f"{path}: {key!r} must be a finite number, got {value!r}") from None
+    return float(value)
 
 
 def _check_alignment(geom: GridGeometry, target: GridGeometry, label: str) -> None:

@@ -12,8 +12,10 @@ from itertools import combinations
 
 import numpy as np
 
-SWIR_SET = ("Blue", "Green", "Red", "RedEdge1", "RedEdge2", "RedEdge3",
-            "NIR", "SWIR1", "SWIR2")
+from .scene import SENSOR_BANDS
+
+# The bands the char-fraction unmixing reads, in endmember component order.
+SWIR_SET = SENSOR_BANDS["B"]
 
 
 class IndexError_(ValueError):

@@ -1,5 +1,8 @@
 """Raster/plot data model: observations, scene cubes, plot rasterization, masks, gaps.
 
+plot_observed owns the rule for when a plot is observed on a pass; the gap
+report and the separability plot means read its table.
+
 The common grid is a north-up raster addressed by (row, col) with row 0 at the
 top. Cell centers sit at x = xll + (col + 0.5) * cellsize and
 y = yll + (nrows - row - 0.5) * cellsize. All reflectance is unit scale [0, 1];
@@ -29,7 +32,7 @@ LABELS = ("burned", "not_burned", "unlabeled")
 GROUPS = ("treatment", "control", "none")
 
 # Fraction of a plot's pixels that must be valid for the plot to count as
-# observed on a given date (gap statistics and plot-mean time series).
+# observed on a given date; read only by plot_observed.
 PLOT_VALID_FRACTION = 0.5
 
 
@@ -263,13 +266,16 @@ def rasterize_plot(polygon, geom: GridGeometry):
     return rows[order], cols[order], border[order]
 
 
-def plot_observation_dates(cube: SceneCube, plot: Plot) -> list[dt.date]:
-    """Dates on which at least PLOT_VALID_FRACTION of the plot's pixels are valid."""
-    if plot.n_pixels == 0:
-        return []
-    at = cube.index(plot.rows, plot.cols)
-    return [o.date for o in cube.observations
-            if o.valid[at].mean() >= PLOT_VALID_FRACTION]
+def plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:
+    """(len(plots), n_obs) bool: at least PLOT_VALID_FRACTION of the plot's
+    pixels are valid in that pass; never true for a plot without pixels."""
+    observed = np.zeros((len(plots), len(cube.observations)), dtype=bool)
+    for i, plot in enumerate(plots):
+        if plot.n_pixels:
+            at = cube.index(plot.rows, plot.cols)
+            observed[i] = [o.valid[at].mean() >= PLOT_VALID_FRACTION
+                           for o in cube.observations]
+    return observed
 
 
 @dataclass
@@ -285,19 +291,17 @@ class GapReport:
 def gap_statistics(cubes: dict[str, SceneCube], plots: list[Plot]) -> GapReport:
     """Observation-window report per plot and sensor.
 
-    A plot counts as observed on a date when at least half its pixels are
-    valid; a plot with fewer than two such dates has no entry for the sensor.
+    A plot's observed passes are its plot_observed row; a plot with fewer
+    than two of them has no entry for the sensor.
     """
-    report = GapReport()
-    for plot in plots:
-        report.per_plot[plot.plot_id] = {}
-        for sensor, cube in cubes.items():
-            dates = plot_observation_dates(cube, plot)
-            if len(dates) < 2:
-                continue
-            gaps = [(b - a).days for a, b in zip(dates, dates[1:])]
-            report.per_plot[plot.plot_id][sensor] = (
-                len(dates), float(np.mean(gaps)), float(max(gaps)))
+    report = GapReport({plot.plot_id: {} for plot in plots})
+    for sensor, cube in cubes.items():
+        days = np.array([d.toordinal() for d in cube.dates])
+        for plot, observed in zip(plots, plot_observed(cube, plots)):
+            gaps = np.diff(days[observed])
+            if gaps.size:
+                report.per_plot[plot.plot_id][sensor] = (
+                    gaps.size + 1, float(gaps.mean()), float(gaps.max()))
     for sensor in cubes:
         means = [v[sensor][1] for v in report.per_plot.values() if sensor in v]
         maxes = [v[sensor][2] for v in report.per_plot.values() if sensor in v]

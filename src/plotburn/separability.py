@@ -1,4 +1,9 @@
-"""Class separability of bands and indices, and its decay with time since burning."""
+"""Class separability of bands and indices, and its decay with time since burning.
+
+plot_means is the one plots x passes table of a band or index: a plot's mean
+in each pass where scene.plot_observed says the plot is observed. The
+separability curves read their events' rows from it.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 
 from .features import pixel_stack, source_values
 from .indices import EndmemberSet
-from .scene import PLOT_VALID_FRACTION, Plot, SceneCube
+from .scene import Plot, SceneCube, plot_observed
 
 
 @dataclass(frozen=True)
@@ -57,21 +62,23 @@ class SeparabilityCurve:
 CURVE_CSV_HEADER = ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
 
 
-def plot_source_series(cube: SceneCube, plot: Plot, source: str, *,
-                       endmembers: EndmemberSet | None = None):
-    """(dates, plot-mean values) across the cube; NaN marks missing entries.
+def plot_means(cube: SceneCube, plots: list[Plot], source: str, *,
+               endmembers: EndmemberSet | None = None) -> np.ndarray:
+    """(len(plots), n_obs) plot means of one band or index; NaN marks missing.
 
-    A date is missing when under PLOT_VALID_FRACTION of the plot's pixels are
-    valid; otherwise its value is the mean of the finite values there.
+    An entry is the mean of the plot's finite values in that pass, and NaN
+    where plot_observed is false or the plot has no finite value there.
     """
-    valid, bands = pixel_stack(cube, plot.rows, plot.cols)
-    values = source_values(valid, bands, source, endmembers)
-    means = np.full(len(values), np.nan)
-    for t in np.flatnonzero(valid.mean(axis=1) >= PLOT_VALID_FRACTION):
-        vals = values[t][np.isfinite(values[t])]
-        if vals.size:
-            means[t] = vals.mean()
-    return cube.dates, means
+    observed = plot_observed(cube, plots)
+    means = np.full(observed.shape, np.nan)
+    for i, plot in enumerate(plots):
+        valid, bands = pixel_stack(cube, plot.rows, plot.cols)
+        values = source_values(valid, bands, source, endmembers)
+        for t in np.flatnonzero(observed[i]):
+            vals = values[t][np.isfinite(values[t])]
+            if vals.size:
+                means[i, t] = vals.mean()
+    return means
 
 
 MIN_BUCKET_N = 3
@@ -84,35 +91,29 @@ def separability_curve(events: list[tuple[Plot, dt.date]], cube: SceneCube,
 
     Each event contributes its nearest valid pre-burn observation as the
     unburned reference and at most one value per integer offset after the burn
-    date. Buckets with fewer than MIN_BUCKET_N events on either side report NaN.
+    date. Buckets with fewer than MIN_BUCKET_N events report NaN.
     """
     post_by_offset: dict[int, list[float]] = {d: [] for d in range(max_offset + 1)}
     pre_by_offset: dict[int, list[float]] = {d: [] for d in range(max_offset + 1)}
-    for plot, burn_date in events:
-        dates, values = plot_source_series(cube, plot, source, endmembers=endmembers)
-        pre = [(d, v) for d, v in zip(dates, values)
-               if d < burn_date and np.isfinite(v)]
-        if not pre:
+    days = np.array([d.toordinal() for d in cube.dates])
+    means = plot_means(cube, [plot for plot, _ in events], source, endmembers=endmembers)
+    for values, (_, burn_date) in zip(means, events):
+        since = days - burn_date.toordinal()
+        finite = np.isfinite(values)
+        pre = np.flatnonzero(finite & (since < 0))
+        if not pre.size:
             continue
-        pre_value = pre[-1][1]  # nearest valid observation before the event
-        seen = {}
-        for d, v in zip(dates, values):
-            off = (d - burn_date).days
-            if 0 <= off <= max_offset and np.isfinite(v) and off not in seen:
-                seen[off] = v
-        for off, v in seen.items():
-            post_by_offset[off].append(v)
-            pre_by_offset[off].append(pre_value)
+        pre_value = values[pre[-1]]  # nearest valid observation before the event
+        # Dates are strictly increasing, so each offset occurs at most once.
+        for t in np.flatnonzero(finite & (since >= 0) & (since <= max_offset)):
+            post_by_offset[since[t]].append(values[t])
+            pre_by_offset[since[t]].append(pre_value)
 
-    offsets, m_values, counts = [], [], []
-    for off in range(max_offset + 1):
-        post, pre = post_by_offset[off], pre_by_offset[off]
-        offsets.append(off)
-        counts.append(len(post))
-        if len(post) < MIN_BUCKET_N or len(pre) < MIN_BUCKET_N:
-            m_values.append(np.nan)
-            continue
-        m_values.append(m_statistic(SampleStats.from_values(post),
-                                    SampleStats.from_values(pre)))
+    offsets = list(range(max_offset + 1))
+    counts = [len(post_by_offset[off]) for off in offsets]
+    # Each event adds to post and pre together, so they have one length.
+    m_values = [m_statistic(SampleStats.from_values(post_by_offset[off]),
+                            SampleStats.from_values(pre_by_offset[off]))
+                if n >= MIN_BUCKET_N else np.nan for off, n in zip(offsets, counts)]
     return SeparabilityCurve(source, offsets, m_values, counts)
 

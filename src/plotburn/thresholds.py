@@ -105,10 +105,6 @@ def _confusion_sweep(scores: np.ndarray, labels: np.ndarray, thresholds) -> np.n
                      burned[-1] - false_no_burn, true_no_burn])
 
 
-def confusion_at(scores: np.ndarray, labels: np.ndarray, threshold: float) -> ConfusionCounts:
-    return ConfusionCounts(*map(int, _confusion_sweep(scores, labels, threshold)))
-
-
 def max_accuracy_threshold(preds) -> ThresholdChoice:
     """Threshold maximizing overall accuracy over the percentile grid.
 
@@ -144,37 +140,33 @@ def balanced_accuracy_threshold(preds) -> ThresholdChoice:
     diffs = (true_burn / (true_burn + false_no_burn)
              - true_no_burn / (true_no_burn + false_burn))
 
-    cross = None
-    for k in range(len(grid)):
-        if diffs[k] == 0.0:
-            # Zero-gap run: take its midpoint in percentile space (the run
-            # ends where the gap first goes negative, or at the grid end).
-            end = k
-            while end < len(grid) and diffs[end] == 0.0:
-                end += 1
-            q_hi = float(PERCENTILE_GRID[end]) if end < len(grid) else 100.0
-            cross = ((float(PERCENTILE_GRID[k]) + q_hi) / 2.0,)
-            break
-        if k + 1 < len(grid) and diffs[k] > 0.0 and diffs[k + 1] < 0.0:
-            frac = diffs[k] / (diffs[k] - diffs[k + 1])
-            q_c = float(PERCENTILE_GRID[k] + frac * (PERCENTILE_GRID[k + 1] - PERCENTILE_GRID[k]))
-            cross = (q_c, float(PERCENTILE_GRID[k]), float(PERCENTILE_GRID[k + 1]))
-            break
-    if cross is None:
+    # The first grid point where the gap is zero or turns from positive to negative.
+    turns = np.append((diffs[:-1] > 0.0) & (diffs[1:] < 0.0), False)
+    hits = np.flatnonzero((diffs == 0.0) | turns)
+    q = PERCENTILE_GRID
+    k = hits[0] if hits.size else None
+    if k is None:
         warnings.warn("accuracy curves never cross; falling back to the "
                       "gap-minimizing grid threshold")
-        k = int(np.argmin(np.abs(diffs)))
-        cross = (float(PERCENTILE_GRID[k]),)
+        cross = [q[np.argmin(np.abs(diffs))]]
+    elif diffs[k] == 0.0:
+        # Zero-gap run: take its midpoint in percentile space (the run ends
+        # where the gap first turns nonzero, or at the grid end).
+        end = k + np.argmax(np.append(diffs[k:] != 0.0, True))
+        cross = [(q[k] + q[min(end, len(q) - 1)]) / 2.0]
+    else:
+        frac = diffs[k] / (diffs[k] - diffs[k + 1])
+        cross = [q[k] + frac * (q[k + 1] - q[k]), q[k], q[k + 1]]
 
-    best = None
-    for rank, q in enumerate(cross):
-        t = float(np.percentile(scores, q))
-        c = confusion_at(scores, labels, t)
-        gap = abs(c.burn_accuracy - c.no_burn_accuracy)
-        key = (gap, rank, q)
-        if best is None or key < best[0]:
-            best = (key, t, q, c)
-    return ThresholdChoice(best[1], best[2], best[3])
+    # The smallest realized gap wins; ties go to the earlier candidate.
+    cross = np.asarray(cross)
+    thresholds = np.percentile(scores, cross)
+    counts = _confusion_sweep(scores, labels, thresholds)
+    false_burn, false_no_burn, true_burn, true_no_burn = counts
+    best = int(np.argmin(np.abs(true_burn / (true_burn + false_no_burn)
+                                - true_no_burn / (true_no_burn + false_burn))))
+    return ThresholdChoice(float(thresholds[best]), float(cross[best]),
+                           ConfusionCounts(*map(int, counts[:, best])))
 
 
 def cohens_kappa(counts: ConfusionCounts) -> float:

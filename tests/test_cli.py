@@ -121,6 +121,39 @@ class TestStageCommands:
             assert ((stage_dir / name).read_bytes()
                     == (run_dir / name).read_bytes()), name
 
+    def test_chain_reproduces_a_run_with_non_default_flags(self, scene_dir, tmp_path):
+        manifest = str(scene_dir / "scene_manifest.json")
+        plots = str(scene_dir / "plots.csv")
+        endmembers = str(scene_dir / "endmembers.csv")
+        mode = ["--sensor-mode", "A_only"]
+        forest = ["--n-trees", "8", "--cv-mode", "grouped:3", "--min-leaf", "2",
+                  "--selection", "none"]
+        ingest_out, feat_out, train_out = (tmp_path / d for d in ("ingest", "features",
+                                                                  "model"))
+        assert main(["ingest", "--manifest", manifest, "--plots", plots, *mode,
+                     "--out", str(ingest_out)]) == 0
+        assert main(["features", "--manifest", manifest, "--plots", plots,
+                     "--endmembers", endmembers, *mode, "--out", str(feat_out)]) == 0
+        assert main(["train", "--features", str(feat_out / "features.csv"),
+                     "--plots", plots, *forest, "--out", str(train_out)]) == 0
+
+        runs = tmp_path / "runs"
+        assert main(["run", "--manifest", manifest, "--plots", plots,
+                     "--endmembers", endmembers, *mode, *forest,
+                     "--out-root", str(runs)]) == 0
+        run_dir = runs / os.listdir(runs)[0]
+        chain = {"gaps.csv": ingest_out, "importance.csv": train_out,
+                 "cv_scores.csv": train_out, "model.txt": train_out}
+        for name, stage_dir in chain.items():
+            assert ((stage_dir / name).read_bytes()
+                    == (run_dir / name).read_bytes()), name
+        # The flags took effect: sensor A only, leaves of 2, no selection.
+        _, gaps = read_rows_csv(ingest_out / "gaps.csv")
+        assert {row[1] for row in gaps} == {"A"}
+        assert (train_out / "model.txt").read_text().splitlines()[2] == "min_leaf 2"
+        assert ((train_out / "importance.csv").read_bytes()
+                == (train_out / "importance_full.csv").read_bytes())
+
     def test_separability_command(self, scene_dir, tmp_path):
         out = tmp_path / "curve.csv"
         rc = main(["separability",

@@ -275,6 +275,34 @@ class TestManifest:
         with pytest.raises(FormatError, match=r"m.json: " + message):
             scan_scene_manifest(path)
 
+    @pytest.mark.parametrize("top, entry, message", [
+        ({"scale": 0}, {}, r"'scale' must be a number greater than 0, got 0\.0"),
+        ({"scale": -1}, {}, r"'scale' must be a number greater than 0, got -1\.0"),
+        ({"scale": float("nan")}, {}, r"'scale' must be a finite number, got nan"),
+        ({"scale": None}, {}, r"'scale' must be a finite number, got None"),
+        ({"scale": "abc"}, {}, r"'scale' must be a finite number, got 'abc'"),
+        ({"scale": True}, {}, r"'scale' must be a finite number, got True"),
+        ({"cloud_threshold": float("inf")}, {},
+         r"'cloud_threshold' must be a finite number, got inf"),
+        ({"cloud_threshold": "0.5"}, {},
+         r"'cloud_threshold' must be a finite number, got '0\.5'"),
+        ({}, {"sensor": ["A"]}, r"entries\[1\]: 'sensor' must be a string, got \['A'\]"),
+        ({}, {"band": 7}, r"entries\[1\]: 'band' must be a string, got 7"),
+        ({}, {"grid": 3}, r"entries\[1\]: 'grid' must be a string, got 3"),
+        ({}, {"mask": 5}, r"entries\[1\]: 'mask' must be a string or null, got 5"),
+    ], ids=["scale-0", "scale-negative", "scale-nan", "scale-null", "scale-text",
+            "scale-bool", "threshold-inf", "threshold-text", "sensor-list", "band-number",
+            "grid-number", "mask-number"])
+    def test_bad_manifest_value_fails_naming_the_manifest(self, tmp_path, top, entry,
+                                                          message):
+        path, _ = write_two_sensor_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc.update(top)
+        doc["entries"][1].update(entry)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"m.json: " + message):
+            scan_scene_manifest(path)
+
     @pytest.mark.parametrize("geom_b, message", [
         (GridGeometry(8, 8, 0.0, 0.0, 4.5), "not an integer multiple"),
         (GridGeometry(8, 3, 0.0, 0.0, 12.0), "needs at least 4x4 cells"),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import day, make_cube, make_obs
-from plotburn.scene import (EmptyPlotError, GridGeometry, Plot, gap_statistics,
-                            make_plot, plot_observation_dates, rasterize_plot)
+from plotburn.scene import (PLOT_VALID_FRACTION, EmptyPlotError, GridGeometry, Plot,
+                            gap_statistics, make_plot, plot_observed, rasterize_plot)
 
 
 def square_polygon(col0, row0, size, geom):
@@ -114,7 +114,25 @@ class TestGapStatistics:
         valid[plot.rows[:9], plot.cols[:9]] = False  # 7/16 valid < 50%
         cube = make_cube("A", geom10, {0: 0.2, 1: 0.2, 2: 0.2},
                          valid_by_date={1: valid})
-        assert plot_observation_dates(cube, plot) == [day(0), day(2)]
+        assert plot_observed(cube, [plot]).tolist() == [[True, False, True]]
+
+    def test_observed_is_the_valid_fraction_rule(self, geom10):
+        plot = _single_plot(geom10)  # 16 pixels
+        empty = Plot("e", [(0, 0), (1, 0), (1, 1)], np.array([], dtype=int),
+                     np.array([], dtype=int), np.array([], dtype=bool))
+        half, less = (np.ones(geom10.shape, dtype=bool) for _ in range(2))
+        half[plot.rows[:8], plot.cols[:8]] = False   # exactly 8/16 valid
+        less[plot.rows[:9], plot.cols[:9]] = False   # 7/16 valid
+        cube = make_cube("A", geom10, {0: 0.2, 1: 0.2, 2: 0.2},
+                         valid_by_date={0: half, 1: less})
+        rule = [o.valid[plot.rows, plot.cols].mean() >= PLOT_VALID_FRACTION
+                for o in cube.observations]
+        observed = plot_observed(cube, [plot, empty, plot])
+        assert observed.dtype == bool and observed.shape == (3, 3)
+        assert observed[0].tolist() == rule == [True, False, True]
+        assert not observed[1].any()
+        assert np.array_equal(observed[2], observed[0])
+        assert plot_observed(cube, []).shape == (0, 3)
 
     def test_summary_ordering(self, geom10):
         plots = [make_plot("p0", square_polygon(1, 1, 3, geom10), geom10),
@@ -162,7 +180,7 @@ class TestSceneInvariants:
                                             o.valid[1:6, :5], part)
                             for o in full.observations], part, (1, 0))
         assert part == GridGeometry(5, 5, 0.0, 4.0, 1.0)
-        assert plot_observation_dates(window, plot) == plot_observation_dates(full, plot)
+        assert np.array_equal(plot_observed(window, [plot]), plot_observed(full, [plot]))
         want = pixel_stack(full, plot.rows, plot.cols)
         got = pixel_stack(window, plot.rows, plot.cols)
         assert np.array_equal(got[0], want[0])

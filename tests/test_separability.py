@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import day
+from plotburn.features import pixel_stack, source_values
 from plotburn.indices import SWIR_SET, unmix_char_fraction
+from plotburn.pipeline import DEFAULT_CURVE_SOURCES
 from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
-                            GridGeometry, SceneCube, make_plot)
-from plotburn.separability import (SampleStats, m_statistic, plot_source_series,
+                            GridGeometry, SceneCube, make_plot, plot_observed)
+from plotburn.separability import (MIN_BUCKET_N, SampleStats, m_statistic, plot_means,
                                    separability_curve)
-from plotburn.synth import default_endmembers
+from plotburn.synth import ScenarioConfig, default_endmembers, generate
 
 
 def stats_of(values):
@@ -125,13 +127,13 @@ class TestSeparabilityCurve:
         assert all(c == 0 for c in curve.n_per_offset)
 
 
-class TestPlotSourceSeries:
+class TestPlotMeans:
     def test_underobserved_dates_are_nan(self):
         cube, plots = build_plot_scene(1, [0, 1, 2], lambda i, d: 0.7)
         plot = plots[0]
         obs = cube.observations[1]
         obs.valid[plot.rows, plot.cols] = False
-        dates, values = plot_source_series(cube, plot, "Red")
+        values = plot_means(cube, [plot], "Red")[0]
         assert np.isfinite(values[0]) and np.isfinite(values[2])
         assert np.isnan(values[1])
 
@@ -168,8 +170,8 @@ class TestPlotSourceSeries:
             return unmix_char_fraction(v[swir], endmembers)[2]
 
         for source, fn in (("NDVI", ndvi), ("BASMA", basma)):
-            dates, values = plot_source_series(cube, plot, source, endmembers=endmembers)
-            assert dates == cube.dates
+            values = plot_means(cube, [plot], source, endmembers=endmembers)[0]
+            assert values.shape == (len(cube.dates),)
             for d, mask in enumerate(masks):
                 if np.mean(mask) < PLOT_VALID_FRACTION:
                     assert math.isnan(values[d])
@@ -178,3 +180,91 @@ class TestPlotSourceSeries:
                 vals = [v for v in vals if math.isfinite(v)]
                 assert len(vals) == sum(mask) - (source == "NDVI" and d == 1)
                 assert values[d] == pytest.approx(sum(vals) / len(vals), rel=1e-12)
+
+    def test_several_plots_equal_each_plot_alone(self, cloudy_scene):
+        scenario, endmembers = cloudy_scene
+        for cube in (scenario.cube_a, scenario.cube_b):
+            for source in ("Red", "NDVI", "BASMA"):
+                if source == "BASMA" and cube.sensor != "B":
+                    continue
+                together = plot_means(cube, scenario.plots, source, endmembers=endmembers)
+                alone = np.concatenate([plot_means(cube, [p], source, endmembers=endmembers)
+                                        for p in scenario.plots])
+                assert together.tobytes() == alone.tobytes()
+
+    def test_unobserved_entries_are_nan(self, cloudy_scene):
+        scenario, _ = cloudy_scene
+        cube = scenario.cube_a
+        observed = plot_observed(cube, scenario.plots)
+        means = plot_means(cube, scenario.plots, "NIR")
+        assert not observed.all()  # the scene has cloud losses
+        assert np.array_equal(np.isfinite(means), observed)
+        assert plot_means(cube, [], "NIR").shape == (0, len(cube.dates))
+
+
+# A small generated scene whose cloud model leaves plots unobserved on some passes.
+CLOUDY = ScenarioConfig(n_plots=16, plot_area_mean_ha=0.02, plot_area_median_ha=0.018,
+                        seed=5, burn_probability=0.6)
+
+
+@pytest.fixture(scope="module")
+def cloudy_scene():
+    scenario = generate(CLOUDY)
+    return scenario, scenario.endmembers
+
+
+def oracle_plot_series(cube, plot, source, endmembers=None):
+    """(dates, plot means) of one plot, with the valid-fraction rule inline."""
+    valid, bands = pixel_stack(cube, plot.rows, plot.cols)
+    values = source_values(valid, bands, source, endmembers)
+    means = np.full(len(values), np.nan)
+    for t in np.flatnonzero(valid.mean(axis=1) >= PLOT_VALID_FRACTION):
+        vals = values[t][np.isfinite(values[t])]
+        if vals.size:
+            means[t] = vals.mean()
+    return cube.dates, means
+
+
+def oracle_curve(events, cube, source, max_offset, endmembers=None):
+    """(m_values, n_per_offset) of the curve, one plot series per event."""
+    post_by_offset = {d: [] for d in range(max_offset + 1)}
+    pre_by_offset = {d: [] for d in range(max_offset + 1)}
+    for plot, burn_date in events:
+        dates, values = oracle_plot_series(cube, plot, source, endmembers)
+        pre = [(d, v) for d, v in zip(dates, values) if d < burn_date and np.isfinite(v)]
+        if not pre:
+            continue
+        pre_value = pre[-1][1]
+        seen = {}
+        for d, v in zip(dates, values):
+            off = (d - burn_date).days
+            if 0 <= off <= max_offset and np.isfinite(v) and off not in seen:
+                seen[off] = v
+        for off, v in seen.items():
+            post_by_offset[off].append(v)
+            pre_by_offset[off].append(pre_value)
+    m_values, counts = [], []
+    for off in range(max_offset + 1):
+        post, pre = post_by_offset[off], pre_by_offset[off]
+        counts.append(len(post))
+        if len(post) < MIN_BUCKET_N or len(pre) < MIN_BUCKET_N:
+            m_values.append(np.nan)
+        else:
+            m_values.append(m_statistic(SampleStats.from_values(post),
+                                        SampleStats.from_values(pre)))
+    return m_values, counts
+
+
+@pytest.mark.parametrize("sensor, source", DEFAULT_CURVE_SOURCES,
+                         ids=[f"{s}_{src}" for s, src in DEFAULT_CURVE_SOURCES])
+def test_curve_equals_the_per_event_oracle(cloudy_scene, sensor, source):
+    scenario, endmembers = cloudy_scene
+    cube = scenario.cube_a if sensor == "A" else scenario.cube_b
+    by_id = {p.plot_id: p for p in scenario.plots}
+    events = [(by_id[pid], date) for pid, kind, date in scenario.truth.events()
+              if kind == "burn"]
+    curve = separability_curve(events, cube, source, 8, endmembers=endmembers)
+    m_values, counts = oracle_curve(events, cube, source, 8, endmembers)
+    assert np.isfinite(curve.m_values).any()
+    assert np.array_equal(curve.m_values, m_values, equal_nan=True)
+    assert curve.n_per_offset == counts

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import gap_table, inject_gaps
 from plotburn.scene import gap_statistics
-from plotburn.separability import plot_source_series
+from plotburn.separability import plot_means
 from plotburn import synth
 from plotburn.synth import ScenarioConfig, generate
 
@@ -130,10 +130,11 @@ class TestSignalModel:
         scenario = generate(dataclasses.replace(SMALL, n_plots=200))
         truth = scenario.truth
         late_b, late_u = [], []
-        for plot in scenario.plots:
+        dates = scenario.cube_a.dates
+        means = plot_means(scenario.cube_a, scenario.plots, "NIR")
+        for plot, values in zip(scenario.plots, means):
             event = (truth.burn_date[plot.plot_id] if truth.burned[plot.plot_id]
                      else truth.till_date[plot.plot_id])
-            dates, values = plot_source_series(scenario.cube_a, plot, "NIR")
             for d, v in zip(dates, values):
                 if np.isfinite(v) and (d - event).days > 16:
                     (late_b if truth.burned[plot.plot_id] else late_u).append(v)
@@ -144,8 +145,9 @@ class TestSignalModel:
     def test_fresh_burn_depresses_char_index(self, small_scenario):
         truth = small_scenario.truth
         fresh, tilled = [], []
-        for plot in small_scenario.plots:
-            dates, values = plot_source_series(small_scenario.cube_a, plot, "CI")
+        dates = small_scenario.cube_a.dates
+        means = plot_means(small_scenario.cube_a, small_scenario.plots, "CI")
+        for plot, values in zip(small_scenario.plots, means):
             if truth.burned[plot.plot_id]:
                 burn = truth.burn_date[plot.plot_id]
                 fresh += [v for d, v in zip(dates, values)

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plotburn.thresholds import (PERCENTILE_GRID, ConfusionCounts, ThresholdChoice,
-                                 ThresholdError,
+                                 ThresholdError, _confusion_sweep,
                                  aggregate_plot, balanced_accuracy_threshold,
-                                 cohens_kappa, confusion_at, make_predictions,
+                                 cohens_kappa, make_predictions,
                                  max_accuracy_threshold, prediction_summary)
+
+
+def confusion_at(scores, labels, threshold) -> ConfusionCounts:
+    """Confusion counts at one threshold, through the policies' sorted sweep."""
+    return ConfusionCounts(*map(int, _confusion_sweep(scores, labels, threshold)))
 
 
 def table2_max_scores():
