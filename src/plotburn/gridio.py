@@ -5,7 +5,10 @@ followed by exactly nrows lines of ncols ASCII floats, top row first; lines
 end in LF, CRLF or CR. A blank or "#" comment line counts as a row and fails
 the check. read_grid checks every line (the line count, and that each line
 holds ncols numbers the converter accepts) but converts only the block of
-rows and columns it is asked for, and returns just that block.
+rows and columns it is asked for, and returns just that block. It reads the
+file in blocks of whole lines (GRID_BLOCK_BYTES, 1 MiB) and lets each go once
+checked, so its peak memory is about one block's temporaries plus the rows
+it converts, whatever the file's size.
 
 The manifest is JSON with a reflectance scale divisor (10000 for DN-scaled
 grids, 1 for unit reflectance) and one entry per (sensor, date, band) grid,
@@ -20,11 +23,14 @@ under their cubic taps), and holds each pass as window-sized arrays.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
+import itertools
 import json
 import math
 import os
+import warnings
 from collections import defaultdict
 from typing import NamedTuple
 
@@ -86,15 +92,22 @@ def _read_grid_header(path) -> GridGeometry:
 
 
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+# read_grid reads and checks a grid this many bytes at a time, rounded to
+# whole lines.
+GRID_BLOCK_BYTES = 1 << 20
 
 
 def _parse_rows(lines: list[str], cols=None) -> np.ndarray:
-    return np.loadtxt(lines, dtype=float, ndmin=2, usecols=cols)
+    with warnings.catch_warnings():
+        # loadtxt warns of lines holding no values; the row check reports them.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=float, ndmin=2, usecols=cols)
 
 
-def _check_rows(path, raw: np.ndarray, nrows: int, ncols: int) -> None:
-    """Raise FormatError unless each of the nrows lines of raw, the body's
-    bytes, is UTF-8 text holding ncols values _parse_rows accepts.
+def _check_rows(path, raw: np.ndarray, nrows: int, ncols: int, first: int) -> None:
+    """Raise FormatError unless each of the nrows lines of raw, a block of
+    the body's bytes starting at its row first, is UTF-8 text holding ncols
+    values _parse_rows accepts.
 
     Whether a token converts depends on where its runs of ASCII digits sit,
     not on their length or value. So each line is reduced to its shape,
@@ -108,14 +121,14 @@ def _check_rows(path, raw: np.ndarray, nrows: int, ncols: int) -> None:
     keep = np.empty_like(other)
     keep[:1] = True
     np.logical_or(other[1:], other[:-1], out=keep[1:])
-    shapes = np.compress(keep, raw).tobytes().translate(_DIGITS_TO_ZERO).split(b"\n")
+    shapes = raw[keep].tobytes().translate(_DIGITS_TO_ZERO).split(b"\n")
     try:
         distinct = [shape.decode() for shape in dict.fromkeys(shapes[:nrows])]
         if _parse_rows(distinct).shape == (len(distinct), ncols):
             return
     except ValueError:  # UnicodeDecodeError included
         pass
-    for row, line in enumerate(raw.tobytes().split(b"\n")[:nrows]):
+    for row, line in enumerate(raw.tobytes().split(b"\n")[:nrows], start=first):
         try:
             n = _parse_rows([line.decode()]).size
         except UnicodeDecodeError as exc:
@@ -131,6 +144,33 @@ def _check_rows(path, raw: np.ndarray, nrows: int, ncols: int) -> None:
     raise FormatError(f"{path}: rows do not parse as {ncols} numbers each")
 
 
+def _line_blocks(fh):
+    """Yield (block, ends): the file's bytes as uint8 arrays of whole lines,
+    about GRID_BLOCK_BYTES each, with CR and CRLF line ends turned into LF,
+    and the offsets of the LFs in each.
+
+    A line longer than a block comes whole in a larger one. Every block but
+    the last ends in LF.
+    """
+    left = os.fstat(fh.fileno()).st_size
+    tail = b""
+    while True:
+        chunk = fh.read(min(max(GRID_BLOCK_BYTES, len(tail)), left))
+        left = left - len(chunk) if chunk else 0
+        data = tail + chunk
+        # Hold back the last partial line, and a last CR that may start a CRLF.
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if left else len(data)
+        tail = data[cut:]
+        if data.find(b"\r", 0, cut) >= 0:
+            data = data[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            cut = len(data)
+        if cut or not left:
+            block = np.frombuffer(data, dtype=np.uint8, count=cut)
+            yield block, np.flatnonzero(block == ord("\n"))
+        if not left:
+            return
+
+
 def read_grid(path, rows=None, cols=None):
     """Returns (values, valid, geom) of a block of the grid; nodata cells are
     invalid and NaN-filled, and geom is the whole file's geometry.
@@ -139,29 +179,48 @@ def read_grid(path, rows=None, cols=None):
     len(cols)); None lists every row or column. Only the block's cells are
     converted to floats, but every line is checked: the file must hold
     exactly nrows lines of ncols numbers.
+
+    The file is read and checked in blocks of whole lines, GRID_BLOCK_BYTES
+    each (a longer line is read whole), keeping only the listed rows' text:
+    peak memory is about one block's temporaries plus the rows converted.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    body_start = data.find(b"\n") + 1 or len(data)
-    geom, nodata = _parse_header(path, data[:body_start].rstrip(b"\n"))
-    raw = np.frombuffer(data, dtype=np.uint8)[body_start:]
-    ends = np.flatnonzero(raw == ord("\n"))
-    if raw[-1:].tobytes() != b"\n":
-        ends = np.append(ends, raw.size)
-    if ends.size != geom.nrows:
+        blocks = _line_blocks(fh)
+        raw, ends = next(blocks)
+        body_start = int(ends[0]) + 1 if ends.size else raw.size
+        geom, nodata = _parse_header(path, raw[:body_start].tobytes().rstrip(b"\n"))
+        rows = range(geom.nrows) if rows is None else np.asarray(rows, dtype=np.int64).tolist()
+        need = sorted(set(rows))
+        if need and not 0 <= need[0] <= need[-1] < geom.nrows:
+            raise IndexError(f"{path}: rows must lie in 0..{geom.nrows - 1}")
+        kept: dict[int, str] = {}
+        lines, error = 0, None
+        body = raw[body_start:], ends[1:] - body_start
+        if not body[0].size:  # the body starts in the next block, if there is one
+            body = next(blocks, body)
+        for raw, ends in itertools.chain([body], blocks):
+            stops = ends if raw[-1:].tobytes() == b"\n" else np.append(ends, raw.size)
+            if error is None:
+                try:
+                    _check_rows(path, raw, stops.size, geom.ncols, lines)
+                except FormatError as exc:
+                    error = exc  # raised after the line count is known
+                else:
+                    for r in need[bisect.bisect_left(need, lines):
+                                  bisect.bisect_left(need, lines + stops.size)]:
+                        start = int(stops[r - lines - 1]) + 1 if r > lines else 0
+                        kept[r] = raw[start:stops[r - lines]].tobytes().decode()
+            lines += stops.size
+    if lines != geom.nrows:
         raise FormatError(f"{path}: expected {geom.nrows} rows of values, "
-                          f"got {ends.size} lines")
-    _check_rows(path, raw, geom.nrows, geom.ncols)
-    starts = np.concatenate(([0], ends[:-1] + 1)) + body_start
-    ends = ends + body_start
-    rows = np.arange(geom.nrows) if rows is None else np.asarray(rows, dtype=np.int64)
+                          f"got {lines} lines")
+    if error is not None:
+        raise error
     cols = np.arange(geom.ncols) if cols is None else np.asarray(cols, dtype=np.int64)
-    if not rows.size or not cols.size:
-        values = np.zeros((rows.size, cols.size))
+    if not rows or not cols.size:
+        values = np.zeros((len(rows), cols.size))
         return values, values.astype(bool), geom
-    values = _parse_rows([data[starts[r]:ends[r]].decode() for r in rows], cols)
+    values = _parse_rows([kept[r] for r in rows], cols)
     valid = values != nodata
     values[~valid] = np.nan
     return values, valid, geom
@@ -243,6 +302,7 @@ def scan_scene_manifest(path) -> SceneLayout:
 
     grouped: dict[tuple[str, dt.date], dict] = defaultdict(dict)
     masks: dict[tuple[str, dt.date], str] = {}
+    entry_of: dict[tuple[str, dt.date, str], int] = {}
     for i, entry in enumerate(doc["entries"]):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: entries[{i}]: an entry is a JSON object, "
@@ -261,10 +321,12 @@ def scan_scene_manifest(path) -> SceneLayout:
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: entries[{i}]: bad date {date!r} ({exc})") from None
         if sensor not in SENSOR_BANDS:
-            raise FormatError(f"{path}: unknown sensor {sensor!r} "
+            raise FormatError(f"{path}: entries[{i}]: unknown sensor {sensor!r} "
                               f"(allowed: {', '.join(sorted(SENSOR_BANDS))})")
-        if band in grouped[(sensor, date)]:
-            raise FormatError(f"duplicate grid for {sensor} {date} {band}")
+        if (sensor, date, band) in entry_of:
+            raise FormatError(f"{path}: entries[{i}]: duplicate grid for {sensor} {date} "
+                              f"{band}, first listed at entries[{entry_of[sensor, date, band]}]")
+        entry_of[(sensor, date, band)] = i
         grouped[(sensor, date)][band] = os.path.join(base, grid)
         if entry.get("mask"):
             masks[(sensor, date)] = os.path.join(base, entry["mask"])
@@ -277,7 +339,9 @@ def scan_scene_manifest(path) -> SceneLayout:
         expected = SENSOR_BANDS[sensor]
         missing = [b for b in expected if b not in band_paths]
         if missing:
-            raise FormatError(f"{sensor} {date}: missing band grids {missing}")
+            first = min(entry_of[(sensor, date, b)] for b in band_paths)
+            raise FormatError(f"{path}: entries[{first}]: {sensor} {date}: "
+                              f"missing band grids {missing}")
         bands = {band: band_paths[band] for band in expected}
         geoms = {_read_grid_header(p) for p in bands.values()}
         if len(geoms) > 1:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestGridFiles:
         values, ok, _ = read_grid(tmp_path / "band.grid", [5, 1], range(1, 3))
         assert values.shape == ok.shape == (2, 2) and ok.all()
         assert np.array_equal(values, grid[np.ix_([5, 1], [1, 2])])
+
+    @pytest.mark.parametrize("rows", [[0, 6], [-1]], ids=["past-the-end", "negative"])
+    def test_rows_outside_the_grid_rejected(self, tmp_path, rows):
+        write_grid(tmp_path / "band.grid", np.zeros((6, 4)), GridGeometry(4, 6, 0.0, 0.0, 1.0))
+        with pytest.raises(IndexError, match=r"band.grid: rows must lie in 0\.\.5"):
+            read_grid(tmp_path / "band.grid", rows)
 
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.grid"
@@ -168,6 +175,85 @@ class TestGridFiles:
                 assert np.array_equal(ok, full_ok[want])
                 assert np.array_equal(got.view(np.int64), full[want].view(np.int64))
 
+    def test_line_longer_than_a_block_taken_whole(self, tmp_path):
+        path = tmp_path / "wide.grid"
+        gap = " " * (gridio.GRID_BLOCK_BYTES + 1)
+        path.write_text(f"2 2 0.0 0.0 1.0 -9999.0\n0.5{gap}0.25\n1.0 2.0{gap}\n")
+        values, ok, _ = read_grid(path)
+        assert ok.all() and np.array_equal(values, [[0.5, 0.25], [1.0, 2.0]])
+        values, ok, _ = read_grid(path, [1], [1])
+        assert ok.all() and np.array_equal(values, [[2.0]])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+    def test_no_final_newline(self, tmp_path, newline):
+        path = tmp_path / "open.grid"
+        path.write_bytes(newline.join(["2 3 0.0 0.0 1.0 -9999.0", "0.5 0.25", "1 2",
+                                       "3 -9999.0"]).encode())
+        values, ok, _ = read_grid(path)
+        assert np.array_equal(ok, [[1, 1], [1, 1], [1, 0]])
+        assert np.array_equal(values[ok], [0.5, 0.25, 1.0, 2.0, 3.0])
+        values, ok, _ = read_grid(path, [2, 0], [0])
+        assert ok.all() and np.array_equal(values, [[3.0], [0.5]])
+
+    @pytest.mark.parametrize("nrows", [3, 5])
+    def test_line_count_reported_before_a_bad_line(self, tmp_path, nrows):
+        # The bad line comes first, but the count is only known at the end.
+        path = tmp_path / "bad.grid"
+        path.write_text(f"2 {nrows} 0.0 0.0 1.0 -9999.0\n0.5 x\n" + "0.5 0.25\n" * 3)
+        with pytest.raises(FormatError,
+                           match=rf"bad.grid: expected {nrows} rows of values, got 4 lines"):
+            read_grid(path, rows=[])
+
+
+class TestGridFilesInSmallBlocks(TestGridFiles):
+    """Every TestGridFiles case again at blocks of 1 and 7 bytes, so every
+    line is longer than a block and reads end inside lines and line ends."""
+
+    @pytest.fixture(autouse=True, params=[1, 7], ids=lambda n: f"block-{n}")
+    def block_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(gridio, "GRID_BLOCK_BYTES", request.param)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "lone-cr"])
+@pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+def test_every_block_size_reads_the_same_grid(tmp_path, monkeypatch, newline, final):
+    # Some sizes end a read between a line's CR and LF (15 of the 264 with
+    # CRLF), and most end reads inside a line.
+    geom = GridGeometry(3, 4, 0.0, 0.0, 1.0)
+    grid = np.random.default_rng(6).uniform(0, 1, geom.shape)
+    valid = np.ones(geom.shape, dtype=bool)
+    valid[2, 1] = False
+    write_grid(tmp_path / "lf.grid", grid, geom, valid)
+    text = (tmp_path / "lf.grid").read_bytes()
+    text = text.replace(b"\n", newline)[:None if final else -len(newline)]
+    (tmp_path / "g.grid").write_bytes(text)
+    for size in range(1, len(text) + 2):
+        monkeypatch.setattr(gridio, "GRID_BLOCK_BYTES", size)
+        for rows in (None, [3, 0, 3]):
+            values, ok, got_geom = read_grid(tmp_path / "g.grid", rows)
+            want = np.s_[:] if rows is None else rows
+            assert got_geom == geom
+            assert np.array_equal(ok, valid[want])
+            assert np.array_equal(values[ok], grid[want][valid[want]])
+
+
+def test_read_grid_memory_is_a_block_plus_the_rows_converted(tmp_path, monkeypatch):
+    monkeypatch.setattr(gridio, "GRID_BLOCK_BYTES", 1 << 16)
+    geom = GridGeometry(500, 200, 0.0, 0.0, 3.0)
+    path = tmp_path / "tile.grid"
+    grid = np.random.default_rng(7).uniform(0, 1, geom.shape)
+    write_grid(path, grid, geom)
+    size = path.stat().st_size
+    read_grid(path, [0])  # the first conversion imports numpy modules; not a read's cost
+    tracemalloc.start()
+    try:
+        values, ok, _ = read_grid(path, range(90, 110))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and np.array_equal(values, grid[90:110])
+    assert size > 1_900_000 and peak < size / 2
+
 
 class TestWkt:
     def test_round_trip(self):
@@ -230,11 +316,14 @@ class TestManifest:
         paths = write_scenario(tmp_path / "scene", scenario)
         with open(paths["manifest"]) as fh:
             doc = json.load(fh)
-        doc["entries"].append(doc["entries"][0])
+        first = doc["entries"][0]
+        doc["entries"].append(first)
         bad = tmp_path / "scene" / "dup.json"
         with open(bad, "w") as fh:
             json.dump(doc, fh)
-        with pytest.raises(FormatError, match="duplicate"):
+        with pytest.raises(FormatError, match=rf"dup.json: entries\[{len(doc['entries']) - 1}\]: "
+                           rf"duplicate grid for {first['sensor']} {first['date']} "
+                           rf"{first['band']}, first listed at entries\[0\]"):
             read_scene_manifest(bad)
 
     def test_unknown_sensor_rejected(self, tmp_path):
@@ -242,8 +331,20 @@ class TestManifest:
         write_scene_manifest(tmp_path / "m.json", [
             {"sensor": "C", "date": "2019-10-20", "band": "NIR", "grid": "g.grid",
              "mask": None}])
-        with pytest.raises(FormatError, match=r"unknown sensor 'C' \(allowed: A, B\)"):
+        with pytest.raises(FormatError,
+                           match=r"m.json: entries\[0\]: unknown sensor 'C' \(allowed: A, B\)"):
             read_scene_manifest(tmp_path / "m.json")
+
+    def test_missing_band_fails_naming_the_pass_first_entry(self, tmp_path):
+        path, _ = write_two_sensor_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["entries"] = [e for e in doc["entries"]
+                          if (e["sensor"], e["band"]) != ("B", "NIR")]
+        path.write_text(json.dumps(doc))
+        first_b = len(SENSOR_BANDS["A"])
+        with pytest.raises(FormatError, match=rf"m.json: entries\[{first_b}\]: B 2019-11-01: "
+                           r"missing band grids \['NIR'\]"):
+            scan_scene_manifest(path)
 
     @pytest.mark.parametrize("broken, message", [
         ({"band": None}, r"entries\[1\]: missing key 'band'"),
