@@ -1,9 +1,10 @@
 """Random Forest for binary burn classification with Gini importance.
 
 The split search is exact. Each forest ranks every training column once
-among its distinct values, and a node scores a block of candidate columns in
-one numpy pass over those integer ranks; the chosen split, threshold and
-importance are the ones a column-by-column search over the float values
+among its distinct values, and grows a group of trees side by side: each
+step scores the next node of every growing tree over those integer ranks, in
+numpy passes of a bounded number of cells. The splits, thresholds and
+importances are the ones a search of one tree and one float column at a time
 finds. Trees are stored as flat parallel arrays (feature, threshold,
 children, leaf vote fractions). Out-of-bag votes and scores route a group of
 trees at once: the group's node arrays are packed end to end and every
@@ -78,10 +79,15 @@ class ForestModel:
         return len(self.trees)
 
 
-# Row x candidate cells scored in one numpy pass of the split search, which
-# bounds its memory; a node of more than half this many rows scores one
-# candidate per pass.
-_BLOCK_CELLS = 1 << 16
+# Row x candidate cells scored in one pass of the split search, which bounds
+# its memory; a node of more than half this many rows scores one candidate per
+# pass. A pass's float temporaries are then at most 64 KiB, under glibc's
+# default 128 KiB mmap threshold, so numpy's calls reuse heap memory rather
+# than map and fault in fresh pages each time. The 16 forests of one trees
+# bench run (2 vCPUs, medians of 9 alternating runs) took 0.30 s at 2^13
+# cells, 0.34 s at 2^12 and at 2^14, and 0.50 s searching one node at a time;
+# with the threshold raised to 4 MiB, 2^14 cells ran as fast as 2^13.
+_PASS_CELLS = 1 << 13
 
 # Cells of X copied and sorted in one pass by _rank_codes and
 # fit_impute_medians: a block of whole columns, or one column where a column
@@ -111,113 +117,184 @@ def _column_blocks(X):
 
 
 def _rank_codes(X):
-    """Each column's rank among its distinct values (-0.0 and 0.0 share one)."""
+    """Each column's rank among its distinct values (-0.0 and 0.0 share one),
+    feature-major: codes[j] holds column j's ranks."""
     n = X.shape[0]
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(n))
+    codes = np.empty(X.shape[::-1], dtype=np.min_scalar_type(n))
     for cols, block in _column_blocks(X):
         # Each column's sorted order, as positions in block's flat buffer.
         order = np.argsort(block, axis=1) + n * np.arange(block.shape[0])[:, None]
         values = block.ravel()[order]
         ranks = np.zeros(block.shape, dtype=codes.dtype)
         np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=ranks[:, 1:])
-        inverse = np.empty(block.size, dtype=codes.dtype)
-        inverse[order] = ranks
-        codes[:, cols] = inverse.reshape(block.shape).T
+        codes[cols].reshape(-1)[order] = ranks
     return codes
 
 
-def _best_split(X, codes, y, idx, candidates, min_leaf):
-    """(decrease, feature, threshold) of the best Gini split of a node of at
-    least 2 * min_leaf rows, or decrease 0.
+def _score(codes, y, rows, sizes, feats, min_leaf):
+    """(top, lo, hi) per column k = j * len(sizes) + i, candidate feats[i, j]
+    of node i (rows end to end): the best decrease or -inf, and the rows either
+    side of its first best cut. A key per cell packs node, code, position and
+    class bit, so one sort orders each column as a stable sort by value does."""
+    m, c = feats.shape
+    starts = np.cumsum(sizes) - sizes
+    pos = np.arange(rows.size) - np.repeat(starts, sizes)
+    yr = y[rows]
+    low_bits = int(sizes.max() - 1).bit_length() + 1       # position, class bit
+    node_shift = int(codes.shape[1] - 1).bit_length() + low_bits
+    # int32 keys sort in half the time of int64 ones, where they fit.
+    dtype = np.int32 if (m - 1).bit_length() + node_shift < 32 else np.int64
+    key = codes.ravel()[np.repeat(feats.T * codes.shape[1], sizes, axis=1) + rows]
+    key = np.left_shift(key, low_bits, dtype=dtype)         # (c, len(rows))
+    key += np.repeat(np.arange(m) << node_shift, sizes) | (pos << 1) | yr
+    key.sort(axis=1)
+    # A cut leaves min_leaf rows on each side and falls between two codes.
+    kl = pos + 1.0
+    n = np.repeat(sizes.astype(float), sizes)
+    cut = np.zeros(key.shape, dtype=bool)
+    np.not_equal(key[:, 1:] >> low_bits, key[:, :-1] >> low_bits, out=cut[:, :-1])
+    cut &= (kl >= min_leaf) & (kl <= n - min_leaf)
+    # Each node's class 1 count restarts the running count at its first cell.
+    n1 = np.add.reduceat(yr, starts)
+    c1l = key & 1
+    c1l[:, starts[1:]] -= n1[:-1]
+    # float64 holds the counts exactly, so this is bit for bit _gini on them:
+    # parent - (kl * gini(left) + (n - kl) * gini(right)) / n.
+    c1l = np.cumsum(c1l, axis=1, dtype=float)
+    parent = [_gini(size - k, k) for size, k in zip(sizes.tolist(), n1.tolist())]
+    parent, n1 = (np.repeat(np.array(a, dtype=float), sizes) for a in (parent, n1))
+    c0l = kl - c1l
+    with np.errstate(invalid="ignore"):        # a node's last cell leaves none right
+        dec = _gini(c0l, c1l)
+        dec *= kl
+        np.subtract(n - n1, c0l, out=c0l)
+        np.subtract(n1, c1l, out=c1l)
+        right = _gini(c0l, c1l)
+        right *= n - kl
+        dec += right
+    dec /= n
+    np.subtract(parent, dec, out=dec)
+    np.putmask(dec, ~cut, -np.inf)
+    # Each column's first best cell, and the rows either side of that cut.
+    first = (starts + rows.size * np.arange(c)[:, None]).reshape(-1)
+    top = np.maximum.reduceat(dec.reshape(-1), first)
+    hits = np.flatnonzero(dec == np.repeat(top.reshape(c, m), sizes, axis=1))
+    at = hits[np.searchsorted(hits, first)]
+    key, base, mask = key.reshape(-1), first % rows.size, (1 << low_bits - 1) - 1
+    return top, rows[base + (key[at] >> 1 & mask)], rows[base + (key[at + 1] >> 1 & mask)]
 
-    Each pass scores a block of candidates on their ranks: one stable sort,
-    one cumulative class count and one Gini expression over every cut that
-    leaves min_leaf rows on each side. A stable sort of ranks orders rows as a
-    stable sort of their values does (tied values keep row order), so the
-    split is the exact one. Candidates are compared in order, a later one
-    winning only by more than 1e-15, and the threshold is the midpoint of the
-    two values either side of the winning cut, or the lower value where the
-    midpoint is not below the upper one.
+
+def _passes(nodes):
+    """(node indices, candidate slice) per pass: as many nodes as fit in
+    _PASS_CELLS cells, or a larger node alone with its candidates in blocks."""
+    group, cells = [], 0
+    for i, (idx, candidates) in enumerate(nodes):
+        size = idx.size * len(candidates)
+        if size > _PASS_CELLS:
+            step = max(1, _PASS_CELLS // idx.size)
+            for start in range(0, len(candidates), step):
+                yield [i], slice(start, start + step)
+        elif cells + size > _PASS_CELLS:
+            yield group, slice(None)
+            group, cells = [i], size
+        else:
+            group.append(i)
+            cells += size
+    if group:
+        yield group, slice(None)
+
+
+def _best_splits(X, codes, y, nodes, min_leaf):
+    """(decrease, feature, threshold) of the best Gini split of each (rows,
+    candidates) node, or decrease 0. Nodes have at least 2 * min_leaf rows and
+    the same number of candidates, and are scored in passes (see _score) on
+    every cut leaving min_leaf rows on each side. Candidates are compared in
+    order, a later one winning only by more than 1e-15; the threshold is the
+    midpoint of the values either side of the cut, or the lower value where
+    the midpoint is not below the upper one.
     """
-    n = idx.size
-    y_node = y[idx]
-    n1 = int(y_node.sum())
-    n0 = n - n1
-    parent = _gini(n0, n1)
-    # Rows left of each cut that leaves min_leaf rows on both sides.
-    kl = np.arange(min_leaf, n - min_leaf + 1)[:, None]
-    kr = n - kl
-    cuts = slice(min_leaf - 1, n - min_leaf)
-    best_dec, best_f, best_rows = 0.0, -1, None
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, candidates.size, step):
-        block = candidates[start:start + step]
-        cols = np.arange(block.size)
-        ranks = codes[idx[:, None], block]
-        order = np.argsort(ranks, axis=0, kind="stable")
-        ranks = ranks[order, cols]
-        c1l = np.cumsum(y_node[order], axis=0)[cuts]
-        c0l = kl - c1l
-        gl = _gini(c0l, c1l)
-        gr = _gini(n0 - c0l, n1 - c1l)
-        dec = parent - (kl * gl + kr * gr) / n
-        dec[ranks[min_leaf:n - min_leaf + 1] == ranks[cuts]] = -np.inf
-        at = np.argmax(dec, axis=0)
-        for c, top in enumerate(dec[at, cols].tolist()):
-            if top > best_dec + 1e-15:
-                r = min_leaf - 1 + int(at[c])
-                best_dec, best_f = top, int(block[c])
-                best_rows = idx[order[r:r + 2, c]]
-    if best_f < 0:
-        return 0.0, -1, 0.0
-    lo, hi = X[best_rows, best_f]
-    # X <= threshold must send exactly the rows ranked at or below lo left;
-    # the midpoint does not where it rounds up to hi (adjacent doubles) or
-    # overflows, and lo does.
-    mid = (lo + hi) / 2.0
-    return best_dec, best_f, float(mid if lo <= mid < hi else lo)
+    best = [(0.0, -1, 0, 0)] * len(nodes)
+    for group, cols in _passes(nodes):
+        rows = np.concatenate([nodes[i][0] for i in group])
+        sizes = np.array([nodes[i][0].size for i in group])
+        feats = np.array([nodes[i][1][cols] for i in group], dtype=np.int64)
+        top, lo, hi = (a.tolist() for a in _score(codes, y, rows, sizes, feats, min_leaf))
+        m, f = len(group), feats.T.reshape(-1).tolist()
+        for k, dec in enumerate(top):
+            i = group[k % m]
+            if dec > best[i][0] + 1e-15:
+                best[i] = (dec, f[k], lo[k], hi[k])
+    split = [i for i, b in enumerate(best) if b[1] >= 0]
+    f, below, above = (np.array([best[i][j] for i in split], dtype=np.int64)
+                       for j in (1, 2, 3))
+    out = [(0.0, -1, 0.0)] * len(nodes)
+    for i, lo, hi in zip(split, X[below, f].tolist(), X[above, f].tolist()):
+        # X <= threshold must send exactly the rows ranked at or below lo left;
+        # the midpoint does not where it rounds up to hi (adjacent doubles) or
+        # overflows, and lo does.
+        mid = (lo + hi) / 2.0
+        out[i] = (best[i][0], best[i][1], mid if lo <= mid < hi else lo)
+    return out
 
 
-def _grow_tree(X, codes, y, sample_idx, rng, params: ForestParams, n_total,
-               importance_acc: np.ndarray) -> Tree:
-    max_feat = max(1, int(math.sqrt(X.shape[1])))
-    feature, threshold, left, right, votes = [], [], [], [], []
+def _grow_trees(X, codes, y, samples, rngs, min_leaf):
+    """(tree, [(feature, decrease * rows / n), ...] depth-first) per bootstrap
+    sample and generator. Each step pops the next splittable node of every
+    growing tree, in its own depth-first order with its own generator's draws,
+    and scores them in one _best_splits call: each tree is the one grown alone.
+    """
+    n_total, n_features = X.shape
+    max_feat = max(1, int(math.sqrt(n_features)))
+    # Per tree: [feature, threshold, left, right, votes] for each node.
+    nodes = [[[-1, 0.0, -1, -1, None]] for _ in samples]
+    gains = [[] for _ in samples]
+    # Per tree: (rows, class 1 count, node) of each node not yet popped.
+    stacks = [[(s, int(y[s].sum()), 0)] for s in samples]
+    growing = range(len(samples))
+    while growing:
+        step = []
+        for t in growing:
+            stack = stacks[t]
+            while stack:
+                idx, n1, node = stack.pop()
+                n = idx.size
+                nodes[t][node][4] = ((n - n1) / n, n1 / n)
+                if 0 < n1 < n and n >= 2 * min_leaf:
+                    candidates = sorted(rngs[t].permutation(n_features)[:max_feat].tolist())
+                    step.append((t, node, idx, candidates))
+                    break
+        splits = _best_splits(X, codes, y, [s[2:] for s in step], min_leaf)
+        split = [(s, b) for s, b in zip(step, splits) if b[1] >= 0]
+        children = _partition(X, y, [(s[2], b[1], b[2]) for s, b in split])
+        for ((t, node, idx, _), (dec, f, thr)), (left, right) in zip(split, children):
+            gains[t].append((f, dec * idx.size / n_total))
+            tree = nodes[t]
+            tree[node][:4] = f, thr, len(tree), len(tree) + 1
+            tree += [[-1, 0.0, -1, -1, None], [-1, 0.0, -1, -1, None]]
+            stacks[t] += [(*left, len(tree) - 2), (*right, len(tree) - 1)]
+        growing = [t for t in growing if stacks[t]]
+    dtypes = (np.int64, float, np.int64, np.int64, float)
+    trees = [Tree(*(np.array(col, dtype=d) for col, d in zip(zip(*tree), dtypes)))
+             for tree in nodes]
+    return list(zip(trees, gains))
 
-    def add_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        votes.append((0.0, 0.0))
-        return len(feature) - 1
 
-    root = add_node()
-    stack = [(sample_idx, root)]
-    while stack:
-        idx, node = stack.pop()
-        n = idx.size
-        n1 = int(y[idx].sum())
-        votes[node] = ((n - n1) / n, n1 / n)
-        if n1 == 0 or n1 == n or n < 2 * params.min_leaf:
-            continue
-        candidates = np.sort(rng.permutation(X.shape[1])[:max_feat])
-        dec, f, thr = _best_split(X, codes, y, idx, candidates, params.min_leaf)
-        if f < 0:
-            continue
-        importance_acc[f] += dec * n / n_total
-        go_left = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        nl, nr = add_node(), add_node()
-        left[node], right[node] = nl, nr
-        stack.append((idx[go_left], nl))
-        stack.append((idx[~go_left], nr))
-
-    return Tree(np.asarray(feature, dtype=np.int64),
-                np.asarray(threshold, dtype=float),
-                np.asarray(left, dtype=np.int64),
-                np.asarray(right, dtype=np.int64),
-                np.asarray(votes, dtype=float))
+def _partition(X, y, splits):
+    """((left rows, class 1 count), (right ...)) of each (rows, feature,
+    threshold) split: X <= threshold goes left, in its parent's row order."""
+    if not splits:
+        return []
+    sizes = [rows.size for rows, _, _ in splits]
+    rows = np.concatenate([rows for rows, _, _ in splits])
+    f, thr = (np.repeat([s[j] for s in splits], sizes) for j in (1, 2))
+    side = np.repeat(np.arange(0, 2 * len(splits), 2), sizes) + (X[rows, f] > thr)
+    counts = np.bincount(2 * side + y[rows], minlength=4 * len(splits))
+    ends = np.cumsum(counts[::2] + counts[1::2]).tolist()
+    rows = rows[np.argsort(side, kind="stable")]
+    # Copies, so that a child waiting on a stack does not hold all the rows.
+    parts = [(rows[a:b].copy(), ones)
+             for a, b, ones in zip([0] + ends, ends, counts[1::2].tolist())]
+    return list(zip(parts[::2], parts[1::2]))
 
 
 def _route(trees, X, rows, tree_of):
@@ -298,19 +375,26 @@ def train_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
     n = X.shape[0]
     codes = _rank_codes(X)
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    importance = np.zeros(X.shape[1])
+    gains = [0.0] * X.shape[1]
     trees = []
+    group = max(1, _ROUTE_PAIRS // n)
 
     def grow():
-        for t in range(params.n_trees):
-            rng = np.random.Generator(np.random.PCG64(seeds[t]))
-            sample = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(X, codes, y, sample, rng, params, n, importance))
-            oob = np.ones(n, dtype=bool)
-            oob[sample] = False
-            yield t, np.flatnonzero(oob)
+        for first in range(0, params.n_trees, group):
+            rngs = [np.random.Generator(np.random.PCG64(s))
+                    for s in seeds[first:first + group]]
+            samples = [rng.integers(0, n, size=n) for rng in rngs]
+            for tree, splits in _grow_trees(X, codes, y, samples, rngs, params.min_leaf):
+                trees.append(tree)
+                for f, gain in splits:
+                    gains[f] += gain
+            for t, sample in enumerate(samples, first):
+                oob = np.ones(n, dtype=bool)
+                oob[sample] = False
+                yield t, np.flatnonzero(oob)
 
     oob_votes = _vote_counts(trees, X, grow())
+    importance = np.array(gains)
     total = importance.sum()
     if total > 0:
         importance /= total

@@ -323,6 +323,9 @@ def scan_scene_manifest(path) -> SceneLayout:
         if sensor not in SENSOR_BANDS:
             raise FormatError(f"{path}: entries[{i}]: unknown sensor {sensor!r} "
                               f"(allowed: {', '.join(sorted(SENSOR_BANDS))})")
+        if band not in SENSOR_BANDS[sensor]:
+            raise FormatError(f"{path}: entries[{i}]: sensor {sensor} has no band {band!r} "
+                              f"(bands: {', '.join(SENSOR_BANDS[sensor])})")
         if (sensor, date, band) in entry_of:
             raise FormatError(f"{path}: entries[{i}]: duplicate grid for {sensor} {date} "
                               f"{band}, first listed at entries[{entry_of[sensor, date, band]}]")

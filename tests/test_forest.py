@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ def bits(value):
 
 def oracle_best_split(X, y, idx, candidates, min_leaf):
     """The split search one float column at a time: the reference the rank
-    search in forest._best_split must match bit for bit."""
+    search in forest._best_splits must match bit for bit on every node."""
     n = idx.size
     y_node = y[idx]
     n1 = int(y_node.sum())
@@ -102,10 +103,15 @@ def oracle_medians(X):
 
 
 def oracle_rank_codes(X):
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0]))
+    """Feature-major ranks, one np.unique per column."""
+    codes = np.empty(X.shape[::-1], dtype=np.min_scalar_type(X.shape[0]))
     for j in range(X.shape[1]):
-        codes[:, j] = np.unique(X[:, j], return_inverse=True)[1]
+        codes[j] = np.unique(X[:, j], return_inverse=True)[1]
     return codes
+
+
+def oracle_best_splits(X, codes, y, nodes, min_leaf):
+    return [oracle_best_split(X, y, idx, candidates, min_leaf) for idx, candidates in nodes]
 
 
 def adversarial_column(kind, n, rng):
@@ -223,7 +229,8 @@ class TestExactSplitSearch:
         y = (rng.random(n) < rng.random()).astype(np.int64)
         idx = rng.integers(0, n, size=n)          # a bootstrap sample, repeats included
         candidates = np.sort(rng.permutation(n_cols)[:rng.integers(1, n_cols + 1)])
-        got = forest._best_split(X, forest._rank_codes(X), y, idx, candidates, min_leaf)
+        (got,) = forest._best_splits(X, forest._rank_codes(X), y, [(idx, candidates)],
+                                     min_leaf)
         want = oracle_best_split(X, y, idx, candidates, min_leaf)
         assert got[1] == want[1]
         assert bits(got[0]) == bits(want[0]) and bits(got[2]) == bits(want[2])
@@ -231,14 +238,60 @@ class TestExactSplitSearch:
     def test_examples_span_several_candidate_blocks(self):
         # The explicit examples above score their candidates in more than one
         # pass, and the last one candidate per pass.
-        assert 4000 * 40 > 2 * forest._BLOCK_CELLS
-        assert 80000 > forest._BLOCK_CELLS
+        assert 4000 * 40 > 2 * forest._PASS_CELLS
+        assert 80000 > forest._PASS_CELLS
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+           n_cols=st.integers(1, 12), min_leaf=st.integers(1, 4),
+           n_nodes=st.integers(1, 12), max_rows=st.integers(1, 3000),
+           kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5),
+           cells=st.sampled_from([None, 1, 37]))
+    @example(seed=4, n=300, n_cols=12, min_leaf=2, n_nodes=12, max_rows=60,
+             kinds=COLUMN_KINDS, cells=None)
+    @example(seed=5, n=400, n_cols=9, min_leaf=1, n_nodes=5, max_rows=3000,
+             kinds=["ties", "normal", "adjacent"], cells=None)
+    def test_batched_nodes_match_the_float_oracle(self, seed, n, n_cols, min_leaf, n_nodes,
+                                                  max_rows, kinds, cells):
+        # Passes hold many nodes (the module's cap), one node (1), or one
+        # node's candidates in blocks (1 and 37, and nodes over the cap).
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([adversarial_column(kinds[j % len(kinds)], n, rng)
+                             for j in range(n_cols)])
+        y = (rng.random(n) < rng.random()).astype(np.int64)
+        n_cand = int(rng.integers(1, n_cols + 1))
+        nodes = [(rng.integers(0, n, size=2 * min_leaf + int(rng.integers(0, max_rows))),
+                  np.sort(rng.permutation(n_cols)[:n_cand])) for _ in range(n_nodes)]
+        with mock.patch.object(forest, "_PASS_CELLS", cells or forest._PASS_CELLS):
+            got = forest._best_splits(X, forest._rank_codes(X), y, nodes, min_leaf)
+        want = oracle_best_splits(X, None, y, nodes, min_leaf)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[1] == w[1]
+            assert bits(g[0]) == bits(w[0]) and bits(g[2]) == bits(w[2])
+
+    def test_split_search_memory_is_bounded_by_the_pass(self):
+        # 300 nodes of 40 rows x 20 candidates are 240,000 cells: scored in one
+        # pass, each temporary alone would be 1.9 MB.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 20)).round(1)
+        y = (rng.random(200) < 0.5).astype(np.int64)
+        codes = forest._rank_codes(X)
+        nodes = [(rng.integers(0, 200, size=40), np.arange(20)) for _ in range(300)]
+        tracemalloc.start()
+        try:
+            got = forest._best_splits(X, codes, y, nodes, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(f >= 0 for _, f, _ in got) > 250
+        assert peak <= 24 * 8 * forest._PASS_CELLS
 
     def test_ranks_share_signed_zero_and_fit_the_row_count(self):
         X = np.array([[0.0, 3.0], [-0.0, 1.0], [2.5, 1.0], [-1.0, 3.0]])
         codes = forest._rank_codes(X)
         assert codes.dtype == np.min_scalar_type(4)
-        assert codes.tolist() == [[1, 1], [1, 0], [2, 0], [0, 1]]
+        assert codes.tolist() == [[1, 1, 2, 0], [1, 0, 0, 1]]      # feature-major
 
     @pytest.mark.parametrize("n, n_features, ties", [(200, 6, False), (300, 423, True)],
                              ids=["separable", "423-columns"])
@@ -249,9 +302,7 @@ class TestExactSplitSearch:
             X[:, 2::5] = np.where(X[:, 2::5] > 0, 0.0, -0.0)
         params = ForestParams(8, min_leaf=2, seed=3)
         model = train_forest(X, y, schema_for(n_features), params)
-        monkeypatch.setattr(forest, "_best_split",
-                            lambda X, codes, y, idx, candidates, min_leaf:
-                            oracle_best_split(X, y, idx, candidates, min_leaf))
+        monkeypatch.setattr(forest, "_best_splits", oracle_best_splits)
         reference = train_forest(X, y, schema_for(n_features), params)
         assert_same_trees(model, reference)
         for got, want in zip(model.trees, reference.trees):
@@ -259,6 +310,30 @@ class TestExactSplitSearch:
         assert np.array_equal(bits(model.importance), bits(reference.importance))
         assert model.oob_accuracy == reference.oob_accuracy
         assert sum(t.n_nodes for t in model.trees) > 8 * 3
+
+    def test_side_by_side_growth_equals_one_tree_at_a_time(self, monkeypatch):
+        X, y = separable_data(n=300, n_features=423, margin=1.5, seed=17)
+        X[:, 1::2] = np.round(X[:, 1::2], 1)
+        X[:, 2::5] = np.where(X[:, 2::5] > 0, 0.0, -0.0)
+        params = ForestParams(8, min_leaf=2, seed=3)
+        real_grow_trees = forest._grow_trees
+        groups = []
+
+        def grow_trees(X, codes, y, samples, rngs, min_leaf):
+            groups.append(len(samples))
+            return real_grow_trees(X, codes, y, samples, rngs, min_leaf)
+
+        monkeypatch.setattr(forest, "_grow_trees", grow_trees)
+        model = train_forest(X, y, schema_for(423), params)
+        # A group's budget of bootstrap rows is one tree's: each grows alone.
+        monkeypatch.setattr(forest, "_ROUTE_PAIRS", 300)
+        alone = train_forest(X, y, schema_for(423), params)
+        assert groups == [8] + [1] * 8
+        assert_same_trees(model, alone)
+        for got, want in zip(model.trees, alone.trees):
+            assert np.array_equal(bits(got.threshold), bits(want.threshold))
+        assert np.array_equal(bits(model.importance), bits(alone.importance))
+        assert model.oob_accuracy == alone.oob_accuracy
 
     def test_adjacent_doubles_split_at_the_lower_value(self):
         # (a + b) / 2 rounds up to b; a threshold of b would send every row
@@ -285,18 +360,20 @@ class TestExactSplitSearch:
         X = np.column_stack([adversarial_column(k, n, rng) for k in kinds])
         y = (rng.random(n) < 0.5).astype(np.int64)
         assume(0 < y.sum() < n)
-        real_best_split = forest._best_split
+        real_best_splits = forest._best_splits
         checked = []
 
-        def best_split(X, codes, y, idx, candidates, min_leaf):
-            dec, f, thr = real_best_split(X, codes, y, idx, candidates, min_leaf)
-            if f >= 0:
+        def best_splits(X, codes, y, nodes, min_leaf):
+            splits = real_best_splits(X, codes, y, nodes, min_leaf)
+            for (idx, _), (dec, f, thr) in zip(nodes, splits):
+                if f < 0:
+                    continue
                 # X <= thr splits the node's rows by rank, and into the very
                 # partition that was scored: the one of the reported decrease.
                 left = X[idx, f] <= thr
                 assert left.any() and not left.all()
-                assert codes[idx[left], f].max() < codes[idx[~left], f].min()
-                # The decrease is recomputed with _best_split's numpy arithmetic
+                assert codes[f, idx[left]].max() < codes[f, idx[~left]].min()
+                # The decrease is recomputed with _best_splits' numpy arithmetic
                 # (int64 count arrays), so it matches bit for bit.
                 n, n1 = idx.size, int(y[idx].sum())
                 kl, c1l = np.array([left.sum()]), np.array([y[idx[left]].sum()])
@@ -305,9 +382,9 @@ class TestExactSplitSearch:
                 got = forest._gini(n - n1, n1) - (kl * gl + (n - kl) * gr) / n
                 assert got[0] == dec
                 checked.append(f)
-            return dec, f, thr
+            return splits
 
-        with mock.patch.object(forest, "_best_split", best_split):
+        with mock.patch.object(forest, "_best_splits", best_splits):
             train_forest(X, y, schema_for(len(kinds)),
                          ForestParams(4, min_leaf=min_leaf, seed=seed % 1000))
         assume(checked)

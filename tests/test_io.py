@@ -335,6 +335,20 @@ class TestManifest:
                            match=r"m.json: entries\[0\]: unknown sensor 'C' \(allowed: A, B\)"):
             read_scene_manifest(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("band, grid", [("Bleu", None), ("SWIR1", "absent.grid")],
+                             ids=["typo", "other-sensors-band"])
+    def test_band_the_sensor_lacks_is_rejected(self, tmp_path, band, grid):
+        path, _ = write_two_sensor_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        first_a = next(e for e in doc["entries"] if e["sensor"] == "A")
+        # The band is checked before any grid header is read: absent.grid
+        # does not exist.
+        doc["entries"].append(dict(first_a, band=band, grid=grid or first_a["grid"]))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"m.json: entries\[{len(doc['entries']) - 1}\]: "
+                           rf"sensor A has no band '{band}' \(bands: Blue, Green, Red, NIR\)"):
+            scan_scene_manifest(path)
+
     def test_missing_band_fails_naming_the_pass_first_entry(self, tmp_path):
         path, _ = write_two_sensor_manifest(tmp_path)
         doc = json.loads(path.read_text())
