@@ -112,13 +112,17 @@ def cmd_features(args) -> int:
 
 
 def cmd_separability(args) -> int:
+    # Only the --source sensor's grids are read.
+    modes = {sensors[0]: mode for mode, sensors in pipe.SENSOR_MODES.items()
+             if len(sensors) == 1}
+    sensor, _, source = args.source.partition("_")
+    if sensor not in modes:
+        raise ValueError(f"--source {args.source}: sensor {sensor!r} is not one of "
+                         f"{', '.join(modes)}")
+    args.sensor_mode = modes[sensor]
     state = pipe.RunState(_load_run_config(args),
                           os.path.dirname(os.path.abspath(args.out)))
     pipe.stage_ingest(state)
-    sensor, _, source = args.source.partition("_")
-    if sensor not in state.cubes:
-        raise ValueError(f"--source {args.source}: sensor {sensor!r} is not loaded "
-                         f"(loaded: {', '.join(sorted(state.cubes))})")
     write_rows_csv(args.out, CURVE_CSV_HEADER,
                    pipe.curve_rows(state, [(sensor, source)]))
     print(f"wrote separability curve for {args.source} to {args.out}")

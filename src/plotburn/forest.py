@@ -6,9 +6,10 @@ step scores the next node of every growing tree over those integer ranks, in
 numpy passes of a bounded number of cells. The splits, thresholds and
 importances are the ones a search of one tree and one float column at a time
 finds. Trees are stored as flat parallel arrays (feature, threshold,
-children, leaf vote fractions). Out-of-bag votes and scores route a group of
-trees at once: the group's node arrays are packed end to end and every
-(row, tree) pair walks down them level by level, one numpy pass per level.
+children, leaf vote fractions). The tree group is the one unit of batching:
+a group grows, then votes on its out-of-bag rows, and scores route a group at
+a time. Routing packs the group's node arrays end to end and walks every
+(row, tree) pair down them level by level, one numpy pass per level.
 Column ranks and imputation medians come from one sort per block of columns.
 Scores are the fraction of trees whose leaf majority votes burned, not a
 calibrated probability.
@@ -95,9 +96,11 @@ _PASS_CELLS = 1 << 13
 # about 0.2 MB over one np.unique per column; 2,048 (16 KB) came within 0.05 MB.
 _SORT_CELLS = 1 << 11
 
-# (row, tree) pairs routed in one pass, which bounds its memory whatever the
-# forest's size: out-of-bag votes and scores route the pairs in tree order,
-# this many at a time.
+# The forest's one batching budget. Training and scoring take the trees in
+# groups of max(1, _ROUTE_PAIRS // n_rows): as many trees as this many
+# bootstrap rows or scored (row, tree) pairs allow, at least one. A group's
+# pairs route this many per pass, so memory stays bounded whatever the
+# forest's size.
 _ROUTE_PAIRS = 1 << 18
 
 
@@ -321,35 +324,17 @@ def _route(trees, X, rows, tree_of):
     return (votes[node, 1] > votes[node, 0]).astype(np.int64)
 
 
-def _vote_counts(trees, X, batches):
-    """(n_rows, 2) class vote counts over the (tree index, rows) batches.
-
-    Batches come in tree order, and trees may still be growing: a tree only
-    has to exist once its batch arrives. The pairs are routed _ROUTE_PAIRS at
-    a time, each pass packing just the trees its pairs use; what is left
-    after the last full pass is routed at the end.
-    """
+def _votes(trees, X, rows):
+    """(n_rows, 2) class vote counts of tree trees[t] on rows rows[t] of X, for
+    every t. The (row, tree) pairs route in tree order, _ROUTE_PAIRS at a time,
+    each pass packing only the trees its pairs use."""
+    tree_of = np.repeat(np.arange(len(trees)), [r.size for r in rows])
+    rows = np.concatenate(rows)
     counts = np.zeros(2 * X.shape[0], dtype=np.int64)
-
-    def route(rows, tree_of):
-        first = tree_of[0]
-        cls = _route(trees[first:tree_of[-1] + 1], X, rows, tree_of - first)
-        counts[:] += np.bincount(2 * rows + cls, minlength=counts.size)
-
-    held, n_held = [], 0
-    for t, rows in batches:
-        held.append((rows, np.full(rows.size, t)))
-        n_held += rows.size
-        if n_held < _ROUTE_PAIRS:
-            continue
-        rows, tree_of = (np.concatenate(a) for a in zip(*held))
-        full = n_held - n_held % _ROUTE_PAIRS
-        for start in range(0, full, _ROUTE_PAIRS):
-            stop = start + _ROUTE_PAIRS
-            route(rows[start:stop], tree_of[start:stop])
-        held, n_held = [(rows[full:], tree_of[full:])], n_held - full
-    if n_held:
-        route(*(np.concatenate(a) for a in zip(*held)))
+    for start in range(0, rows.size, _ROUTE_PAIRS):
+        r, t = rows[start:start + _ROUTE_PAIRS], tree_of[start:start + _ROUTE_PAIRS]
+        counts += np.bincount(2 * r + _route(trees[t[0]:t[-1] + 1], X, r, t - t[0]),
+                              minlength=counts.size)
     return counts.reshape(-1, 2)
 
 
@@ -357,9 +342,13 @@ def train_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
                  params: ForestParams = ForestParams()) -> ForestModel:
     """Bootstrap-sampled Gini trees; deterministic for a given seed.
 
+    Trees grow in groups of max(1, _ROUTE_PAIRS // n_rows), side by side, and
+    each group's out-of-bag rows are routed before the next group grows.
     Importance is the impurity decrease summed per feature across all splits
-    and trees, normalized to sum to 1. Out-of-bag accuracy is recorded when
-    every class keeps at least one out-of-bag row.
+    and trees, normalized to sum to 1. Out-of-bag accuracy is over the rows
+    that at least one tree left out of its bootstrap sample, each called by
+    the majority of those trees (a tie calls unburned); it is None when no
+    row was left out.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -377,23 +366,17 @@ def train_forest(X: np.ndarray, y: np.ndarray, schema: list[str],
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     gains = [0.0] * X.shape[1]
     trees = []
+    oob_votes = np.zeros((n, 2), dtype=np.int64)
     group = max(1, _ROUTE_PAIRS // n)
-
-    def grow():
-        for first in range(0, params.n_trees, group):
-            rngs = [np.random.Generator(np.random.PCG64(s))
-                    for s in seeds[first:first + group]]
-            samples = [rng.integers(0, n, size=n) for rng in rngs]
-            for tree, splits in _grow_trees(X, codes, y, samples, rngs, params.min_leaf):
-                trees.append(tree)
-                for f, gain in splits:
-                    gains[f] += gain
-            for t, sample in enumerate(samples, first):
-                oob = np.ones(n, dtype=bool)
-                oob[sample] = False
-                yield t, np.flatnonzero(oob)
-
-    oob_votes = _vote_counts(trees, X, grow())
+    for first in range(0, params.n_trees, group):
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds[first:first + group]]
+        samples = [rng.integers(0, n, size=n) for rng in rngs]
+        for tree, splits in _grow_trees(X, codes, y, samples, rngs, params.min_leaf):
+            trees.append(tree)
+            for f, gain in splits:
+                gains[f] += gain
+        oob = [np.flatnonzero(np.bincount(s, minlength=n) == 0) for s in samples]
+        oob_votes += _votes(trees[first:], X, oob)
     importance = np.array(gains)
     total = importance.sum()
     if total > 0:
@@ -415,7 +398,9 @@ def predict_scores(model: ForestModel, X: np.ndarray) -> np.ndarray:
     if np.isnan(X).any():
         raise ForestError("features must be imputed before prediction")
     every = np.arange(X.shape[0])
-    votes = _vote_counts(model.trees, X, ((t, every) for t in range(model.n_trees)))
+    group = max(1, _ROUTE_PAIRS // max(1, every.size))
+    groups = [model.trees[first:first + group] for first in range(0, model.n_trees, group)]
+    votes = sum(_votes(trees, X, [every] * len(trees)) for trees in groups)
     return votes[:, 1] / model.n_trees
 
 

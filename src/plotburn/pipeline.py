@@ -38,6 +38,9 @@ SENSOR_MODES = {"combined": ("A", "B"), "A_only": ("A",), "B_only": ("B",)}
 # "none": every feature column.
 SELECTION_MODES = ("importance", "none")
 
+# The RunConfig fields that name input files, each a path or None.
+FILE_FIELDS = ("manifest_path", "plots_path", "events_path", "endmembers_path")
+
 ARTIFACTS = ("features.csv", "importance.csv", "cv_scores.csv", "predictions.csv",
              "confusion_max.csv", "confusion_balanced.csv", "gaps.csv",
              "run_manifest.json")
@@ -71,21 +74,29 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sensor_mode not in SENSOR_MODES:
-            raise ValueError(f"sensor_mode must be one of {tuple(SENSOR_MODES)}")
+        for name in ("out_root", "name", *FILE_FIELDS):
+            value, optional = getattr(self, name), name in FILE_FIELDS
+            if not (isinstance(value, str) or optional and value is None):
+                raise ValueError(f"{name} must be a string{' or null' * optional}, got {value!r}")
+        # A tuple compares an unhashable value, where a dict lookup would raise.
+        if self.sensor_mode not in tuple(SENSOR_MODES):
+            raise ValueError(f"sensor_mode must be one of {tuple(SENSOR_MODES)}, "
+                             f"got {self.sensor_mode!r}")
         if self.selection not in SELECTION_MODES:
             raise ValueError(f"selection must be one of {SELECTION_MODES}, "
                              f"got {self.selection!r}")
         parse_cv_mode(self.cv_mode)
         self.forest_params()
-        for name, low in (("top_k_features", 1), ("max_offset", 0)):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        synthmod.check_numbers(self, ("top_k_features",), 1, integer=True)
+        synthmod.check_numbers(self, ("max_offset",), 0, integer=True)
         if not isinstance(self.include_border, bool):
             raise ValueError(f"include_border must be a boolean, got {self.include_border!r}")
         if not isinstance(self.scenario, (synthmod.ScenarioConfig, type(None))):
             raise ValueError(f"scenario must be a ScenarioConfig, got {self.scenario!r}")
+        files = [name for name in FILE_FIELDS if getattr(self, name)]
+        if self.scenario is not None and files:
+            raise ValueError("a run reads either a scenario or files, not both: "
+                             f"scenario is set, and so is {', '.join(files)}")
         if self.scenario is None and not self.plots_path:
             raise ValueError("need either a scenario or a plots path")
 
@@ -183,13 +194,17 @@ def stage_ingest(state: RunState) -> None:
         # Plots are rasterised from the grid headers, so that only the grid
         # cells they need are converted and held.
         layout = scan_scene_manifest(cfg.manifest_path)
+        # The other sensor's grids go unread; the common grid stays the one
+        # chosen from every sensor, so plots rasterise alike in every mode.
+        passes = tuple(g for g in layout.passes if g.sensor in sensors)
+        if not passes:
+            raise ValueError(f"sensor_mode {cfg.sensor_mode!r} reads sensor "
+                             f"{' or '.join(sensors)}, but {cfg.manifest_path} has only "
+                             f"sensor {', '.join(sorted({g.sensor for g in layout.passes}))}")
+        layout = layout._replace(passes=passes)
         state.plots = read_plots_csv(cfg.plots_path, layout.geom)
         if not state.plots:
             raise FormatError(f"{cfg.plots_path}: the plots file lists no plots")
-        # The other sensor's grids go unread; the common grid stays the one
-        # chosen from every sensor, so plots rasterise alike in every mode.
-        layout = layout._replace(passes=tuple(g for g in layout.passes
-                                              if g.sensor in sensors))
         # The cubes hold the plots' bounding window: every column across it,
         # but of its rows only those plots touch.
         rows = np.unique(np.concatenate([p.rows for p in state.plots]))

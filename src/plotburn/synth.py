@@ -11,6 +11,7 @@ to reproduce. Everything is deterministic for a given seed.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .gridio import (write_endmembers_csv, write_events_csv, write_grid,
                      write_plots_csv, write_rows_csv, write_scene_manifest)
 from .indices import EndmemberSet
 from .scene import (MASKED_FILL, SENSOR_BANDS, BandObservation, GridGeometry,
-                    Plot, SceneCube, SceneError, make_plot)
+                    Plot, SceneCube, make_plot)
 
 HA_IN_M2 = 10000.0
 
@@ -75,20 +76,41 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (type(self.n_plots) is bool or not isinstance(self.n_plots, (int, np.integer))
-                or self.n_plots < 1):
-            raise ValueError(f"n_plots must be an integer of at least 1, got {self.n_plots!r}")
-        for name in ("resolution", "plot_area_mean_ha", "plot_area_median_ha"):
-            value = getattr(self, name)
-            if (type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating))
-                    or not value > 0):
-                raise ValueError(f"{name} must be a number greater than 0, got {value!r}")
-        if not (0.0 <= self.burn_probability <= 1.0):
-            raise SceneError("burn probability must be in [0, 1]")
-        if self.char_half_life_vis <= 0 or self.char_half_life_ir <= 0:
-            raise SceneError("char half-life must be positive")
-        if self.revisit_a <= 0 or self.revisit_b <= 0:
-            raise SceneError("sensor cadences must be positive")
+        check_numbers(self, ("n_plots",), 1, integer=True)
+        check_numbers(self, ("n_cloud_events", "seed"), 0, integer=True)
+        check_numbers(self, ("resolution", "plot_area_mean_ha", "plot_area_median_ha",
+                             "char_half_life_vis", "char_half_life_ir", "revisit_a",
+                             "revisit_b"), 0, above=True)
+        check_numbers(self, ("burn_probability", "cloud_dropout_a", "cloud_dropout_b",
+                             "unlabeled_fraction"), 0, 1)
+        check_numbers(self, ("noise_sd_a", "plot_jitter_common_sd", "plot_jitter_band_sd"), 0)
+        levels = self.pre_levels
+        if levels is not None and not (isinstance(levels, dict) and set(levels) == set(PRE_LEVELS)
+                                       and all(_is_number(v) for v in levels.values())):
+            raise ValueError(f"pre_levels must be null or a finite number for each of "
+                             f"{', '.join(PRE_LEVELS)}, got {levels!r}")
+
+
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def _is_number(value, kinds=_NUMBER) -> bool:
+    return type(value) is not bool and isinstance(value, kinds) and -math.inf < value < math.inf
+
+
+def check_numbers(obj, names, low, high=math.inf, *, integer=False, above=False) -> None:
+    """Raise a ValueError naming the first of obj's fields in names that is not
+    an integer (or, unless integer, a finite number) of at least low (above
+    low, where above) and at most high."""
+    what = ("an integer of at least" if integer else "a number greater than" if above
+            else "a number of at least") + f" {low}"
+    if high < math.inf:
+        what = f"a number in [{low}, {high}]"
+    for name in names:
+        value = getattr(obj, name)
+        if (not _is_number(value, (int, np.integer) if integer else _NUMBER)
+                or not (low < value if above else low <= value) or not value <= high):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import plotburn
+from plotburn import pipeline as pipe
 from plotburn.cli import _load_run_config, build_parser, main
 from plotburn.gridio import read_rows_csv, write_rows_csv
 from plotburn.synth import ScenarioConfig
@@ -166,6 +167,30 @@ class TestStageCommands:
         assert header == ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
         assert len(rows) == 5
 
+
+    def test_separability_reads_only_the_source_sensor(self, scene_dir, tmp_path,
+                                                       monkeypatch):
+        from plotburn import gridio
+
+        entries = json.loads((scene_dir / "scene_manifest.json").read_text())["entries"]
+        real_read_grid = gridio.read_grid
+        read = []
+
+        def counting_read_grid(path, rows=None, cols=None):
+            read.append(os.path.basename(path))
+            return real_read_grid(path, rows, cols)
+
+        monkeypatch.setattr(gridio, "read_grid", counting_read_grid)
+        for sensor, source in (("A", "A_CI"), ("B", "B_MIRBI")):
+            read.clear()
+            assert main(["separability",
+                         "--manifest", str(scene_dir / "scene_manifest.json"),
+                         "--plots", str(scene_dir / "plots.csv"),
+                         "--events", str(scene_dir / "events.csv"),
+                         "--source", source, "--out", str(tmp_path / "curve.csv")]) == 0
+            files = {f for e in entries if e["sensor"] == sensor
+                     for f in (e["grid"], e["mask"]) if f}
+            assert sorted(read) == sorted(os.path.basename(f) for f in files)
 
     def test_separability_unloaded_sensor_is_an_error(self, scene_dir, tmp_path,
                                                       capsys):
@@ -362,6 +387,53 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "runs").exists()
+
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"scenario": {"burn_probability": "0.5"}},
+         "burn_probability must be a number in [0, 1], got '0.5'"),
+        ({"scenario": {"char_half_life_vis": None}},
+         "char_half_life_vis must be a number greater than 0, got None"),
+        ({"scenario": {"n_cloud_events": 2.5}},
+         "n_cloud_events must be an integer of at least 0, got 2.5"),
+        ({"scenario": SCENARIO_DOC, "sensor_mode": ["A"]}, "sensor_mode must be one of"),
+        ({"scenario": SCENARIO_DOC, "name": 5}, "name must be a string, got 5"),
+        ({"scenario": SCENARIO_DOC, "plots_path": "plots.csv"},
+         "not both: scenario is set, and so is plots_path"),
+    ], ids=["probability-string", "half-life-null", "events-float", "mode-list",
+            "name-number", "scenario-and-plots"])
+    def test_config_field_of_the_wrong_type_is_an_error(self, tmp_path, capsys, cfg, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out-root", str(tmp_path / "runs")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_synth_flag_with_files_is_an_error(self, scene_dir, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(pipe, "run_pipeline", lambda config: pytest.fail("a run started"))
+        rc = main(["run", "--synth", "--manifest", str(scene_dir / "scene_manifest.json"),
+                   "--out-root", str(tmp_path / "runs")])
+        assert rc == 1
+        assert ("error: a run reads either a scenario or files, not both: scenario is set, "
+                "and so is manifest_path") in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_mode_the_manifest_cannot_serve_fails_at_ingest(self, scene_dir, tmp_path,
+                                                            capsys):
+        doc = json.loads((scene_dir / "scene_manifest.json").read_text())
+        doc["entries"] = [dict(e, grid=str(scene_dir / e["grid"]),
+                               mask=e["mask"] and str(scene_dir / e["mask"]))
+                          for e in doc["entries"] if e["sensor"] == "A"]
+        manifest = tmp_path / "a_only.json"
+        manifest.write_text(json.dumps(doc))
+        rc = main(["run", "--manifest", str(manifest), "--plots", str(scene_dir / "plots.csv"),
+                   "--sensor-mode", "B_only", "--out-root", str(tmp_path / "runs")])
+        assert rc == 1
+        assert (f"error: stage 'ingest' failed: sensor_mode 'B_only' reads sensor B, "
+                f"but {manifest} has only sensor A") in capsys.readouterr().err
 
 
 class TestEntryPoint:

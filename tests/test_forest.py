@@ -287,6 +287,20 @@ class TestExactSplitSearch:
         assert sum(f >= 0 for _, f, _ in got) > 250
         assert peak <= 24 * 8 * forest._PASS_CELLS
 
+    def test_a_later_candidate_must_win_by_more_than_1e_15(self):
+        # Both cuts decrease the Gini impurity of 3 burned rows in 10 by 0.02,
+        # up to rounding: the later column's cut reads 1.1e-16 more, so only
+        # the 1e-15 margin keeps the earlier column.
+        X = np.array([[0, 0]] * 2 + [[1, 0]] * 3 + [[1, 1]] * 5, dtype=float)
+        y = np.array([1, 0, 0, 0, 0, 1, 1, 0, 0, 0])
+        rows, codes = np.arange(10), forest._rank_codes(X)
+        (first,), (second,) = (forest._best_splits(X, codes, y, [(rows, [j])], 2)
+                               for j in (0, 1))
+        assert (first[0], second[0]) == (0.020000000000000018, 0.02000000000000013)
+        (got,) = forest._best_splits(X, codes, y, [(rows, [0, 1])], 2)
+        assert got == first == oracle_best_split(X, y, rows, [0, 1], 2)
+        assert got[1] == 0 and got[2] == 0.5
+
     def test_ranks_share_signed_zero_and_fit_the_row_count(self):
         X = np.array([[0.0, 3.0], [-0.0, 1.0], [2.5, 1.0], [-1.0, 3.0]])
         codes = forest._rank_codes(X)
@@ -422,8 +436,11 @@ class TestPrediction:
         assert 0 < want.sum() < want.size
         assert max(t.n_nodes for t in model.trees) > 3
 
-    @pytest.mark.parametrize("cap", [1, 100], ids=["one-pair", "mid-forest"])
-    def test_routing_passes_hold_at_most_the_cap(self, monkeypatch, cap):
+    @pytest.mark.parametrize("cap, score_passes", [
+        (1, [(1, 1)] * 23 * 9),
+        (100, [(92, 4), (92, 4), (23, 1)]),
+    ], ids=["one-pair", "mid-forest"])
+    def test_routing_passes_hold_at_most_the_cap(self, monkeypatch, cap, score_passes):
         X, y = separable_data(n=90, margin=1.0, seed=20)
         probe = np.random.default_rng(6).normal(0, 2, size=(23, X.shape[1]))
         params = ForestParams(9, min_leaf=2, seed=4)
@@ -443,18 +460,31 @@ class TestPrediction:
         capped = train_forest(X, y, schema_for(X.shape[1]), params)
         oob_calls, calls[:] = list(calls), []
         capped_scores = predict_scores(capped, probe)
-        for group in (oob_calls, calls):
-            # One call per group: every group but the last holds the cap.
-            pairs = [size for size, _ in group]
-            assert max(pairs) <= cap and all(p == cap for p in pairs[:-1])
-        assert sum(size for size, _ in calls) == 23 * params.n_trees
-        # Groups end inside the forest, and some inside a tree's pairs: that
-        # tree is packed by two passes.
-        assert len(oob_calls) > 1 and sum(n for _, n in oob_calls) > params.n_trees
+        # 90 rows grow one tree per group, and its out-of-bag pairs route in
+        # passes of at most the cap; scores route groups of cap // 23 trees.
+        assert max(size for size, _ in oob_calls) <= cap
+        assert all(n == 1 for _, n in oob_calls) and len(oob_calls) >= params.n_trees
+        assert calls == score_passes
         assert capped.oob_accuracy == model.oob_accuracy
         assert np.array_equal(bits(capped.importance), bits(model.importance))
         assert_same_trees(capped, model)
         assert np.array_equal(capped_scores, scores)
+
+    def test_a_pass_packs_the_trees_its_pairs_span(self, monkeypatch):
+        X, y = separable_data(n=90, margin=1.0, seed=20)
+        model = train_forest(X, y, schema_for(X.shape[1]), ForestParams(3, seed=4))
+        rows = [np.arange(23), np.arange(40, 63), np.arange(23)]
+        want = forest._votes(model.trees, X, rows)
+        oracle = sum(np.bincount(2 * r + oracle_predict_class(t, X, r), minlength=180)
+                     for t, r in zip(model.trees, rows)).reshape(-1, 2)
+        real_route = forest._route
+        calls = []
+        monkeypatch.setattr(forest, "_ROUTE_PAIRS", 50)
+        monkeypatch.setattr(forest, "_route",
+                            lambda t, *a: calls.append((a[1].size, len(t))) or real_route(t, *a))
+        assert np.array_equal(forest._votes(model.trees, X, rows), want)
+        assert np.array_equal(want, oracle)
+        assert calls == [(50, 3), (19, 1)]
 
     def test_whole_forest_routes_in_one_pass_under_the_cap(self, monkeypatch):
         X, y = separable_data(n=60, seed=21)

@@ -70,6 +70,8 @@ def test_every_forest_is_trained_through_the_traced_names(worker, tmp_path):
         tracer.restore()
     # The ranking forest, one per fold and the final forest.
     assert tracer.counts["forest.train.calls"] == 1 + 2 + 1
+    # Every forest records its out-of-bag accuracy once.
+    assert tracer.counts["forest.oob_models"] == tracer.counts["forest.train.calls"]
     assert tracer.counts["cv.folds"] == 2
     assert tracer.inclusive()["forest.impute"] > 0
 

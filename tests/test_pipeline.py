@@ -394,15 +394,26 @@ class TestConfigRoundTrip:
                              ("n_trees", "5"), ("top_k_features", 0), ("min_leaf", 0),
                              ("max_offset", -1), ("seed", "1"), ("seed", -1),
                              ("seed", 1.0), ("seed", True), ("include_border", "false"),
-                             ("include_border", 1)]:
+                             ("include_border", 1), ("out_root", 5), ("name", None),
+                             ("manifest_path", 3), ("events_path", ["e.csv"]),
+                             ("sensor_mode", ["A"])]:
             with pytest.raises(ValueError, match=field):
-                RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **{field: value})
+                RunConfig(**{"out_root": str(tmp_path), "scenario": SCENARIO, field: value})
         for field, value in [("cv_mode", "auto"), ("cv_mode", "loocv"),
                              ("cv_mode", "grouped:1"), ("n_trees", 1),
                              ("top_k_features", 1), ("min_leaf", 1), ("max_offset", 0),
                              ("seed", 0), ("seed", np.int64(7)),
                              ("include_border", False)]:
             RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **{field: value})
+
+    @pytest.mark.parametrize("files", [
+        {"manifest_path": "m.json"}, {"plots_path": "p.csv"},
+        {"events_path": "e.csv", "endmembers_path": "em.csv"},
+    ])
+    def test_scenario_and_files_are_not_both_named(self, tmp_path, files):
+        with pytest.raises(ValueError, match=f"not both: scenario is set, and so is "
+                                             f"{', '.join(files)}$"):
+            RunConfig(out_root=str(tmp_path), scenario=SCENARIO, **files)
 
 
 class TestAblations:

@@ -45,7 +45,12 @@ class TestGenerate:
         ("n_plots", 0), ("n_plots", -3), ("n_plots", 2.0), ("n_plots", True),
         ("resolution", 0.0), ("resolution", -3.0), ("plot_area_mean_ha", 0.0),
         ("plot_area_median_ha", 0), ("plot_area_median_ha", float("nan")),
-        ("plot_area_mean_ha", "1.4"),
+        ("plot_area_mean_ha", "1.4"), ("burn_probability", "0.5"), ("burn_probability", 1.5),
+        ("cloud_dropout_b", -0.1), ("unlabeled_fraction", float("nan")),
+        ("char_half_life_vis", None), ("char_half_life_ir", 0.0), ("revisit_a", float("inf")),
+        ("revisit_b", [5.0]), ("n_cloud_events", 1.5), ("n_cloud_events", -1),
+        ("noise_sd_a", -0.01), ("plot_jitter_common_sd", True), ("plot_jitter_band_sd", "0"),
+        ("seed", -1), ("seed", 2.0), ("pre_levels", {"NIR": 0.3}), ("pre_levels", [0.3]),
     ])
     def test_bad_sizes_rejected_when_made(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
