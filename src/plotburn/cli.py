@@ -106,6 +106,9 @@ def cmd_features(args) -> int:
     state = _stage_state(args, _load_run_config(args))
     pipe.stage_ingest(state)
     pipe.stage_features(state)
+    error = pipe.join_writers(state)
+    if error:
+        raise error
     print(f"wrote {len(state.table)} feature rows to "
           f"{os.path.join(args.out, 'features.csv')}")
     return 0

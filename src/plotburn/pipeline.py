@@ -4,6 +4,14 @@ Every run lands in its own directory named after a hash of the configuration;
 reruns with the same configuration produce byte-identical CSV artifacts. CSV
 and model files carry full-precision floats, and all orderings are explicit,
 so determinism only depends on the seed in the configuration.
+
+No later stage reads features.csv, so the features stage hands its write to a
+forked child (write_in_child) and separability, training, thresholds and the
+report run while it writes. run_pipeline joins the child (join_writers) before
+it calls the run complete: a failed write fails the features stage, and the
+manifest records under writers["features.csv"] the child's CPU seconds, its
+peak RSS and how long the run waited for it. Without os.fork the file is
+written inline.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +88,11 @@ class RunConfig:
             value, optional = getattr(self, name), name in FILE_FIELDS
             if not (isinstance(value, str) or optional and value is None):
                 raise ValueError(f"{name} must be a string{' or null' * optional}, got {value!r}")
+        # The run directory is <out_root>/<name>-<hash>: a name with a separator,
+        # or "." or "..", would put it elsewhere.
+        if (self.name in ("", ".", "..")
+                or any(sep and sep in self.name for sep in (os.sep, os.altsep))):
+            raise ValueError(f"name must be one path component, got {self.name!r}")
         # A tuple compares an unhashable value, where a dict lookup would raise.
         if self.sensor_mode not in tuple(SENSOR_MODES):
             raise ValueError(f"sensor_mode must be one of {tuple(SENSOR_MODES)}, "
@@ -133,14 +148,18 @@ def config_from_dict(doc: dict, source: str = "the run config") -> RunConfig:
 
 
 def allocate_run_dir(config: RunConfig) -> str:
-    base = f"{config.name}-{config.config_hash()}"
-    candidate = os.path.join(config.out_root, base)
-    suffix = 1
-    while os.path.exists(candidate):
-        suffix += 1
-        candidate = os.path.join(config.out_root, f"{base}-{suffix}")
-    os.makedirs(candidate)
-    return candidate
+    """A new directory <name>-<hash> under out_root, or <name>-<hash>-<n> for
+    the first n from 2 up not taken; os.makedirs claims it, so two runs started
+    together never share one."""
+    base = os.path.join(config.out_root, f"{config.name}-{config.config_hash()}")
+    candidate, suffix = base, 1
+    while True:
+        try:
+            os.makedirs(candidate)
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = f"{base}-{suffix}"
 
 
 @dataclass
@@ -162,6 +181,68 @@ class RunState:
     choice_balanced: object = None
     predictions: list = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
+    # File name -> the _Writer writing it, from write_in_child to join_writers.
+    writers: dict = field(default_factory=dict)
+
+
+class _Writer(NamedTuple):
+    stage: str
+    pid: int
+    errors: int  # read end of the pipe the child sends its error text through
+
+
+def write_in_child(state: RunState, stage: str, name: str, write, *args) -> None:
+    """write(<run_dir>/<name>, *args) in a forked child, on its copy-on-write
+    snapshot of args, while the caller goes on; join_writers reaps it and
+    fails stage if the write failed. Without os.fork, write inline.
+
+    The child holds only the forking thread, so write must take no lock that
+    another thread could hold. The pipeline starts no threads of its own, and
+    write_feature_csv makes no BLAS call, so numpy's threads never matter."""
+    path = os.path.join(state.run_dir, name)
+    if not hasattr(os, "fork"):
+        write(path, *args)
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns into the caller's code, and never flushes
+        # the buffered files it shares with the parent.
+        code = 1
+        try:
+            os.close(read_end)
+            write(path, *args)
+            code = 0
+        except BaseException as exc:
+            os.write(write_end, (str(exc) or type(exc).__name__).encode())
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    state.writers[name] = _Writer(stage, pid, read_end)
+
+
+def join_writers(state: RunState) -> PipelineError | None:
+    """Reap every child write_in_child started and record its cost under
+    manifest["writers"][name]: CPU seconds, peak RSS and the seconds spent
+    waiting for it here. A failed write marks its stage failed; the error of
+    the first is returned."""
+    error = None
+    for name, writer in state.writers.items():
+        t0 = time.perf_counter()
+        with os.fdopen(writer.errors, "rb") as pipe:
+            message = pipe.read().decode(errors="replace")
+        _, status, usage = os.wait4(writer.pid, 0)
+        state.manifest.setdefault("writers", {})[name] = {
+            "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024,
+            "wait_s": time.perf_counter() - t0}
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            cause = RuntimeError(f"writing {name}: {message or f'exit status {code}'}")
+            state.manifest.setdefault("stages", {})[writer.stage] = f"failed: {cause}"
+            error = error or PipelineError(writer.stage, cause)
+    state.writers.clear()
+    return error
 
 
 def _confusion_rows(choice, kappa: float):
@@ -251,7 +332,7 @@ def stage_features(state: RunState) -> None:
         state.cubes.get("A"), state.cubes.get("B"), state.plots,
         list(ALL_INDICES), include_border=cfg.include_border,
         endmembers=state.endmembers)
-    feats.write_feature_csv(os.path.join(state.run_dir, "features.csv"), state.table)
+    write_in_child(state, "features", "features.csv", feats.write_feature_csv, state.table)
 
 
 DEFAULT_CURVE_SOURCES = (("A", "CI"), ("A", "NIR"), ("B", "MIRBI"),
@@ -396,9 +477,14 @@ def run_pipeline(config: RunConfig) -> str:
                 state.manifest["stages"][name] = f"failed: {exc}"
                 raise PipelineError(name, exc) from exc
             state.manifest["stages"][name] = "ok"
+        error = join_writers(state)
+        if error:
+            raise error
         state.manifest["incomplete"] = False
         state.manifest["artifacts"] = sorted(os.listdir(run_dir) + ["run_manifest.json"])
     finally:
+        # After a failed stage: reap the writers, and keep that stage's error.
+        join_writers(state)
         with open(os.path.join(run_dir, "run_manifest.json"), "w") as fh:
             json.dump(state.manifest, fh, indent=1, sort_keys=True, default=str)
             fh.write("\n")

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import plotburn
+from plotburn import features as feats
 from plotburn import pipeline as pipe
 from plotburn.cli import _load_run_config, build_parser, main
 from plotburn.gridio import read_rows_csv, write_rows_csv
@@ -121,6 +122,19 @@ class TestStageCommands:
         for name, stage_dir in chain.items():
             assert ((stage_dir / name).read_bytes()
                     == (run_dir / name).read_bytes()), name
+
+    def test_failed_feature_write_is_an_error(self, scene_dir, tmp_path, capsys,
+                                              monkeypatch):
+        def full(path, table):
+            raise OSError("disk full")
+        monkeypatch.setattr(feats, "write_feature_csv", full)
+        rc = main(["features", "--manifest", str(scene_dir / "scene_manifest.json"),
+                   "--plots", str(scene_dir / "plots.csv"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: stage 'features' failed: "
+                                           "writing features.csv: disk full\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_chain_reproduces_a_run_with_non_default_flags(self, scene_dir, tmp_path):
         manifest = str(scene_dir / "scene_manifest.json")

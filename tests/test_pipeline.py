@@ -1,19 +1,20 @@
 import dataclasses
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import load_forest
-from plotburn import cv, pipeline
+from plotburn import cv, features, pipeline
 from plotburn.features import FeatureTable, read_feature_csv, table_matrix
 from plotburn.forest import apply_impute, fit_impute_medians, predict_scores
 from plotburn.gridio import read_rows_csv
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
-                               RunState, compare_ablations, config_from_dict, run_pipeline,
-                               stage_ingest, stage_train)
+                               RunState, allocate_run_dir, compare_ablations,
+                               config_from_dict, run_pipeline, stage_ingest, stage_train)
 from plotburn.synth import PRE_LEVELS, ScenarioConfig
 from plotburn.thresholds import aggregate_plot
 
@@ -323,6 +324,135 @@ class TestRunPipeline:
             assert float(mean_score) == float(scores[interior].mean())
 
 
+def small_config(tmp_path, **overrides):
+    return base_config(tmp_path, scenario=dataclasses.replace(SCENARIO, n_plots=10,
+                                                              burn_probability=0.5),
+                       n_trees=5, cv_mode="grouped:3", **overrides)
+
+
+def read_manifest(out_root):
+    (run_dir,) = os.listdir(out_root)
+    with open(os.path.join(out_root, run_dir, "run_manifest.json")) as fh:
+        return json.load(fh)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFeatureWriter:
+    """features.csv is written by a forked child while the later stages run."""
+
+    def test_file_is_write_feature_csv_of_the_table(self, tmp_path, monkeypatch):
+        tables = []
+
+        def recording_build(*args, _build=features.build_feature_table, **kwargs):
+            tables.append(_build(*args, **kwargs))
+            return tables[-1]
+        monkeypatch.setattr(features, "build_feature_table", recording_build)
+        run_dir = run_pipeline(small_config(tmp_path / "runs"))
+        assert_no_child_left()
+        features.write_feature_csv(tmp_path / "inline.csv", tables[0])
+        with open(os.path.join(run_dir, "features.csv"), "rb") as fh:
+            assert fh.read() == (tmp_path / "inline.csv").read_bytes()
+        record = read_manifest(tmp_path / "runs")["writers"]["features.csv"]
+        assert sorted(record) == ["cpu_s", "peak_rss_mb", "wait_s"]
+        assert all(value >= 0 for value in record.values())
+        assert record["peak_rss_mb"] > 0
+
+    def test_failed_write_fails_the_features_stage(self, tmp_path, monkeypatch):
+        def full(path, table):
+            raise OSError("disk full")
+        monkeypatch.setattr(features, "write_feature_csv", full)
+        with pytest.raises(PipelineError, match="stage 'features' failed") as err:
+            run_pipeline(small_config(tmp_path))
+        assert_no_child_left()
+        assert err.value.stage == "features"
+        manifest = read_manifest(tmp_path)
+        assert manifest["stages"]["features"] == "failed: writing features.csv: disk full"
+        # The later stages ran while the child wrote.
+        assert manifest["stages"]["report"] == "ok"
+        assert manifest["incomplete"] is True
+        assert "artifacts" not in manifest
+        assert "features.csv" in manifest["writers"]
+
+    def test_stage_failing_during_the_write_is_the_run_error(self, tmp_path, monkeypatch):
+        def slow(path, table, _write=features.write_feature_csv):
+            time.sleep(0.3)
+            _write(path, table)
+
+        def broken(state):
+            raise ValueError("train broke")
+        monkeypatch.setattr(features, "write_feature_csv", slow)
+        monkeypatch.setattr(pipeline, "STAGES", tuple(
+            (name, broken if name == "train" else fn) for name, fn in pipeline.STAGES))
+        with pytest.raises(PipelineError, match="train broke") as err:
+            run_pipeline(small_config(tmp_path))
+        assert_no_child_left()
+        assert err.value.stage == "train"
+        manifest = read_manifest(tmp_path)
+        assert manifest["stages"]["features"] == "ok"
+        assert manifest["stages"]["train"] == "failed: train broke"
+        assert manifest["incomplete"] is True
+        # The run waited for the write before it wrote its manifest.
+        assert "features.csv" in manifest["writers"]
+        assert read_feature_csv(os.path.join(tmp_path, os.listdir(tmp_path)[0],
+                                             "features.csv")).X.shape[0] > 0
+
+    def test_child_never_returns_into_the_caller(self, tmp_path, monkeypatch):
+        def leave(path, table):
+            raise SystemExit()
+        monkeypatch.setattr(features, "write_feature_csv", leave)
+        after = tmp_path / "after.txt"
+        # A child that got out of the writer would come through here too.
+        error = None
+        try:
+            run_pipeline(small_config(tmp_path / "runs"))
+        except BaseException as exc:
+            error = exc
+        with open(after, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        assert_no_child_left()
+        assert after.read_text() == f"{os.getpid()}\n"
+        assert isinstance(error, PipelineError) and error.stage == "features"
+        assert read_manifest(tmp_path / "runs")["stages"]["features"] == \
+            "failed: writing features.csv: SystemExit"
+
+    def test_without_fork_the_file_is_written_inline(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        state = RunState(small_config(tmp_path), str(tmp_path))
+        stage_ingest(state)
+        pipeline.stage_features(state)
+        assert state.writers == {}
+        assert pipeline.join_writers(state) is None
+        assert read_feature_csv(tmp_path / "features.csv").X.shape == state.table.X.shape
+
+
+class TestRunDirectory:
+    def test_next_free_suffix(self, tmp_path):
+        config = small_config(tmp_path)
+        base = os.path.join(tmp_path, f"run-{config.config_hash()}")
+        os.makedirs(base)
+        os.makedirs(f"{base}-2")
+        assert allocate_run_dir(config) == f"{base}-3"
+        assert os.path.isdir(f"{base}-3")
+
+    def test_directory_taken_before_the_claim(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path)
+        base = os.path.join(tmp_path, f"run-{config.config_hash()}")
+        calls = []
+
+        def racing_makedirs(path, *args, _makedirs=os.makedirs, **kwargs):
+            if not calls:
+                _makedirs(path)  # another run claims it first
+            calls.append(path)
+            return _makedirs(path, *args, **kwargs)
+        monkeypatch.setattr(os, "makedirs", racing_makedirs)
+        assert allocate_run_dir(config) == f"{base}-2"
+        assert calls == [base, f"{base}-2"]
+
+
 class TestTrainMemory:
     def test_stage_train_holds_one_labeled_copy(self, tmp_path):
         # 20,000 rows x 423 columns in 40 labeled plots, 5% of values missing.
@@ -395,6 +525,8 @@ class TestConfigRoundTrip:
                              ("max_offset", -1), ("seed", "1"), ("seed", -1),
                              ("seed", 1.0), ("seed", True), ("include_border", "false"),
                              ("include_border", 1), ("out_root", 5), ("name", None),
+                             ("name", "../escaped"), ("name", "/tmp/abs"), ("name", ""),
+                             ("name", "."), ("name", ".."),
                              ("manifest_path", 3), ("events_path", ["e.csv"]),
                              ("sensor_mode", ["A"])]:
             with pytest.raises(ValueError, match=field):
