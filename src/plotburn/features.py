@@ -21,7 +21,7 @@ import numpy as np
 from .gridio import FormatError
 from .indices import (ALL_INDICES, INDEX_REGISTRY, EndmemberSet, compute_index,
                       indices_for_bands)
-from .scene import SENSOR_BANDS, Plot, SceneCube
+from .scene import SENSOR_BANDS, Plot, SceneCube, plot_pixels
 
 STAT_NAMES = ("min", "max", "mean", "median", "p10", "p20", "p80", "p90")
 VDIFF_NAMES = ("drop0", "drop1", "drop2", "spike0", "spike1", "spike2")
@@ -178,11 +178,8 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
     has_border = any(p.border.any() for p in plots)
     schema = feature_schema([c.sensor for c in cubes], indices, has_border)
     col = {name: j for j, name in enumerate(schema)}
-    n_px = [p.n_pixels for p in plots]
-    empty = [np.zeros(0, dtype=np.int64)]
-    rows = np.concatenate([p.rows for p in plots] or empty)
-    cols = np.concatenate([p.cols for p in plots] or empty)
-    plot_id = np.repeat(np.array([p.plot_id for p in plots], dtype=object), n_px)
+    rows, cols, bounds = plot_pixels(plots)
+    plot_id = np.repeat(np.array([p.plot_id for p in plots], dtype=object), np.diff(bounds))
     pixel_id = np.array([f"{p}_{r}_{c}" for p, r, c in
                          zip(plot_id, rows.tolist(), cols.tolist())], dtype=object)
     X = np.full((rows.size, len(schema)), np.nan)
@@ -210,8 +207,8 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
                 stats = temporal_columns(joined).reshape(len(group), n, -1)
                 X[block, first:stop] = stats.transpose(1, 0, 2).reshape(n, -1)
     n_obs = X[:, [col[f"n_obs_{c.sensor}"] for c in cubes]]
-    for plot, stop in zip(plots, np.cumsum(n_px)):
-        if not n_obs[stop - plot.n_pixels:stop].any():
+    for plot, start, stop in zip(plots, bounds[:-1], bounds[1:]):
+        if not n_obs[start:stop].any():
             warnings.warn(f"plot {plot.plot_id} has no valid observations; "
                           "emitting all-missing rows")
     return FeatureTable(X, schema, plot_id, pixel_id)

@@ -126,7 +126,10 @@ def compute_index(name: str, bands: dict, *, endmembers: "EndmemberSet | None" =
     if name == "BASMA":
         if endmembers is None:
             raise IndexError_("BASMA needs an EndmemberSet")
-        spectra = np.stack([np.asarray(bands[b], dtype=float) for b in SWIR_SET], axis=-1)
+        # Filled band by band: np.stack of float copies would hold two copies.
+        spectra = np.empty(np.shape(bands[SWIR_SET[0]]) + (len(SWIR_SET),))
+        for j, band in enumerate(SWIR_SET):
+            spectra[..., j] = bands[band]
         return unmix_char_fraction(spectra, endmembers)[..., 2]
     return spec.fn(bands)
 
@@ -198,7 +201,8 @@ def unmix_char_fraction(spectrum: np.ndarray, endmembers: EndmemberSet) -> np.nd
         feasible = (cand >= -1e-10).all(axis=1)
         if not feasible.any():
             continue
-        resid = work - cand @ Es.T
+        resid = cand @ Es.T
+        np.subtract(work, resid, out=resid)
         res = np.einsum("ij,ij->i", resid, resid)
         better = feasible & (res < best_res - 1e-15)
         if better.any():

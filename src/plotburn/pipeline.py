@@ -12,6 +12,10 @@ it calls the run complete: a failed write fails the features stage, and the
 manifest records under writers["features.csv"] the child's CPU seconds, its
 peak RSS and how long the run waited for it. Without os.fork the file is
 written inline.
+
+The manifest also records each stage's cost under stage_costs[stage]: its
+wall seconds, its CPU seconds (this process and its reaped children) and the
+process's peak RSS when the stage ended, for a failed stage too.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -462,20 +467,34 @@ STAGES = (("ingest", stage_ingest), ("gaps", stage_gaps),
           ("report", stage_report))
 
 
+def _usage() -> tuple[float, float, float]:
+    """(wall s, CPU s of this process and its reaped children, peak RSS MB)."""
+    own, children = (resource.getrusage(who)
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    cpu = own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
+    return time.perf_counter(), cpu, own.ru_maxrss / 1024
+
+
 def run_pipeline(config: RunConfig) -> str:
     """Execute every stage into a fresh run directory; returns its path."""
     run_dir = allocate_run_dir(config)
     state = RunState(config, run_dir)
     state.manifest = {"config": dataclasses.asdict(config),
                       "config_hash": config.config_hash(),
-                      "seed": config.seed, "stages": {}, "incomplete": True}
+                      "seed": config.seed, "stages": {}, "stage_costs": {},
+                      "incomplete": True}
     try:
         for name, fn in STAGES:
+            wall0, cpu0, _ = _usage()
             try:
                 fn(state)
             except Exception as exc:
                 state.manifest["stages"][name] = f"failed: {exc}"
                 raise PipelineError(name, exc) from exc
+            finally:
+                wall, cpu, peak = _usage()
+                state.manifest["stage_costs"][name] = {
+                    "wall_s": wall - wall0, "cpu_s": cpu - cpu0, "peak_rss_mb": peak}
             state.manifest["stages"][name] = "ok"
         error = join_writers(state)
         if error:

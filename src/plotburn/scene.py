@@ -266,15 +266,39 @@ def rasterize_plot(polygon, geom: GridGeometry):
     return rows[order], cols[order], border[order]
 
 
+def plot_pixels(plots: list[Plot]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, bounds) of every plot's pixels end to end: plot i holds
+    rows[bounds[i]:bounds[i + 1]] and the same slice of cols."""
+    empty = [np.zeros(0, dtype=np.intp)]
+    rows = np.concatenate(empty + [p.rows for p in plots if p.n_pixels])
+    cols = np.concatenate(empty + [p.cols for p in plots if p.n_pixels])
+    bounds = np.concatenate(([0], np.cumsum([p.n_pixels for p in plots], dtype=np.intp)))
+    return rows, cols, bounds
+
+
+def observed_from_valid(valid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(..., n_plots) bool of a (..., n_px) valid stack whose plot i holds
+    pixels bounds[i]:bounds[i + 1]: the plot_observed rule.
+
+    A plot's valid count over its pixel count is the float its bool array's
+    mean() gives, so the rule reads alike for one plot and for many."""
+    counts = np.zeros(valid.shape[:-1] + (valid.shape[-1] + 1,), dtype=np.intp)
+    np.cumsum(valid, axis=-1, out=counts[..., 1:])
+    counts = counts[..., bounds[1:]] - counts[..., bounds[:-1]]
+    sizes = np.diff(bounds)
+    return (sizes > 0) & (counts / np.maximum(sizes, 1) >= PLOT_VALID_FRACTION)
+
+
 def plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:
     """(len(plots), n_obs) bool: at least PLOT_VALID_FRACTION of the plot's
-    pixels are valid in that pass; never true for a plot without pixels."""
+    pixels are valid in that pass; never true for a plot without pixels.
+    Each pass gathers every plot's pixels at once."""
     observed = np.zeros((len(plots), len(cube.observations)), dtype=bool)
-    for i, plot in enumerate(plots):
-        if plot.n_pixels:
-            at = cube.index(plot.rows, plot.cols)
-            observed[i] = [o.valid[at].mean() >= PLOT_VALID_FRACTION
-                           for o in cube.observations]
+    rows, cols, bounds = plot_pixels(plots)
+    if rows.size:
+        at = cube.index(rows, cols)
+        for t, o in enumerate(cube.observations):
+            observed[:, t] = observed_from_valid(o.valid[at], bounds)
     return observed
 
 

@@ -2,10 +2,12 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from plotburn.features import pixel_stack, source_values
 from plotburn.forest import FOREST_MAGIC, ForestError, ForestModel, ForestParams, Tree
-from plotburn.scene import (MASKED_FILL, SENSOR_BANDS, BandObservation, GridGeometry, Plot,
-                            SceneCube)
+from plotburn.scene import (MASKED_FILL, PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
+                            GridGeometry, Plot, SceneCube)
 from plotburn.synth import GroundTruth
 
 D0 = dt.date(2019, 10, 10)
@@ -97,6 +99,68 @@ def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
             if dates and date in dates:
                 dates.remove(date)
     return new_cube, new_truth
+
+
+@st.composite
+def plot_scenes(draw, min_obs=0):
+    """(cube, plots) of a random sensor-B scene on up to 12 x 24 cells.
+
+    Each pass has its own valid rate, 0 and 1 among them, and a share of
+    band values exactly 0, where NDVI and NBR are undefined. A plot is a
+    random set of cells, none at all among them; plots may overlap, and the
+    first may be listed again at the end."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    rates = draw(st.lists(st.sampled_from((0.0, 0.3, 0.5, 0.9, 1.0)),
+                          min_size=min_obs, max_size=4))
+    sizes = draw(st.lists(st.integers(0, nrows * ncols), max_size=6))
+    zero_rate = draw(st.sampled_from((0.0, 0.3)))
+    twice = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    geom = GridGeometry(ncols, nrows, 0.0, 0.0, 1.0)
+    plots = []
+    for i, size in enumerate(sizes):
+        cells = np.sort(rng.choice(nrows * ncols, size, replace=False))
+        plots.append(Plot(f"p{i}", [], cells // ncols, cells % ncols, np.zeros(size, bool)))
+    if twice and plots:
+        plots.append(plots[0])
+    observations = []
+    for t, rate in enumerate(rates):
+        valid = rng.random(geom.shape) < rate
+        bands = {}
+        for band in SENSOR_BANDS["B"]:
+            grid = rng.uniform(0.0, 0.5, geom.shape).astype(np.float32)
+            grid[rng.random(geom.shape) < zero_rate] = 0.0
+            grid[~valid] = MASKED_FILL
+            bands[band] = grid
+        observations.append(BandObservation("B", day(t), bands, valid, geom))
+    return SceneCube(observations, geom), plots
+
+
+def oracle_plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:
+    """scene.plot_observed one plot at a time: a bool mean() per plot and pass."""
+    observed = np.zeros((len(plots), len(cube.observations)), dtype=bool)
+    for i, plot in enumerate(plots):
+        if plot.n_pixels:
+            at = cube.index(plot.rows, plot.cols)
+            observed[i] = [o.valid[at].mean() >= PLOT_VALID_FRACTION
+                           for o in cube.observations]
+    return observed
+
+
+def oracle_plot_means(cube: SceneCube, plots: list[Plot], source: str,
+                      endmembers=None) -> np.ndarray:
+    """separability.plot_means one plot at a time: a pixel stack per plot and
+    the mean() of its finite values per observed pass."""
+    observed = oracle_plot_observed(cube, plots)
+    means = np.full(observed.shape, np.nan)
+    for i, plot in enumerate(plots):
+        valid, bands = pixel_stack(cube, plot.rows, plot.cols)
+        values = source_values(valid, bands, source, endmembers)
+        for t in np.flatnonzero(observed[i]):
+            vals = values[t][np.isfinite(values[t])]
+            if vals.size:
+                means[i, t] = vals.mean()
+    return means
 
 
 def load_forest(path) -> ForestModel:

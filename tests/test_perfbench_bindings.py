@@ -76,6 +76,25 @@ def test_every_forest_is_trained_through_the_traced_names(worker, tmp_path):
     assert tracer.inclusive()["forest.impute"] > 0
 
 
+def test_every_separability_curve_is_counted_through_the_traced_name(worker, tmp_path):
+    # A two-sensor scene with burn events: the run draws every default curve.
+    # A curve reached through another name would read 0 calls here.
+    scene = synth.ScenarioConfig(n_plots=6, plot_area_mean_ha=0.01, plot_area_median_ha=0.01,
+                                 burn_probability=0.5, seed=2)
+    assert 0 < sum(synth.generate(scene).truth.burned.values()) < scene.n_plots
+    config = pipeline.RunConfig(out_root=str(tmp_path), scenario=scene, n_trees=2,
+                                cv_mode="grouped:2")
+    tracer = worker.Tracer()
+    try:
+        worker.install(tracer)
+        run_dir = pipeline.run_pipeline(config)
+    finally:
+        tracer.restore()
+    assert os.path.isfile(os.path.join(run_dir, "separability.csv"))
+    assert tracer.counts["separability.curve.calls"] == len(pipeline.DEFAULT_CURVE_SOURCES)
+    assert tracer.inclusive()["separability.curve"] > 0
+
+
 def test_file_ingest_is_counted_through_the_traced_names(worker, tmp_path, monkeypatch):
     # A files workload small enough for a test: sensor B on 3x coarser cells.
     monkeypatch.setitem(worker.WORKLOADS, "small_files", {

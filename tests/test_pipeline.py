@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -51,6 +53,21 @@ class TestRunPipeline:
         assert all(v == "ok" for v in manifest["stages"].values())
         assert manifest["thresholds"]["max"]["score"] is not None
         assert "percentile" in manifest["thresholds"]["balanced"]
+
+    def test_manifest_records_each_stage_cost(self, completed_run):
+        _, run_dir = completed_run
+        with open(os.path.join(run_dir, "run_manifest.json")) as fh:
+            manifest = json.load(fh)
+        names = [name for name, _ in pipeline.STAGES]
+        costs = manifest["stage_costs"]
+        assert sorted(costs) == sorted(names)
+        for cost in costs.values():
+            assert sorted(cost) == ["cpu_s", "peak_rss_mb", "wall_s"]
+            assert all(value >= 0 for value in cost.values())
+        peaks = [costs[name]["peak_rss_mb"] for name in names]
+        assert 0 < peaks[0] and peaks == sorted(peaks)
+        assert sorted(manifest["stages"]) == sorted(names)
+        assert all(status == "ok" for status in manifest["stages"].values())
 
     def test_rerun_is_byte_identical(self, completed_run, tmp_path):
         config, run_dir = completed_run
@@ -339,6 +356,36 @@ def read_manifest(out_root):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class TestStageCosts:
+    def test_cpu_counts_reaped_children_and_a_failed_stage_its_cost(self, tmp_path,
+                                                                    monkeypatch):
+        burn = ("import time\nt = time.process_time()\n"
+                "while time.process_time() - t < 0.2:\n    pass\n")
+
+        def child(state):
+            subprocess.run([sys.executable, "-c", burn], check=True)
+
+        def idle(state):
+            time.sleep(0.2)
+
+        def broken(state):
+            time.sleep(0.05)
+            raise ValueError("broke")
+        monkeypatch.setattr(pipeline, "STAGES", (("child", child), ("idle", idle),
+                                                 ("broken", broken), ("never", idle)))
+        with pytest.raises(PipelineError, match="broke"):
+            run_pipeline(small_config(tmp_path))
+        manifest = read_manifest(tmp_path)
+        assert manifest["stages"] == {"child": "ok", "idle": "ok", "broken": "failed: broke"}
+        costs = manifest["stage_costs"]
+        assert sorted(costs) == ["broken", "child", "idle"]
+        assert costs["child"]["cpu_s"] >= 0.2
+        assert costs["idle"]["wall_s"] >= 0.2 > costs["idle"]["cpu_s"]
+        assert costs["broken"]["wall_s"] >= 0.05
+        peaks = [costs[name]["peak_rss_mb"] for name in ("child", "idle", "broken")]
+        assert 0 < peaks[0] and peaks == sorted(peaks)
 
 
 class TestFeatureWriter:

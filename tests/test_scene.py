@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import day, make_cube, make_obs
+from conftest import day, make_cube, make_obs, oracle_plot_observed, plot_scenes
 from plotburn.scene import (PLOT_VALID_FRACTION, EmptyPlotError, GridGeometry, Plot,
-                            gap_statistics, make_plot, plot_observed, rasterize_plot)
+                            SceneCube, gap_statistics, make_plot, plot_observed,
+                            rasterize_plot)
 
 
 def square_polygon(col0, row0, size, geom):
@@ -133,6 +135,20 @@ class TestGapStatistics:
         assert not observed[1].any()
         assert np.array_equal(observed[2], observed[0])
         assert plot_observed(cube, []).shape == (0, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scene=plot_scenes())
+    def test_observed_equals_the_per_plot_oracle(self, scene):
+        cube, plots = scene
+        observed = plot_observed(cube, plots)
+        assert observed.dtype == bool
+        assert observed.tobytes() == oracle_plot_observed(cube, plots).tobytes()
+
+    def test_cube_without_observations(self, geom10):
+        plot = _single_plot(geom10)
+        cube = SceneCube([], geom10)
+        assert plot_observed(cube, [plot, plot]).shape == (2, 0)
+        assert plot_observed(cube, []).shape == (0, 0)
 
     def test_summary_ordering(self, geom10):
         plots = [make_plot("p0", square_polygon(1, 1, 3, geom10), geom10),

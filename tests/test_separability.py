@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import day
-from plotburn.features import pixel_stack, source_values
+from conftest import day, oracle_plot_means, plot_scenes
+from plotburn import features
 from plotburn.indices import SWIR_SET, unmix_char_fraction
 from plotburn.pipeline import DEFAULT_CURVE_SOURCES
 from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
                             GridGeometry, SceneCube, make_plot, plot_observed)
-from plotburn.separability import (MIN_BUCKET_N, SampleStats, m_statistic, plot_means,
-                                   separability_curve)
+from plotburn.separability import (MIN_BUCKET_N, SampleStats, m_statistic, plot_blocks,
+                                   plot_means, segment_means, separability_curve)
 from plotburn.synth import ScenarioConfig, default_endmembers, generate
 
 
@@ -201,6 +203,70 @@ class TestPlotMeans:
         assert np.array_equal(np.isfinite(means), observed)
         assert plot_means(cube, [], "NIR").shape == (0, len(cube.dates))
 
+    @settings(max_examples=80, deadline=None)
+    @given(scene=plot_scenes(min_obs=1),
+           source=st.sampled_from(("Red", "NIR", "NDVI", "NBR", "BSI", "BASMA")),
+           block_rows=st.one_of(st.integers(1, 300), st.just(features.BLOCK_ROWS)))
+    def test_means_equal_the_per_plot_oracle(self, scene, source, block_rows):
+        # A block holds block_rows // n_obs pixels: a small block_rows puts
+        # a plot in a block alone, and neighbours in different blocks.
+        cube, plots = scene
+        endmembers = default_endmembers()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "BLOCK_ROWS", block_rows)
+            means = plot_means(cube, plots, source, endmembers=endmembers)
+        assert means.tobytes() == oracle_plot_means(cube, plots, source, endmembers).tobytes()
+
+    def test_cube_without_observations(self, cloudy_scene):
+        scenario, _ = cloudy_scene
+        cube = SceneCube([], scenario.cube_a.geom)
+        means = plot_means(cube, scenario.plots, "NIR")
+        assert means.shape == (len(scenario.plots), 0)
+        assert plot_means(cube, [], "NIR").shape == (0, 0)
+
+
+class TestSegmentMeans:
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 700), min_size=1, max_size=6),
+           n_obs=st.integers(1, 3), missing=st.sampled_from((0.0, 0.1, 0.9)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_entry_is_the_mean_of_its_finite_values(self, lengths, n_obs, missing, seed):
+        rng = np.random.default_rng(seed)
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        # Values over six decades, so that a change in the order of the sum shows.
+        values = (rng.standard_normal((n_obs, bounds[-1]))
+                  * 10.0 ** rng.integers(-3, 3, (n_obs, bounds[-1])))
+        values[rng.random(values.shape) < missing] = np.nan
+        values[rng.random(values.shape) < missing / 10] = np.inf
+        means = segment_means(values, bounds)
+        assert means.shape == (n_obs, len(lengths))
+        for t in range(n_obs):
+            for i in range(len(lengths)):
+                row = values[t, bounds[i]:bounds[i + 1]]
+                row = row[np.isfinite(row)]
+                want = row.mean() if row.size else np.nan
+                assert means[t, i].tobytes() == np.float64(want).tobytes(), (t, i, row.size)
+
+    def test_long_segments(self):
+        lengths = [0, 1, 7, 8, 9, 127, 128, 129, 136, 300, 1000, 4099]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        values = np.random.default_rng(4).uniform(0.0, 1.0, (1, bounds[-1])) ** 3
+        want = [values[0, a:b].mean() if b > a else np.nan
+                for a, b in zip(bounds[:-1], bounds[1:])]
+        assert segment_means(values, bounds).tobytes() == np.asarray([want]).tobytes()
+
+
+@given(sizes=st.lists(st.integers(0, 50), max_size=12), max_pixels=st.integers(1, 80))
+def test_plot_blocks_cover_the_plots_in_runs_under_the_limit(sizes, max_pixels):
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    blocks = list(plot_blocks(bounds, max_pixels))
+    assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(len(sizes)))
+    for lo, hi in blocks:
+        assert hi > lo
+        assert bounds[hi] - bounds[lo] <= max_pixels or hi == lo + 1
+        # A run stops where the next plot would take it past the limit.
+        assert hi == len(sizes) or bounds[hi + 1] - bounds[lo] > max_pixels
+
 
 # A small generated scene whose cloud model leaves plots unobserved on some passes.
 CLOUDY = ScenarioConfig(n_plots=16, plot_area_mean_ha=0.02, plot_area_median_ha=0.018,
@@ -214,15 +280,8 @@ def cloudy_scene():
 
 
 def oracle_plot_series(cube, plot, source, endmembers=None):
-    """(dates, plot means) of one plot, with the valid-fraction rule inline."""
-    valid, bands = pixel_stack(cube, plot.rows, plot.cols)
-    values = source_values(valid, bands, source, endmembers)
-    means = np.full(len(values), np.nan)
-    for t in np.flatnonzero(valid.mean(axis=1) >= PLOT_VALID_FRACTION):
-        vals = values[t][np.isfinite(values[t])]
-        if vals.size:
-            means[t] = vals.mean()
-    return cube.dates, means
+    """(dates, plot means) of one plot."""
+    return cube.dates, oracle_plot_means(cube, [plot], source, endmembers)[0]
 
 
 def oracle_curve(events, cube, source, max_offset, endmembers=None):

@@ -1,11 +1,12 @@
 import dataclasses
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
 
 from conftest import gap_table, inject_gaps
-from plotburn.scene import gap_statistics
+from plotburn.scene import SENSOR_BANDS, gap_statistics
 from plotburn.separability import plot_means
 from plotburn import synth
 from plotburn.synth import ScenarioConfig, generate
@@ -103,6 +104,59 @@ class TestGenerate:
             cells = set(zip(plot.rows.tolist(), plot.cols.tolist()))
             assert not cells & seen
             seen |= cells
+
+
+# A scene with burned, unburned and unlabeled plots and cloud losses on both
+# sensors, and the SHA-256 digests generate gave it when it still updated the
+# grids one plot at a time.
+PINNED = ScenarioConfig(n_plots=12, plot_area_mean_ha=0.03, plot_area_median_ha=0.02,
+                        burn_probability=0.6, unlabeled_fraction=0.25, seed=11)
+PINNED_DIGESTS = {
+    "A": "d19cec16ef53a320168e3f3ceb4c7004152242a5f44060858b98ea68bab836e1",
+    "B": "ac1fa9dbc339ea1be8e6e6133d1e60743e39e80c7edf84e96d311cc764a15809",
+    "truth": "4778a12847f9c606e479621cc1e537aeb055aca26c89ce5defee9741343f9e48",
+    "plots": "8aa3dda07f3b099f61e4722fef6716fb8a48d93ff9af3467b4b1cb60fe32fee9",
+}
+
+
+def scene_digests(scenario) -> dict[str, str]:
+    """One SHA-256 per cube over every pass's date, band arrays (in sensor
+    band order, native byte order) and valid mask; one over the truth
+    tables; one over the plots' ids, labels, groups and cells."""
+    out = {}
+    for cube in (scenario.cube_a, scenario.cube_b):
+        h = hashlib.sha256()
+        for obs in cube.observations:
+            h.update(obs.date.isoformat().encode())
+            for band in SENSOR_BANDS[obs.sensor]:
+                grid = obs.bands[band]
+                h.update(f"{band} {grid.dtype} {grid.shape}".encode())
+                h.update(np.ascontiguousarray(grid).tobytes())
+            h.update(np.ascontiguousarray(obs.valid).tobytes())
+        out[cube.sensor] = h.hexdigest()
+    t = scenario.truth
+    text = repr([(p, t.burned[p], t.burn_date[p], t.till_date[p]) for p in sorted(t.burned)]
+                + [(s, p, dates) for s in sorted(t.valid_obs)
+                   for p, dates in sorted(t.valid_obs[s].items())])
+    out["truth"] = hashlib.sha256(text.encode()).hexdigest()
+    h = hashlib.sha256()
+    for p in scenario.plots:
+        h.update(f"{p.plot_id} {p.label} {p.group}".encode())
+        for cells in (p.rows, p.cols, p.border):
+            h.update(np.ascontiguousarray(cells).tobytes())
+    out["plots"] = h.hexdigest()
+    return out
+
+
+def test_pinned_scene_keeps_its_digests():
+    scenario = generate(PINNED)
+    # The draw covers what the digests should guard.
+    assert 0 < sum(scenario.truth.burned.values()) < PINNED.n_plots
+    assert any(p.label == "unlabeled" for p in scenario.plots)
+    for sensor, cube in (("A", scenario.cube_a), ("B", scenario.cube_b)):
+        assert sum(map(len, scenario.truth.valid_obs[sensor].values())) < (
+            PINNED.n_plots * len(cube.observations))
+    assert scene_digests(scenario) == PINNED_DIGESTS
 
 
 class TestGapTruth:
