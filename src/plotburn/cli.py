@@ -118,7 +118,7 @@ def cmd_separability(args) -> int:
     # Only the --source sensor's grids are read.
     modes = {sensors[0]: mode for mode, sensors in pipe.SENSOR_MODES.items()
              if len(sensors) == 1}
-    sensor, _, source = args.source.partition("_")
+    sensor = args.source.partition("_")[0]
     if sensor not in modes:
         raise ValueError(f"--source {args.source}: sensor {sensor!r} is not one of "
                          f"{', '.join(modes)}")
@@ -126,8 +126,7 @@ def cmd_separability(args) -> int:
     state = pipe.RunState(_load_run_config(args),
                           os.path.dirname(os.path.abspath(args.out)))
     pipe.stage_ingest(state)
-    write_rows_csv(args.out, CURVE_CSV_HEADER,
-                   pipe.curve_rows(state, [(sensor, source)]))
+    write_rows_csv(args.out, CURVE_CSV_HEADER, pipe.curve_rows(state, [args.source]))
     print(f"wrote separability curve for {args.source} to {args.out}")
     return 0
 
@@ -189,6 +188,8 @@ def cmd_ablate(args) -> int:
         label, _, path = spec.partition("=")
         if not path:
             raise SystemExit(f"--run expects label=dir, got {spec!r}")
+        if label in runs:
+            raise ValueError(f"--run label {label!r} is given more than once")
         runs[label] = path
     table = pipe.compare_ablations(runs)
     write_rows_csv(args.out, pipe.ABLATION_HEADER, table)

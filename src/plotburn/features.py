@@ -5,7 +5,8 @@ Order statistics use linear interpolation between closest ranks. Temporal
 differencing (drop/spike) takes the largest step that stays past the series
 mean for a persistence buffer of 0, 1 or 2 subsequent images; all three
 buffers and both directions are emitted and feature selection arbitrates
-between them.
+between them. build_feature_table walks the pixels once, in blocks of whole
+plots, and keeps each source's plot x pass means for the separability curves.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import csv
 import functools
 import types
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gridio import FormatError
 from .indices import (ALL_INDICES, INDEX_REGISTRY, EndmemberSet, compute_index,
                       indices_for_bands)
-from .scene import SENSOR_BANDS, Plot, SceneCube, plot_pixels
+from .scene import SENSOR_BANDS, Plot, SceneCube, block_plot_means, plot_blocks, plot_pixels
 
 STAT_NAMES = ("min", "max", "mean", "median", "p10", "p20", "p80", "p90")
 VDIFF_NAMES = ("drop0", "drop1", "drop2", "spike0", "spike1", "spike2")
@@ -32,11 +33,14 @@ TEMPORAL_NAMES = STAT_NAMES + VDIFF_NAMES
 class FeatureTable:
     """Design matrix X, one row per (plot, pixel) and one column per schema
     name (features, n_obs_<sensor>, the 0/1 border flag); NaN marks missing.
+    plot_means maps each "<sensor>_<source>" built to its (n_plots, n_obs)
+    block_plot_means, plots in plot_rows() order; a CSV table has none.
     """
     X: np.ndarray
     schema: list[str]
     plot_id: np.ndarray
     pixel_id: np.ndarray
+    plot_means: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -56,7 +60,7 @@ class FeatureTable:
         return {p: np.asarray(idx, dtype=np.int64) for p, idx in rows.items()}
 
 
-# Rows per block of build_feature_table; bounds BASMA's (n_obs * rows, 9) stacks.
+# Pixels per block of whole plots; bounds BASMA's (n_obs * pixels, 9) stacks.
 BLOCK_ROWS = 1 << 14
 # Pixel series per temporal_columns call: a block's sources go in groups of
 # up to this many series, at least one source per call.
@@ -185,8 +189,10 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
     X = np.full((rows.size, len(schema)), np.nan)
     if has_border:
         X[:, col["border"]] = np.concatenate([p.border for p in plots])
-    for start in range(0, rows.size, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    plot_means = {f"{c.sensor}_{source}": np.full((len(plots), len(c.observations)), np.nan)
+                  for c in cubes for source in _sources(c.sensor, indices)}
+    for lo, hi in plot_blocks(bounds, BLOCK_ROWS):
+        block = slice(bounds[lo], bounds[hi])
         for cube in cubes:
             valid, bands = pixel_stack(cube, rows[block], cols[block])
             n = valid.shape[1]
@@ -200,8 +206,10 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
                 group = sources[k:k + per_call]
                 joined = np.empty((valid.shape[0], len(group) * n))
                 for j, source in enumerate(group):
-                    joined[:, j * n:(j + 1) * n] = source_values(valid, bands, source,
-                                                                 endmembers)
+                    values = source_values(valid, bands, source, endmembers)
+                    joined[:, j * n:(j + 1) * n] = values
+                    plot_means[f"{cube.sensor}_{source}"][lo:hi] = block_plot_means(
+                        values, valid, bounds[lo:hi + 1] - bounds[lo])
                 first = col[f"{cube.sensor}_{group[0]}_{TEMPORAL_NAMES[0]}"]
                 stop = first + len(group) * len(TEMPORAL_NAMES)
                 stats = temporal_columns(joined).reshape(len(group), n, -1)
@@ -211,7 +219,7 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
         if not n_obs[start:stop].any():
             warnings.warn(f"plot {plot.plot_id} has no valid observations; "
                           "emitting all-missing rows")
-    return FeatureTable(X, schema, plot_id, pixel_id)
+    return FeatureTable(X, schema, plot_id, pixel_id, plot_means)
 
 
 def table_matrix(table: FeatureTable, names: list[str],

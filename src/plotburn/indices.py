@@ -191,6 +191,10 @@ def unmix_char_fraction(spectrum: np.ndarray, endmembers: EndmemberSet) -> np.nd
         raise IllConditionedError("endmember spectra are nearly collinear")
     y = np.asarray(spectrum, dtype=float)
     flat = y.reshape(-1, E.shape[0])
+    n = len(flat)
+    # matmul rounds a one-row product differently: a lone spectrum is solved
+    # beside a copy of itself, so no spectrum's fractions depend on the batch.
+    flat = np.repeat(flat, 2, axis=0) if n == 1 else flat
     finite = np.isfinite(flat).all(axis=1)
     work = np.where(finite[:, None], flat, 0.0)
 
@@ -214,4 +218,4 @@ def unmix_char_fraction(spectrum: np.ndarray, endmembers: EndmemberSet) -> np.nd
     best_frac = np.clip(best_frac, 0.0, 1.0)
     best_frac /= best_frac.sum(axis=1, keepdims=True)
     best_frac[~finite] = np.nan     # masked or undefined spectra stay missing
-    return best_frac.reshape(y.shape[:-1] + (E.shape[1],))
+    return best_frac[:n].reshape(y.shape[:-1] + (E.shape[1],))

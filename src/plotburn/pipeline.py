@@ -5,13 +5,14 @@ reruns with the same configuration produce byte-identical CSV artifacts. CSV
 and model files carry full-precision floats, and all orderings are explicit,
 so determinism only depends on the seed in the configuration.
 
-No later stage reads features.csv, so the features stage hands its write to a
-forked child (write_in_child) and separability, training, thresholds and the
-report run while it writes. run_pipeline joins the child (join_writers) before
-it calls the run complete: a failed write fails the features stage, and the
-manifest records under writers["features.csv"] the child's CPU seconds, its
-peak RSS and how long the run waited for it. Without os.fork the file is
-written inline.
+No later stage reads features.csv; separability reads the curve sources'
+plot means off the table (FeatureTable.plot_means) and evaluates none again.
+So the features stage hands its write to a forked child (write_in_child), and
+separability, training, thresholds and the report run while it writes.
+run_pipeline joins the child (join_writers) before it calls the run complete:
+a failed write fails the features stage, and the manifest records under
+writers["features.csv"] the child's CPU seconds, its peak RSS and how long
+the run waited for it. Without os.fork the file is written inline.
 
 The manifest also records each stage's cost under stage_costs[stage]: its
 wall seconds, its CPU seconds (this process and its reaped children) and the
@@ -42,7 +43,7 @@ from .gridio import (FormatError, read_endmembers_csv, read_events_csv, read_plo
                      read_rows_csv, read_scene_manifest, scan_scene_manifest,
                      write_rows_csv)
 from .scene import gap_statistics
-from .separability import CURVE_CSV_HEADER, separability_curve
+from .separability import CURVE_CSV_HEADER, plot_means, separability_curve
 from .thresholds import (aggregate_plot, balanced_accuracy_threshold,
                          cohens_kappa, make_predictions, max_accuracy_threshold,
                          prediction_summary)
@@ -330,34 +331,38 @@ def stage_gaps(state: RunState) -> None:
 
 
 def stage_features(state: RunState) -> None:
-    cfg = state.config
-    from .indices import ALL_INDICES
-
     state.table = feats.build_feature_table(
         state.cubes.get("A"), state.cubes.get("B"), state.plots,
-        list(ALL_INDICES), include_border=cfg.include_border,
+        list(feats.ALL_INDICES), include_border=state.config.include_border,
         endmembers=state.endmembers)
     write_in_child(state, "features", "features.csv", feats.write_feature_csv, state.table)
 
 
-DEFAULT_CURVE_SOURCES = (("A", "CI"), ("A", "NIR"), ("B", "MIRBI"),
-                         ("B", "NBR"), ("B", "BASMA"))
+DEFAULT_CURVE_SOURCES = ("A_CI", "A_NIR", "B_MIRBI", "B_NBR", "B_BASMA")
 
 
 def curve_rows(state: RunState, sources) -> list[list]:
-    """Separability-curve CSV rows for each loaded (sensor, source) pair."""
-    by_id = {p.plot_id: p for p in state.plots}
-    events = [(by_id[pid], date) for pid, kind, date in state.events
-              if kind == "burn" and pid in by_id]
+    """Separability-curve CSV rows of each "<sensor>_<source>" of sources whose
+    sensor is loaded: over the table's plot_means, or without one plot_means."""
+    table = state.table
+    # An event's plot: its row of the table's plot_means, or its Plot.
+    at = ({pid: i for i, pid in enumerate(dict.fromkeys(table.plot_id))}
+          if table is not None else {p.plot_id: p for p in state.plots})
+    events = [(at[pid], date) for pid, kind, date in state.events
+              if kind == "burn" and pid in at]
     rows = []
-    for sensor, source in sources:
+    for name in sources:
+        sensor, _, source = name.partition("_")
         cube = state.cubes.get(sensor)
         if cube is None:
             continue
-        curve = separability_curve(events, cube, source, state.config.max_offset,
-                                   endmembers=state.endmembers)
-        for row in curve.rows():
-            rows.append([f"{sensor}_{source}", *row[1:]])
+        if table is not None:
+            means = table.plot_means[name][[i for i, _ in events]]
+        else:
+            means = plot_means(cube, [plot for plot, _ in events], source,
+                               endmembers=state.endmembers)
+        rows += separability_curve(name, means, cube.dates, [d for _, d in events],
+                                   state.config.max_offset).rows()
     return rows
 
 

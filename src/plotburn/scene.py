@@ -1,7 +1,7 @@
 """Raster/plot data model: observations, scene cubes, plot rasterization, masks, gaps.
 
 plot_observed owns the rule for when a plot is observed on a pass; the gap
-report and the separability plot means read its table.
+report reads its table, and block_plot_means the plot x pass means under it.
 
 The common grid is a north-up raster addressed by (row, col) with row 0 at the
 top. Cell centers sit at x = xll + (col + 0.5) * cellsize and
@@ -287,6 +287,44 @@ def observed_from_valid(valid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     counts = counts[..., bounds[1:]] - counts[..., bounds[:-1]]
     sizes = np.diff(bounds)
     return (sizes > 0) & (counts / np.maximum(sizes, 1) >= PLOT_VALID_FRACTION)
+
+
+def plot_blocks(bounds: np.ndarray, max_pixels: int):
+    """(lo, hi) runs of consecutive plots, plot i holding pixels
+    bounds[i]:bounds[i + 1], of at most max_pixels pixels together; a larger
+    plot makes a run alone."""
+    lo, n = 0, len(bounds) - 1
+    while lo < n:
+        hi = int(np.searchsorted(bounds, bounds[lo] + max_pixels, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(n_obs, n_plots) mean() of each plot's finite values in each row of
+    values (n_obs, n_px), plot i holding columns bounds[i]:bounds[i + 1]; NaN
+    where a plot has none.
+
+    mean() sums from 0.0, pairwise, so each segment is summed behind a 0.0 of
+    its own: a reduceat seeded with a segment's first value groups it
+    differently from the 9th value on.
+    """
+    finite = np.isfinite(values)
+    counts = np.zeros((values.shape[0], values.shape[1] + 1), dtype=np.intp)
+    np.cumsum(finite, axis=1, out=counts[:, 1:])
+    counts = counts[:, bounds[1:]] - counts[:, bounds[:-1]]
+    # The finite values run row by row and plot by plot; each run gets its 0.0.
+    n = counts.ravel()
+    summed = np.insert(values[finite], np.cumsum(n) - n, 0.0)
+    sums = np.add.reduceat(summed, np.cumsum(n + 1) - (n + 1)).reshape(counts.shape)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+
+
+def block_plot_means(values: np.ndarray, valid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(n_plots, n_obs) segment_means of values (n_obs, n_px), NaN where the
+    plot_observed rule fails on valid (n_obs, n_px)."""
+    return np.where(observed_from_valid(valid, bounds), segment_means(values, bounds), np.nan).T
 
 
 def plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:

@@ -85,6 +85,8 @@ def _as_arrays(preds):
     labels = np.asarray([p[1] for p in preds], dtype=np.int64)
     if scores.size == 0:
         raise ThresholdError("empty prediction set")
+    if not np.isfinite(scores).all():
+        raise ThresholdError("plot scores must be finite, not NaN or +-inf")
     if np.unique(labels).size < 2:
         raise ThresholdError("both labels must be present to choose a threshold")
     return scores, labels
@@ -92,9 +94,7 @@ def _as_arrays(preds):
 
 def _confusion_sweep(scores: np.ndarray, labels: np.ndarray, thresholds) -> np.ndarray:
     """(false_burn, false_no_burn, true_burn, true_no_burn) at each of the
-    thresholds, from one sort of the scores."""
-    if np.isnan(scores).any():
-        raise ThresholdError("plot scores must not be NaN")
+    thresholds, from one sort of the (finite) scores."""
     order = np.argsort(scores)
     burned = np.concatenate(([0], np.cumsum(labels[order] == 1)))
     unburned = np.concatenate(([0], np.cumsum(labels[order] == 0)))

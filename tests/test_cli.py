@@ -321,6 +321,17 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{name}: " in err and message in err
 
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+    def test_non_finite_score_is_an_error(self, tmp_path, capsys, score):
+        path = tmp_path / "scores.csv"
+        path.write_text("plot_id,mean_score,label,group\n"
+                        f"p0000,0.5,burned,treatment\np0001,{score},not_burned,control\n"
+                        "p0002,0.2,not_burned,control\n")
+        out = tmp_path / "out"
+        assert main(["threshold", "--scores", str(path), "--out", str(out)]) == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
 
 class TestRunCommand:
     def test_synth_flag_runs_the_default_scenario(self):
@@ -353,6 +364,14 @@ class TestRunCommand:
         assert rc == 0
         _, rows = read_rows_csv(out)
         assert len(rows) == 4
+
+    def test_ablate_repeated_label_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "ablation.csv"
+        rc = main(["ablate", "--run", f"a={tmp_path / 'x'}", "--run", f"a={tmp_path / 'y'}",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "label 'a'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_gives_nonzero_exit(self, tmp_path):
         rc = main(["ingest", "--manifest", str(tmp_path / "nope.json"),

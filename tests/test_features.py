@@ -13,7 +13,8 @@ from plotburn.features import (FEATURE_CSV_FIXED, STAT_NAMES, TEMPORAL_NAMES, Fe
                                table_matrix, table_schema, temporal_columns,
                                write_feature_csv)
 from plotburn.indices import ALL_INDICES
-from plotburn.scene import SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot
+from plotburn.scene import (SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot,
+                            plot_blocks)
 
 
 # Scalar references for temporal_columns, one series at a time.
@@ -423,9 +424,9 @@ class TestBuildFeatureTable:
         if blocks:
             monkeypatch.setattr(features, "BLOCK_ROWS", blocks)
         table = build_all_indices(small_scene)
-        rows = min(len(table), features.BLOCK_ROWS)
+        rows = max(block_sizes(table))
         # One source per call (the ungrouped build), three with a partial last
-        # group, and every source of a sensor in one call.
+        # group in the largest block, and every source of a sensor in one call.
         for cap in (1, 3 * rows + 1, 1 << 30):
             monkeypatch.setattr(features, "GROUP_SERIES", cap)
             assert_same_bits(build_all_indices(small_scene).X, table.X)
@@ -448,17 +449,24 @@ class TestBuildFeatureTable:
         assert sum(widths) == len(table) * sources
         # A call holds a group of sources up to the cap, or one source's
         # block where that alone is over it.
-        block = min(len(table), features.BLOCK_ROWS)
-        assert max(widths) <= max(features.GROUP_SERIES, block)
-        if features.GROUP_SERIES >= 2 * block:
-            n_blocks = -(-len(table) // features.BLOCK_ROWS)
-            assert len(widths) < n_blocks * sources
+        blocks = block_sizes(table)
+        assert max(widths) <= max(features.GROUP_SERIES, max(blocks))
+        if features.GROUP_SERIES >= 2 * max(blocks):
+            assert len(widths) < len(blocks) * sources
 
 
 @pytest.fixture(scope="module")
 def small_scene():
     return synth.generate(synth.ScenarioConfig(
         n_plots=5, plot_area_mean_ha=0.004, plot_area_median_ha=0.004, seed=2))
+
+
+def block_sizes(table):
+    """Rows of each block build_feature_table took: whole plots, up to
+    BLOCK_ROWS rows together, and a plot over BLOCK_ROWS rows alone."""
+    sizes = [len(rows) for rows in table.plot_rows().values()]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    return [bounds[hi] - bounds[lo] for lo, hi in plot_blocks(bounds, features.BLOCK_ROWS)]
 
 
 def build_all_indices(scen):

@@ -185,6 +185,16 @@ class TestUnmixing:
         assert np.all(fracs <= 1.0)
         assert np.max(np.abs(fracs.sum(axis=1) - 1.0)) < 1e-9
 
+    def test_fractions_do_not_depend_on_the_batch(self):
+        # A spectrum solved alone, in a pair or among 40 gets the same bits.
+        em = toy_endmembers()
+        spectra = np.random.default_rng(11).uniform(0, 0.5, size=(40, 9))
+        together = unmix_char_fraction(spectra, em)
+        for i, spectrum in enumerate(spectra):
+            assert unmix_char_fraction(spectrum, em).tobytes() == together[i].tobytes()
+            assert unmix_char_fraction(spectra[i:i + 2], em).tobytes() == \
+                together[i:i + 2].tobytes()
+
     def test_near_collinear_endmembers_rejected(self):
         base = np.linspace(0.1, 0.5, 9)
         em = EndmemberSet(base, base * (1 + 1e-12), np.linspace(0.5, 0.1, 9))

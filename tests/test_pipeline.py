@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -9,14 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import load_forest
-from plotburn import cv, features, pipeline
+from conftest import load_forest, oracle_plot_means
+from plotburn import cv, features, pipeline, synth
 from plotburn.features import FeatureTable, read_feature_csv, table_matrix
 from plotburn.forest import apply_impute, fit_impute_medians, predict_scores
-from plotburn.gridio import read_rows_csv
+from plotburn.gridio import read_rows_csv, write_rows_csv
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
                                RunState, allocate_run_dir, compare_ablations,
                                config_from_dict, run_pipeline, stage_ingest, stage_train)
+from plotburn.scene import Plot
+from plotburn.separability import CURVE_CSV_HEADER, separability_curve
 from plotburn.synth import PRE_LEVELS, ScenarioConfig
 from plotburn.thresholds import aggregate_plot
 
@@ -386,6 +389,76 @@ class TestStageCosts:
         assert costs["broken"]["wall_s"] >= 0.05
         peaks = [costs[name]["peak_rss_mb"] for name in ("child", "idle", "broken")]
         assert 0 < peaks[0] and peaks == sorted(peaks)
+
+
+def oracle_separability_csv(path, config):
+    """separability.csv of a run, its curves over oracle_plot_means of the
+    event plots' pixels: the interior ones when the run drops border pixels."""
+    scenario = synth.generate(config.scenario)
+    by_id = {p.plot_id: p for p in scenario.plots}
+    if not config.include_border:
+        by_id = {pid: Plot(pid, p.polygon, p.rows[~p.border], p.cols[~p.border],
+                           p.border[~p.border], p.label, p.group)
+                 for pid, p in by_id.items() if not p.border.all()}
+    events = [(by_id[pid], date) for pid, kind, date in scenario.truth.events()
+              if kind == "burn" and pid in by_id]
+    rows = []
+    for name in pipeline.DEFAULT_CURVE_SOURCES:
+        sensor, _, source = name.partition("_")
+        cube = scenario.cube_a if sensor == "A" else scenario.cube_b
+        means = oracle_plot_means(cube, [plot for plot, _ in events], source,
+                                  scenario.endmembers)
+        rows += separability_curve(name, means, cube.dates, [date for _, date in events],
+                                   config.max_offset).rows()
+    write_rows_csv(path, CURVE_CSV_HEADER, rows)
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestSeparabilityStage:
+    """The curves read the plot means the features stage kept."""
+
+    def test_curves_evaluate_no_source(self, tmp_path, monkeypatch):
+        evaluated, stage = collections.Counter(), [None]
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                evaluated[stage[0], name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        def tracked(name, fn):
+            def run(state):
+                stage[0] = name
+                fn(state)
+            return run
+
+        for name in ("source_values", "compute_index"):
+            monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
+        monkeypatch.setattr(pipeline, "STAGES",
+                            tuple((name, tracked(name, fn)) for name, fn in pipeline.STAGES))
+        config = small_config(tmp_path / "runs")
+        run_dir = run_pipeline(config)
+        assert evaluated["features", "source_values"] and evaluated["features", "compute_index"]
+        assert not [key for key in evaluated if key[0] == "separability"]
+        oracle_separability_csv(tmp_path / "oracle.csv", config)
+        path = os.path.join(run_dir, "separability.csv")
+        assert read_bytes(path) == read_bytes(tmp_path / "oracle.csv")
+        _, rows = read_rows_csv(path)
+        assert {row[0] for row in rows if row[2] != "nan"} == set(pipeline.DEFAULT_CURVE_SOURCES)
+
+    def test_no_border_curves_use_interior_pixels(self, tmp_path):
+        config = small_config(tmp_path / "runs", include_border=False)
+        run_dir = run_pipeline(config)
+        oracle_separability_csv(tmp_path / "oracle.csv", config)
+        oracle_separability_csv(tmp_path / "all_pixels.csv",
+                                dataclasses.replace(config, include_border=True))
+        written = read_bytes(os.path.join(run_dir, "separability.csv"))
+        assert written == read_bytes(tmp_path / "oracle.csv")
+        assert written != read_bytes(tmp_path / "all_pixels.csv")
 
 
 class TestFeatureWriter:

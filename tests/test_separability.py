@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import day, oracle_plot_means, plot_scenes
 from plotburn import features
+from plotburn.features import build_feature_table
 from plotburn.indices import SWIR_SET, unmix_char_fraction
 from plotburn.pipeline import DEFAULT_CURVE_SOURCES
 from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
-                            GridGeometry, SceneCube, make_plot, plot_observed)
-from plotburn.separability import (MIN_BUCKET_N, SampleStats, m_statistic, plot_blocks,
-                                   plot_means, segment_means, separability_curve)
+                            GridGeometry, SceneCube, make_plot, plot_blocks, plot_observed,
+                            segment_means)
+from plotburn.separability import (MIN_BUCKET_N, SampleStats, m_statistic, plot_means,
+                                   separability_curve)
 from plotburn.synth import ScenarioConfig, default_endmembers, generate
 
 
@@ -77,6 +80,13 @@ def build_plot_scene(n_plots, days, value_fn, band="Red", sensor="A", plot_size=
     return SceneCube(observations, geom), plots
 
 
+def curve_of(events, cube, source, max_offset, endmembers=None):
+    """The curve of (plot, burn date) events over their plot_means."""
+    means = plot_means(cube, [plot for plot, _ in events], source, endmembers=endmembers)
+    return separability_curve(source, means, cube.dates, [date for _, date in events],
+                              max_offset)
+
+
 class TestSeparabilityCurve:
     def test_persistent_signal_stays_separable(self):
         n = 8
@@ -87,7 +97,7 @@ class TestSeparabilityCurve:
 
         cube, plots = build_plot_scene(n, range(0, 19), value)
         events = [(p, day(10)) for p in plots]
-        curve = separability_curve(events, cube, "Red", 8)
+        curve = curve_of(events, cube, "Red", 8)
         assert all(m > 2.0 for m in curve.m_values)
         assert all(c == n for c in curve.n_per_offset)
 
@@ -102,7 +112,7 @@ class TestSeparabilityCurve:
             return base
 
         cube, plots = build_plot_scene(n, range(0, 19), value)
-        curve = separability_curve([(p, day(10)) for p in plots], cube, "Red", 8)
+        curve = curve_of([(p, day(10)) for p in plots], cube, "Red", 8)
         m = curve.m_values
         assert m[0] > 1.5
         assert m[6] < 0.5
@@ -114,18 +124,18 @@ class TestSeparabilityCurve:
             return (2.0 if d <= 5 else 1.0) + 0.1 * i
 
         cube, plots = build_plot_scene(4, [5, 8, 10], value)
-        curve = separability_curve([(p, day(10)) for p in plots], cube, "Red", 0)
+        curve = curve_of([(p, day(10)) for p in plots], cube, "Red", 0)
         # Post-burn equals the day-8 reference, so nearest-pre gives M = 0.
         assert curve.m_values[0] == 0.0
 
     def test_small_buckets_reported_missing(self):
         cube, plots = build_plot_scene(2, range(0, 12), lambda i, d: 1.0 + 0.01 * i)
-        curve = separability_curve([(p, day(6)) for p in plots], cube, "Red", 3)
+        curve = curve_of([(p, day(6)) for p in plots], cube, "Red", 3)
         assert all(math.isnan(v) for v in curve.m_values)
 
     def test_event_without_pre_observation_skipped(self):
         cube, plots = build_plot_scene(4, range(5, 12), lambda i, d: 1.0 + 0.01 * i)
-        curve = separability_curve([(p, day(5)) for p in plots], cube, "Red", 2)
+        curve = curve_of([(p, day(5)) for p in plots], cube, "Red", 2)
         assert all(c == 0 for c in curve.n_per_offset)
 
 
@@ -208,14 +218,21 @@ class TestPlotMeans:
            source=st.sampled_from(("Red", "NIR", "NDVI", "NBR", "BSI", "BASMA")),
            block_rows=st.one_of(st.integers(1, 300), st.just(features.BLOCK_ROWS)))
     def test_means_equal_the_per_plot_oracle(self, scene, source, block_rows):
-        # A block holds block_rows // n_obs pixels: a small block_rows puts
-        # a plot in a block alone, and neighbours in different blocks.
+        # A block holds whole plots of up to block_rows pixels: a small
+        # block_rows puts a plot in a block alone, and neighbours in
+        # different blocks. The feature table keeps the same means.
         cube, plots = scene
         endmembers = default_endmembers()
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
             patch.setattr(features, "BLOCK_ROWS", block_rows)
+            warnings.simplefilter("ignore")  # plots without a valid observation
             means = plot_means(cube, plots, source, endmembers=endmembers)
-        assert means.tobytes() == oracle_plot_means(cube, plots, source, endmembers).tobytes()
+            indices = [] if source in SENSOR_BANDS["B"] else [source]
+            table = build_feature_table(None, cube, plots, indices, endmembers=endmembers)
+        oracle = oracle_plot_means(cube, plots, source, endmembers)
+        assert means.tobytes() == oracle.tobytes()
+        with_pixels = [i for i, plot in enumerate(plots) if plot.n_pixels]
+        assert table.plot_means[f"B_{source}"].tobytes() == oracle[with_pixels].tobytes()
 
     def test_cube_without_observations(self, cloudy_scene):
         scenario, _ = cloudy_scene
@@ -314,15 +331,15 @@ def oracle_curve(events, cube, source, max_offset, endmembers=None):
     return m_values, counts
 
 
-@pytest.mark.parametrize("sensor, source", DEFAULT_CURVE_SOURCES,
-                         ids=[f"{s}_{src}" for s, src in DEFAULT_CURVE_SOURCES])
-def test_curve_equals_the_per_event_oracle(cloudy_scene, sensor, source):
+@pytest.mark.parametrize("name", DEFAULT_CURVE_SOURCES)
+def test_curve_equals_the_per_event_oracle(cloudy_scene, name):
     scenario, endmembers = cloudy_scene
+    sensor, _, source = name.partition("_")
     cube = scenario.cube_a if sensor == "A" else scenario.cube_b
     by_id = {p.plot_id: p for p in scenario.plots}
     events = [(by_id[pid], date) for pid, kind, date in scenario.truth.events()
               if kind == "burn"]
-    curve = separability_curve(events, cube, source, 8, endmembers=endmembers)
+    curve = curve_of(events, cube, source, 8, endmembers=endmembers)
     m_values, counts = oracle_curve(events, cube, source, 8, endmembers)
     assert np.isfinite(curve.m_values).any()
     assert np.array_equal(curve.m_values, m_values, equal_nan=True)

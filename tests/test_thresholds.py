@@ -196,12 +196,14 @@ class TestMaxAccuracy:
             max_accuracy_threshold([(0.5, 1), (0.7, 1)])
 
     def test_nan_score_rejected(self):
-        preds = [(0.5, 1), (np.nan, 0), (0.2, 0)]
-        for policy in (max_accuracy_threshold, balanced_accuracy_threshold):
-            with pytest.raises(ThresholdError, match="NaN"):
-                policy(preds)
-        with pytest.raises(ThresholdError, match="NaN"):
-            confusion_at(np.array([0.5, np.nan]), np.array([1, 0]), 0.3)
+        # +-inf too, before any percentile is taken: no numpy warning either.
+        for bad in (np.nan, np.inf, -np.inf):
+            preds = [(0.5, 1), (bad, 0), (0.2, 0)]
+            for policy in (max_accuracy_threshold, balanced_accuracy_threshold):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ThresholdError, match="NaN"):
+                        policy(preds)
 
 
 class TestBalancedAccuracy:
