@@ -19,7 +19,7 @@ import sys
 from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
-from .gridio import FormatError, read_plot_rows, read_rows_csv, write_rows_csv
+from .gridio import FormatError, check_plot_row, read_plot_rows, read_rows_csv, write_rows_csv
 from .separability import CURVE_CSV_HEADER
 from .thresholds import PlotPrediction
 
@@ -72,14 +72,16 @@ def cmd_synth(args) -> int:
 
 
 def _parse_rows(path, n_fields: int, parse) -> list:
-    """parse(*row) of each data row of a CSV file; a row without n_fields
-    fields, or one parse rejects, is a FormatError naming the file and row."""
+    """parse(*row) of each data row of a CSV file of plots, plot_id first and
+    label and group last; a row without n_fields fields, one check_plot_row
+    rejects, or one parse rejects, is a FormatError naming the file and row."""
     _, rows = read_rows_csv(path)
-    out = []
+    out, seen = [], set()
     for i, row in enumerate(rows, 1):
         try:
             if len(row) != n_fields:
                 raise ValueError(f"{len(row)} field(s), expected {n_fields}")
+            check_plot_row(seen, row[0], *row[-2:])
             out.append(parse(*row))
         except ValueError as exc:
             raise FormatError(f"{path}: data row {i}: {exc}") from None
@@ -167,8 +169,10 @@ def cmd_report(args) -> int:
     state = _stage_state(args)
 
     def prediction_row(plot_id, mean_score, call_max, call_balanced, label, group):
-        return PlotPrediction(plot_id, float(mean_score), int(call_max), int(call_balanced),
-                              label, group)
+        calls = int(call_max), int(call_balanced)
+        if not set(calls) <= {0, 1}:
+            raise ValueError(f"calls {calls} are not each 0 or 1")
+        return PlotPrediction(plot_id, float(mean_score), *calls, label, group)
     state.predictions = _parse_rows(args.predictions, 6, prediction_row)
     pipe.stage_report(state)
     print(f"report tables in {args.out}")
@@ -220,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, dest="manifest_path")
     p.add_argument("--plots", required=True, dest="plots_path")
     p.add_argument("--endmembers", dest="endmembers_path")
-    p.add_argument("--sensor-mode", default="combined", choices=pipe.SENSOR_MODES,
-                   dest="sensor_mode")
+    p.add_argument("--sensor-mode", choices=pipe.SENSOR_MODES, dest="sensor_mode")
     p.add_argument("--no-border", action="store_true", dest="no_border")
     p.add_argument("--out", required=True, help="directory for features.csv")
     p.set_defaults(fn=cmd_features)

@@ -22,7 +22,8 @@ import numpy as np
 from .gridio import FormatError
 from .indices import (ALL_INDICES, INDEX_REGISTRY, EndmemberSet, compute_index,
                       indices_for_bands)
-from .scene import SENSOR_BANDS, Plot, SceneCube, block_plot_means, plot_blocks, plot_pixels
+from .scene import (SENSOR_BANDS, Plot, SceneCube, block_plot_means, observed_from_valid,
+                    plot_blocks, plot_pixels)
 
 STAT_NAMES = ("min", "max", "mean", "median", "p10", "p20", "p80", "p90")
 VDIFF_NAMES = ("drop0", "drop1", "drop2", "spike0", "spike1", "spike2")
@@ -60,11 +61,10 @@ class FeatureTable:
         return {p: np.asarray(idx, dtype=np.int64) for p, idx in rows.items()}
 
 
-# Pixels per block of whole plots; bounds BASMA's (n_obs * pixels, 9) stacks.
-BLOCK_ROWS = 1 << 14
-# Pixel series per temporal_columns call: a block's sources go in groups of
-# up to this many series, at least one source per call.
-GROUP_SERIES = 1 << 11
+# Pixels per block of whole plots, which bounds BASMA's (n_obs * pixels, 9)
+# stacks; and pixel series per temporal_columns call, a block's sources going
+# in groups of up to this many series, at least one source per call.
+BLOCK_ROWS = 1 << 11
 
 
 def pixel_stack(cube: SceneCube, rows, cols):
@@ -195,13 +195,14 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
         block = slice(bounds[lo], bounds[hi])
         for cube in cubes:
             valid, bands = pixel_stack(cube, rows[block], cols[block])
+            observed = observed_from_valid(valid, bounds[lo:hi + 1] - bounds[lo])
             n = valid.shape[1]
             X[block, col[f"n_obs_{cube.sensor}"]] = valid.sum(axis=0)
             # A sensor's sources hold adjacent columns, and temporal_columns
             # treats each series alone: one call covers a group of sources,
             # their matrices side by side.
             sources = _sources(cube.sensor, indices)
-            per_call = max(1, GROUP_SERIES // n)
+            per_call = max(1, BLOCK_ROWS // n)
             for k in range(0, len(sources), per_call):
                 group = sources[k:k + per_call]
                 joined = np.empty((valid.shape[0], len(group) * n))
@@ -209,7 +210,7 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
                     values = source_values(valid, bands, source, endmembers)
                     joined[:, j * n:(j + 1) * n] = values
                     plot_means[f"{cube.sensor}_{source}"][lo:hi] = block_plot_means(
-                        values, valid, bounds[lo:hi + 1] - bounds[lo])
+                        values, observed, bounds[lo:hi + 1] - bounds[lo])
                 first = col[f"{cube.sensor}_{group[0]}_{TEMPORAL_NAMES[0]}"]
                 stop = first + len(group) * len(TEMPORAL_NAMES)
                 stats = temporal_columns(joined).reshape(len(group), n, -1)

@@ -10,7 +10,8 @@ children, leaf vote fractions). The tree group is the one unit of batching:
 a group grows, then votes on its out-of-bag rows, and scores route a group at
 a time. Routing packs the group's node arrays end to end and walks every
 (row, tree) pair down them level by level, one numpy pass per level.
-Column ranks and imputation medians come from one sort per block of columns.
+Column ranks and imputation medians come from one sort per block of columns,
+each block capped at the split search's pass size.
 Scores are the fraction of trees whose leaf majority votes burned, not a
 calibrated probability.
 """
@@ -80,21 +81,16 @@ class ForestModel:
         return len(self.trees)
 
 
-# Row x candidate cells scored in one pass of the split search, which bounds
-# its memory; a node of more than half this many rows scores one candidate per
-# pass. A pass's float temporaries are then at most 64 KiB, under glibc's
-# default 128 KiB mmap threshold, so numpy's calls reuse heap memory rather
-# than map and fault in fresh pages each time. The 16 forests of one trees
-# bench run (2 vCPUs, medians of 9 alternating runs) took 0.30 s at 2^13
-# cells, 0.34 s at 2^12 and at 2^14, and 0.50 s searching one node at a time;
-# with the threshold raised to 4 MiB, 2^14 cells ran as fast as 2^13.
+# Row x candidate cells scored in one pass of the split search, or copied in
+# one column sort (_column_blocks), which bounds their memory; a node of more
+# than half this many rows scores one candidate per pass. A pass's float
+# temporaries are then at most 64 KiB, under glibc's default 128 KiB mmap
+# threshold, so numpy's calls reuse heap memory rather than map and fault in
+# fresh pages each time. The 16 forests of one trees bench run (2 vCPUs,
+# medians of 9 alternating runs) took 0.30 s at 2^13 cells, 0.34 s at 2^12
+# and at 2^14, and 0.50 s searching one node at a time; with the threshold
+# raised to 4 MiB, 2^14 cells ran as fast as 2^13.
 _PASS_CELLS = 1 << 13
-
-# Cells of X copied and sorted in one pass by _rank_codes and
-# fit_impute_medians: a block of whole columns, or one column where a column
-# holds more cells. Blocks of 8,192 cells raised the trees bench's peak RSS by
-# about 0.2 MB over one np.unique per column; 2,048 (16 KB) came within 0.05 MB.
-_SORT_CELLS = 1 << 11
 
 # The forest's one batching budget. Training and scoring take the trees in
 # groups of max(1, _ROUTE_PAIRS // n_rows): as many trees as this many
@@ -110,10 +106,10 @@ def _gini(c0, c1):
 
 
 def _column_blocks(X):
-    """(cols, block) for slices of X's columns of at most _SORT_CELLS cells, or
+    """(cols, block) for slices of X's columns of at most _PASS_CELLS cells, or
     one column each; block is a (n_cols, n_rows) copy, so that each column's
     values are contiguous for the sort."""
-    step = max(1, _SORT_CELLS // max(1, X.shape[0]))
+    step = max(1, _PASS_CELLS // max(1, X.shape[0]))
     for j in range(0, X.shape[1], step):
         cols = slice(j, j + step)
         yield cols, X[:, cols].T.copy()

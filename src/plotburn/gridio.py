@@ -52,18 +52,17 @@ class FormatError(ValueError):
     pass
 
 
-def write_grid(path, grid: np.ndarray, geom: GridGeometry, valid=None,
-               nodata: float = DEFAULT_NODATA) -> None:
+def write_grid(path, grid: np.ndarray, geom: GridGeometry, valid=None) -> None:
     grid = np.asarray(grid, dtype=float)
     if grid.shape != geom.shape:
         raise AlignmentError("grid shape does not match geometry")
     out = grid.copy()
     if valid is not None:
-        out[~valid] = nodata
-    out[~np.isfinite(out)] = nodata
+        out[~valid] = DEFAULT_NODATA
+    out[~np.isfinite(out)] = DEFAULT_NODATA
     with open(path, "w") as fh:
         fh.write(f"{geom.ncols} {geom.nrows} {float(geom.xll)!r} {float(geom.yll)!r} "
-                 f"{float(geom.cellsize)!r} {float(nodata)!r}\n")
+                 f"{float(geom.cellsize)!r} {DEFAULT_NODATA!r}\n")
         for row in out:
             fh.write(" ".join(repr(float(v)) for v in row))
             fh.write("\n")
@@ -491,18 +490,26 @@ def write_plots_csv(path, plots: list[Plot]) -> None:
                     for p in plots])
 
 
+def check_plot_row(seen: set, plot_id: str, label: str, group: str) -> None:
+    """The rule for a row of any file that lists plots: each plot_id once, and
+    each label and group a known one; seen holds the earlier rows' plot_ids."""
+    if plot_id in seen:
+        raise FormatError(f"plot {plot_id!r} is listed more than once")
+    seen.add(plot_id)
+    for key, value, allowed in (("label", label, LABELS), ("group", group, GROUPS)):
+        if value not in allowed:
+            raise SceneError(f"plot {plot_id!r}: bad {key} {value!r}")
+
+
 def read_plot_rows(path) -> list[dict[str, str]]:
-    """The plots file's rows: each plot_id once, each label and group a known one."""
+    """The plots file's rows, each passing check_plot_row."""
     rows = _read_csv(path, ["plot_id", "label", "group", "wkt_polygon"])
     seen = set()
     for row in rows:
-        plot_id = row["plot_id"]
-        if plot_id in seen:
-            raise FormatError(f"{path}: plot {plot_id!r} is listed more than once")
-        seen.add(plot_id)
-        for key, allowed in (("label", LABELS), ("group", GROUPS)):
-            if row[key] not in allowed:
-                raise SceneError(f"{path}: plot {plot_id!r}: bad {key} {row[key]!r}")
+        try:
+            check_plot_row(seen, row["plot_id"], row["label"], row["group"])
+        except ValueError as exc:  # FormatError, SceneError
+            raise type(exc)(f"{path}: {exc}") from None
     return rows
 
 
@@ -536,7 +543,10 @@ def read_endmembers_csv(path) -> EndmemberSet:
     missing = {"veg", "soil", "char"} - set(spectra)
     if missing:
         raise FormatError(f"{path}: endmember file missing rows {sorted(missing)}")
-    return EndmemberSet(spectra["veg"], spectra["soil"], spectra["char"])
+    try:
+        return EndmemberSet(spectra["veg"], spectra["soil"], spectra["char"])
+    except ValueError as exc:  # IndexError_
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_events_csv(path, events: list[tuple[str, str, dt.date]]) -> None:

@@ -147,7 +147,7 @@ class EndmemberSet:
             arr = np.asarray(spec, dtype=float)
             if arr.shape != (len(SWIR_SET),):
                 raise IndexError_(f"{name} endmember must have {len(SWIR_SET)} components")
-            if (arr < 0).any() or (arr > 1).any():
+            if not ((arr >= 0) & (arr <= 1)).all():
                 raise IndexError_(f"{name} endmember outside [0, 1]")
 
     def matrix(self) -> np.ndarray:

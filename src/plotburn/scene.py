@@ -321,10 +321,10 @@ def segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
-def block_plot_means(values: np.ndarray, valid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """(n_plots, n_obs) segment_means of values (n_obs, n_px), NaN where the
-    plot_observed rule fails on valid (n_obs, n_px)."""
-    return np.where(observed_from_valid(valid, bounds), segment_means(values, bounds), np.nan).T
+def block_plot_means(values: np.ndarray, observed: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(n_plots, n_obs) segment_means of values (n_obs, n_px), NaN where
+    observed, the block's (n_obs, n_plots) observed_from_valid, is False."""
+    return np.where(observed, segment_means(values, bounds), np.nan).T
 
 
 def plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import features
 from .indices import EndmemberSet
-from .scene import Plot, SceneCube, block_plot_means, plot_blocks, plot_pixels
+from .scene import (Plot, SceneCube, block_plot_means, observed_from_valid, plot_blocks,
+                    plot_pixels)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def plot_means(cube: SceneCube, plots: list[Plot], source: str, *,
         if cube.observations and pixels.stop > pixels.start:
             valid, bands = features.pixel_stack(cube, rows[pixels], cols[pixels])
             values = features.source_values(valid, bands, source, endmembers)
-            means[lo:hi] = block_plot_means(values, valid, bounds[lo:hi + 1] - bounds[lo])
+            local = bounds[lo:hi + 1] - bounds[lo]
+            means[lo:hi] = block_plot_means(values, observed_from_valid(valid, local), local)
     return means
 
 

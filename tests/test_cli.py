@@ -298,6 +298,20 @@ class TestStageCommands:
         ("report", "--predictions", "predictions.csv",
          "plot_id,mean_score,call_max,call_balanced,label,group\np0000,0.5,1\n",
          "data row 1: 3 field(s), expected 6"),
+        ("threshold", "--scores", "scores.csv",
+         "plot_id,mean_score,label,group\np0000,0.5,burned,treatment\np0001,0.4,burnt,control\n",
+         "data row 2: plot 'p0001': bad label 'burnt'"),
+        ("threshold", "--scores", "scores.csv",
+         "plot_id,mean_score,label,group\np0000,0.5,burned,sideways\n",
+         "data row 1: plot 'p0000': bad group 'sideways'"),
+        ("threshold", "--scores", "scores.csv",
+         "plot_id,mean_score,label,group\np0000,0.5,burned,treatment\n"
+         "p0000,0.2,not_burned,control\n",
+         "data row 2: plot 'p0000' is listed more than once"),
+        ("report", "--predictions", "predictions.csv",
+         "plot_id,mean_score,call_max,call_balanced,label,group\n"
+         "p0000,0.5,1,7,unlabeled,none\n",
+         "data row 1: calls (1, 7) are not each 0 or 1"),
         ("train", "--features", "features.csv", "", "missing column(s) ['plot_id', "),
         ("train", "--features", "features.csv",
          "plot_id,pixel_id,n_obs_A,n_obs_B,A_NIR_max\np0000,x0,3,2,0.5\n",
@@ -308,7 +322,8 @@ class TestStageCommands:
         ("train", "--features", "features.csv",
          FEATURE_HEADER + "p0000,x0,0,3,2,0.5\np0000,x1,0,3\n", "at row 2"),
     ], ids=["empty-scores", "empty-predictions", "short-score-row", "non-numeric-score",
-            "short-prediction-row", "empty-features", "no-border-column",
+            "short-prediction-row", "unknown-label", "unknown-group", "repeated-plot",
+            "call-not-0-or-1", "empty-features", "no-border-column",
             "non-numeric-feature", "short-feature-row"])
     def test_malformed_input_csv_is_an_error(self, scene_dir, tmp_path, capsys,
                                              command, flag, name, text, message):

@@ -418,25 +418,21 @@ class TestBuildFeatureTable:
         pixel_ids = np.concatenate([single.pixel_id for single in singles])
         assert list(pixel_ids) == list(table.pixel_id)
 
-    @pytest.mark.parametrize("blocks", [None, 7])
-    def test_rows_do_not_depend_on_how_sources_are_grouped(self, monkeypatch, small_scene,
-                                                           blocks):
-        if blocks:
-            monkeypatch.setattr(features, "BLOCK_ROWS", blocks)
+    def test_rows_do_not_depend_on_how_sources_are_grouped(self, monkeypatch, small_scene):
         table = build_all_indices(small_scene)
-        rows = max(block_sizes(table))
-        # One source per call (the ungrouped build), three with a partial last
-        # group in the largest block, and every source of a sensor in one call.
-        for cap in (1, 3 * rows + 1, 1 << 30):
-            monkeypatch.setattr(features, "GROUP_SERIES", cap)
+        assert [len(rows) for rows in table.plot_rows().values()] == [12] * 5
+        # One plot a block and one source per call; blocks of two plots and a
+        # last block of one, two sources per call there; one block, three
+        # sources per call, with a partial last group; and every source of a
+        # sensor in one call.
+        for cap in (1, 30, 3 * len(table), 1 << 30):
+            monkeypatch.setattr(features, "BLOCK_ROWS", cap)
             assert_same_bits(build_all_indices(small_scene).X, table.X)
 
-    @pytest.mark.parametrize("blocks, cap", [(None, None), (7, 20), (7, 5)])
-    def test_stats_calls_hold_at_most_the_cap(self, monkeypatch, small_scene, blocks, cap):
+    @pytest.mark.parametrize("blocks", [None, 7, 30])
+    def test_stats_calls_hold_at_most_the_cap(self, monkeypatch, small_scene, blocks):
         if blocks:
             monkeypatch.setattr(features, "BLOCK_ROWS", blocks)
-        if cap:
-            monkeypatch.setattr(features, "GROUP_SERIES", cap)
         widths = []
 
         def counting(matrix):
@@ -450,8 +446,8 @@ class TestBuildFeatureTable:
         # A call holds a group of sources up to the cap, or one source's
         # block where that alone is over it.
         blocks = block_sizes(table)
-        assert max(widths) <= max(features.GROUP_SERIES, max(blocks))
-        if features.GROUP_SERIES >= 2 * max(blocks):
+        assert max(widths) <= max(features.BLOCK_ROWS, max(blocks))
+        if features.BLOCK_ROWS >= 2 * max(blocks):
             assert len(widths) < len(blocks) * sources
 
 

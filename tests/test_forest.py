@@ -621,7 +621,7 @@ class TestColumnSorts:
     @example(seed=2, n=8, n_cols=5, block=1)
     def test_medians_equal_np_median(self, seed, n, n_cols, block):
         X = odd_matrix(seed, n, n_cols)
-        with mock.patch.object(forest, "_SORT_CELLS", block or forest._SORT_CELLS), \
+        with mock.patch.object(forest, "_PASS_CELLS", block or forest._PASS_CELLS), \
                 np.errstate(over="ignore"):
             got = fit_impute_medians(X)
             want = oracle_medians(X)
@@ -644,19 +644,19 @@ class TestColumnSorts:
     @example(seed=3, n=257, n_cols=12, block=7)
     def test_ranks_equal_np_unique(self, seed, n, n_cols, block):
         X = np.nan_to_num(odd_matrix(seed, n, n_cols), nan=0.25)
-        with mock.patch.object(forest, "_SORT_CELLS", block or forest._SORT_CELLS):
+        with mock.patch.object(forest, "_PASS_CELLS", block or forest._PASS_CELLS):
             got = forest._rank_codes(X)
         want = oracle_rank_codes(X)
         assert got.dtype == want.dtype == np.min_scalar_type(n)
         assert np.array_equal(got, want)
 
     def test_blocks_cover_the_columns_once(self, monkeypatch):
-        monkeypatch.setattr(forest, "_SORT_CELLS", 20)
+        monkeypatch.setattr(forest, "_PASS_CELLS", 20)
         X = np.arange(60.0).reshape(6, 10)
         blocks = list(forest._column_blocks(X))
         assert [(c.start, c.stop) for c, _ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 12)]
         assert np.array_equal(np.vstack([b for _, b in blocks]), X.T)
-        monkeypatch.setattr(forest, "_SORT_CELLS", 1)
+        monkeypatch.setattr(forest, "_PASS_CELLS", 1)
         assert len(list(forest._column_blocks(X))) == 10
 
 

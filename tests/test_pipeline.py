@@ -152,6 +152,22 @@ class TestRunPipeline:
         with open(tmp_path / "runs" / run_dir / "run_manifest.json") as fh:
             assert json.load(fh)["incomplete"] is True
 
+    def test_nan_endmember_fails_at_ingest_naming_the_file(self, tmp_path):
+        from plotburn.synth import generate, write_scenario
+
+        scenario = generate(dataclasses.replace(SCENARIO, n_plots=4))
+        paths = write_scenario(tmp_path / "scene", scenario)
+        header, rows = read_rows_csv(paths["endmembers"])
+        rows[2][3] = "nan"
+        write_rows_csv(paths["endmembers"], header, rows)
+        config = RunConfig(out_root=str(tmp_path / "runs"), plots_path=paths["plots"],
+                           manifest_path=paths["manifest"],
+                           endmembers_path=paths["endmembers"])
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "ingest"
+        assert f"{paths['endmembers']}: char endmember outside [0, 1]" in str(err.value)
+
     def test_plots_file_without_plots_fails_at_ingest(self, tmp_path, monkeypatch):
         from test_io import write_two_sensor_manifest
 
