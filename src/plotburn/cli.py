@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
-from .gridio import FormatError, check_plot_row, read_plot_rows, read_rows_csv, write_rows_csv
+from .gridio import PLOT_COLUMNS, read_plot_rows, write_rows_csv
 from .separability import CURVE_CSV_HEADER
 from .thresholds import PlotPrediction
 
@@ -71,23 +72,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_rows(path, n_fields: int, parse) -> list:
-    """parse(*row) of each data row of a CSV file of plots, plot_id first and
-    label and group last; a row without n_fields fields, one check_plot_row
-    rejects, or one parse rejects, is a FormatError naming the file and row."""
-    _, rows = read_rows_csv(path)
-    out, seen = [], set()
-    for i, row in enumerate(rows, 1):
-        try:
-            if len(row) != n_fields:
-                raise ValueError(f"{len(row)} field(s), expected {n_fields}")
-            check_plot_row(seen, row[0], *row[-2:])
-            out.append(parse(*row))
-        except ValueError as exc:
-            raise FormatError(f"{path}: data row {i}: {exc}") from None
-    return out
-
-
 def _stage_state(args, config: pipe.RunConfig | None = None) -> pipe.RunState:
     """A RunState whose run directory is the stage command's --out."""
     os.makedirs(args.out, exist_ok=True)
@@ -135,7 +119,7 @@ def cmd_separability(args) -> int:
 
 def cmd_train(args) -> int:
     state = _stage_state(args, _load_run_config(args))
-    for row in read_plot_rows(args.plots_path):
+    for row in read_plot_rows(args.plots_path, PLOT_COLUMNS, dict):
         state.labels[row["plot_id"]] = row["label"]
         state.groups[row["plot_id"]] = row["group"]
     state.table = feats.read_feature_csv(args.features)
@@ -152,11 +136,11 @@ def cmd_train(args) -> int:
 def cmd_threshold(args) -> int:
     state = _stage_state(args)
 
-    def score_row(plot_id, score, label, group):
-        state.plot_scores[plot_id] = float(score)
-        state.labels[plot_id] = label
-        state.groups[plot_id] = group
-    _parse_rows(args.scores, 4, score_row)
+    def score_row(row):
+        state.plot_scores[row["plot_id"]] = float(row["mean_score"])
+        state.labels[row["plot_id"]] = row["label"]
+        state.groups[row["plot_id"]] = row["group"]
+    read_plot_rows(args.scores, ["plot_id", "mean_score", "label", "group"], score_row)
     pipe.stage_threshold(state)
     print(f"thresholds: max={state.choice_max.threshold!r} "
           f"(percentile {state.choice_max.percentile}), "
@@ -168,12 +152,16 @@ def cmd_threshold(args) -> int:
 def cmd_report(args) -> int:
     state = _stage_state(args)
 
-    def prediction_row(plot_id, mean_score, call_max, call_balanced, label, group):
-        calls = int(call_max), int(call_balanced)
+    def prediction_row(row):
+        score = float(row["mean_score"])
+        calls = int(row["call_max"]), int(row["call_balanced"])
+        if not math.isfinite(score):
+            raise ValueError(f"mean_score {score!r} is not finite")
         if not set(calls) <= {0, 1}:
             raise ValueError(f"calls {calls} are not each 0 or 1")
-        return PlotPrediction(plot_id, float(mean_score), *calls, label, group)
-    state.predictions = _parse_rows(args.predictions, 6, prediction_row)
+        return PlotPrediction(row["plot_id"], score, *calls, row["label"], row["group"])
+    state.predictions = read_plot_rows(args.predictions, [
+        "plot_id", "mean_score", "call_max", "call_balanced", "label", "group"], prediction_row)
     pipe.stage_report(state)
     print(f"report tables in {args.out}")
     return 0

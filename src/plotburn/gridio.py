@@ -15,10 +15,11 @@ grids, 1 for unit reflectance) and one entry per (sensor, date, band) grid,
 plus an optional cloud probability grid per observation. scan_scene_manifest
 checks the manifest's values (scale a finite number above 0, cloud_threshold
 a finite number, an entry's sensor, band and grid strings and its mask a
-string or null), then reads only the grid headers and checks the geometry;
-read_scene_manifest then reads each grid once, converting only the cells a
-window of the common grid is computed from (for a coarser sensor, the cells
-under their cubic taps), and holds each pass as window-sized arrays.
+string or null, one cloud mask per pass), then reads only the grid headers
+and checks the geometry; read_scene_manifest then reads each grid once,
+converting only the cells a window of the common grid is computed from (for
+a coarser sensor, the cells under their cubic taps), and holds each pass as
+window-sized arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ DEFAULT_SCALE = 10000.0
 DEFAULT_CLOUD_THRESHOLD = 0.5
 # The JSON types of a manifest entry's grid fields.
 _ENTRY_TYPES = {"sensor": str, "band": str, "grid": str, "mask": (str, type(None))}
+PLOT_COLUMNS = ["plot_id", "label", "group", "wkt_polygon"]
+# The rows of an endmember file, in EndmemberSet's order.
+ENDMEMBERS = ("veg", "soil", "char")
 
 
 class FormatError(ValueError):
@@ -300,7 +304,7 @@ def scan_scene_manifest(path) -> SceneLayout:
     base = os.path.dirname(os.path.abspath(path))
 
     grouped: dict[tuple[str, dt.date], dict] = defaultdict(dict)
-    masks: dict[tuple[str, dt.date], str] = {}
+    masks: dict[tuple[str, dt.date], tuple[str, int]] = {}  # mask path, first entry
     entry_of: dict[tuple[str, dt.date, str], int] = {}
     for i, entry in enumerate(doc["entries"]):
         if not isinstance(entry, dict):
@@ -331,7 +335,10 @@ def scan_scene_manifest(path) -> SceneLayout:
         entry_of[(sensor, date, band)] = i
         grouped[(sensor, date)][band] = os.path.join(base, grid)
         if entry.get("mask"):
-            masks[(sensor, date)] = os.path.join(base, entry["mask"])
+            mask, first = masks.setdefault((sensor, date), (os.path.join(base, entry["mask"]), i))
+            if mask != os.path.join(base, entry["mask"]):
+                raise FormatError(f"{path}: entries[{i}]: {sensor} {date}: cloud mask "
+                                  f"{entry['mask']!r} differs from entries[{first}]'s")
     if not grouped:
         raise FormatError(f"{path}: the manifest lists no grids")
 
@@ -349,7 +356,7 @@ def scan_scene_manifest(path) -> SceneLayout:
         if len(geoms) > 1:
             raise AlignmentError(f"{sensor} {date}: band grids disagree on geometry")
         (geom,) = geoms
-        mask = masks.get((sensor, date))
+        mask = masks.get((sensor, date), (None,))[0]
         if mask is not None and _read_grid_header(mask) != geom:
             raise AlignmentError(f"{sensor} {date}: cloud mask geometry mismatch")
         geom_by_sensor.setdefault(sensor, geom)
@@ -462,89 +469,104 @@ def parse_wkt_polygon(wkt: str) -> list[tuple[float, float]]:
     text = wkt.strip()
     if not text.upper().startswith("POLYGON"):
         raise FormatError(f"not a WKT polygon: {wkt[:40]!r}")
-    inner = text[text.index("((") + 2:text.rindex("))")]
+    start, end = text.find("(("), text.rfind("))")
+    if not 0 <= start < end:
+        raise FormatError(f"WKT polygon without its ((...)) ring: {wkt[:40]!r}")
     pts = []
-    for pair in inner.split(","):
+    for pair in text[start + 2:end].split(","):
         xs = pair.split()
         if len(xs) != 2:
             raise FormatError(f"bad WKT coordinate {pair!r}")
-        pts.append((float(xs[0]), float(xs[1])))
+        x, y = float(xs[0]), float(xs[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FormatError(f"WKT coordinate {pair.strip()!r} is not finite")
+        pts.append((x, y))
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts = pts[:-1]
     return pts
 
 
-def _read_csv(path, columns) -> list[dict[str, str]]:
-    """A CSV file's rows, short rows padded with ""; its header must hold the columns."""
+def read_csv_rows(path, columns, parse) -> list:
+    """parse(row) of each data row of a CSV file, row a dict of the header's
+    fields; the header must hold the columns, and blank lines are skipped.
+    A row whose field count differs from the header's, or that parse
+    rejects with a ValueError, is a FormatError naming the file and row."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise FormatError(f"{path}: missing column(s) {missing}")
-        return list(reader)
+        out = []
+        for i, row in enumerate(filter(None, reader), 1):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} field(s), expected {len(header)}")
+                out.append(parse(dict(zip(header, row))))
+            except ValueError as exc:
+                raise FormatError(f"{path}: data row {i}: {exc}") from None
+    return out
 
 
 def write_plots_csv(path, plots: list[Plot]) -> None:
-    write_rows_csv(path, ["plot_id", "label", "group", "wkt_polygon"],
+    write_rows_csv(path, PLOT_COLUMNS,
                    [[p.plot_id, p.label, p.group, format_wkt_polygon(p.polygon)]
                     for p in plots])
 
 
-def check_plot_row(seen: set, plot_id: str, label: str, group: str) -> None:
-    """The rule for a row of any file that lists plots: each plot_id once, and
-    each label and group a known one; seen holds the earlier rows' plot_ids."""
-    if plot_id in seen:
-        raise FormatError(f"plot {plot_id!r} is listed more than once")
-    seen.add(plot_id)
-    for key, value, allowed in (("label", label, LABELS), ("group", group, GROUPS)):
-        if value not in allowed:
-            raise SceneError(f"plot {plot_id!r}: bad {key} {value!r}")
-
-
-def read_plot_rows(path) -> list[dict[str, str]]:
-    """The plots file's rows, each passing check_plot_row."""
-    rows = _read_csv(path, ["plot_id", "label", "group", "wkt_polygon"])
+def read_plot_rows(path, columns, parse) -> list:
+    """parse(row) of each row of a file listing plots (plots, scores,
+    predictions), if its plot_id is new and its label and group known ones.
+    Its errors, and those of parse, name the plot."""
     seen = set()
-    for row in rows:
+
+    def checked(row):
         try:
-            check_plot_row(seen, row["plot_id"], row["label"], row["group"])
-        except ValueError as exc:  # FormatError, SceneError
-            raise type(exc)(f"{path}: {exc}") from None
-    return rows
+            if row["plot_id"] in seen:
+                raise ValueError("listed more than once")
+            seen.add(row["plot_id"])
+            for key, allowed in (("label", LABELS), ("group", GROUPS)):
+                if row[key] not in allowed:
+                    raise ValueError(f"bad {key} {row[key]!r}")
+            return parse(row)
+        except ValueError as exc:
+            raise ValueError(f"plot {row['plot_id']!r}: {exc}") from None
+    return read_csv_rows(path, columns, checked)
 
 
 def read_plots_csv(path, geom: GridGeometry) -> list[Plot]:
-    plots = []
-    for row in read_plot_rows(path):
-        try:
-            polygon = parse_wkt_polygon(row["wkt_polygon"])
-            plots.append(make_plot(row["plot_id"], polygon, geom, row["label"], row["group"]))
-        except ValueError as exc:  # FormatError, EmptyPlotError
-            raise type(exc)(f"{path}: plot {row['plot_id']!r}: {exc}") from None
-    return plots
+    return read_plot_rows(path, PLOT_COLUMNS, lambda row: make_plot(
+        row["plot_id"], parse_wkt_polygon(row["wkt_polygon"]), geom, row["label"], row["group"]))
 
 
 def write_endmembers_csv(path, endmembers: EndmemberSet) -> None:
     write_rows_csv(path, ["name", *SWIR_SET], [[name, *map(float, getattr(endmembers, name))]
-                                               for name in ("veg", "soil", "char")])
+                                               for name in ENDMEMBERS])
 
 
 def read_endmembers_csv(path) -> EndmemberSet:
-    spectra = {}
-    for row in _read_csv(path, ["name", *SWIR_SET]):
+    """The veg, soil and char rows of an endmember file, each listed once."""
+    def spectrum(row):
+        name = row["name"]
+        if name not in ENDMEMBERS:
+            raise ValueError(f"unknown endmember {name!r} (expected {', '.join(ENDMEMBERS)})")
+        if name in spectra:
+            raise ValueError(f"endmember {name!r}: listed more than once")
         values = []
         for band in SWIR_SET:
             try:
                 values.append(float(row[band]))
             except ValueError:
-                raise FormatError(f"{path}: endmember {row['name']!r}: {band} value "
-                                  f"{row[band]!r} is not a number") from None
-        spectra[row["name"]] = np.array(values)
-    missing = {"veg", "soil", "char"} - set(spectra)
+                raise ValueError(f"endmember {name!r}: {band} value {row[band]!r} "
+                                 "is not a number") from None
+        spectra[name] = np.array(values)
+    spectra = {}
+    read_csv_rows(path, ["name", *SWIR_SET], spectrum)
+    missing = set(ENDMEMBERS) - set(spectra)
     if missing:
         raise FormatError(f"{path}: endmember file missing rows {sorted(missing)}")
     try:
-        return EndmemberSet(spectra["veg"], spectra["soil"], spectra["char"])
+        return EndmemberSet(**spectra)
     except ValueError as exc:  # IndexError_
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -556,15 +578,14 @@ def write_events_csv(path, events: list[tuple[str, str, dt.date]]) -> None:
 
 
 def read_events_csv(path) -> list[tuple[str, str, dt.date]]:
-    out = []
-    for row in _read_csv(path, ["plot_id", "event", "date"]):
+    def event(row):
         try:
             if row["event"] not in ("burn", "till"):
                 raise ValueError(f"unknown event kind {row['event']!r}")
-            out.append((row["plot_id"], row["event"], dt.date.fromisoformat(row["date"])))
+            return row["plot_id"], row["event"], dt.date.fromisoformat(row["date"])
         except ValueError as exc:
-            raise FormatError(f"{path}: plot {row['plot_id']!r}: {exc}") from None
-    return out
+            raise ValueError(f"plot {row['plot_id']!r}: {exc}") from None
+    return read_csv_rows(path, ["plot_id", "event", "date"], event)
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:

@@ -253,7 +253,7 @@ class TestStageCommands:
     @pytest.mark.parametrize("edit, message", [
         (lambda header, rows: (header, [r[:1] + ["burnt"] + r[2:] for r in rows[:1]]
                                + rows[1:]),
-         "plot 'p0000': bad label 'burnt'"),
+         "data row 1: plot 'p0000': bad label 'burnt'"),
         (drop_column("group"), "missing column(s) ['group']"),
     ], ids=["typo-label", "no-group-column"])
     def test_train_checks_the_plots_file(self, scene_dir, tmp_path, capsys, edit, message):
@@ -287,14 +287,16 @@ class TestStageCommands:
         assert "error: no labeled plots with feature rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, name, text, message", [
-        ("threshold", "--scores", "scores.csv", "", "the file is empty"),
-        ("report", "--predictions", "predictions.csv", "", "the file is empty"),
+        ("threshold", "--scores", "scores.csv", "",
+         "missing column(s) ['plot_id', 'mean_score', 'label', 'group']"),
+        ("report", "--predictions", "predictions.csv", "",
+         "missing column(s) ['plot_id', 'mean_score', 'call_max', 'call_balanced', "),
         ("threshold", "--scores", "scores.csv",
          "plot_id,mean_score,label,group\np0000,0.5,burned\n",
          "data row 1: 3 field(s), expected 4"),
         ("threshold", "--scores", "scores.csv",
          "plot_id,mean_score,label,group\np0000,0.5,burned,treatment\np0001,x,burned,treatment\n",
-         "data row 2: could not convert string to float: 'x'"),
+         "data row 2: plot 'p0001': could not convert string to float: 'x'"),
         ("report", "--predictions", "predictions.csv",
          "plot_id,mean_score,call_max,call_balanced,label,group\np0000,0.5,1\n",
          "data row 1: 3 field(s), expected 6"),
@@ -307,11 +309,23 @@ class TestStageCommands:
         ("threshold", "--scores", "scores.csv",
          "plot_id,mean_score,label,group\np0000,0.5,burned,treatment\n"
          "p0000,0.2,not_burned,control\n",
-         "data row 2: plot 'p0000' is listed more than once"),
+         "data row 2: plot 'p0000': listed more than once"),
         ("report", "--predictions", "predictions.csv",
          "plot_id,mean_score,call_max,call_balanced,label,group\n"
          "p0000,0.5,1,7,unlabeled,none\n",
-         "data row 1: calls (1, 7) are not each 0 or 1"),
+         "data row 1: plot 'p0000': calls (1, 7) are not each 0 or 1"),
+        ("report", "--predictions", "predictions.csv",
+         "plot_id,mean_score,call_max,call_balanced,label,group\n"
+         "p0000,0.5,1,1,unlabeled,none\np0001,nan,1,0,unlabeled,none\n",
+         "data row 2: plot 'p0001': mean_score nan is not finite"),
+        ("report", "--predictions", "predictions.csv",
+         "plot_id,mean_score,call_max,call_balanced,label,group\n"
+         "p0000,0.5,1,1,unlabeled,none\np0001,inf,1,0,unlabeled,none\n",
+         "data row 2: plot 'p0001': mean_score inf is not finite"),
+        ("report", "--predictions", "predictions.csv",
+         "plot_id,mean_score,call_max,call_balanced,label,group\n"
+         "p0000,0.5,1,1,unlabeled,none\np0001,-inf,1,0,unlabeled,none\n",
+         "data row 2: plot 'p0001': mean_score -inf is not finite"),
         ("train", "--features", "features.csv", "", "missing column(s) ['plot_id', "),
         ("train", "--features", "features.csv",
          "plot_id,pixel_id,n_obs_A,n_obs_B,A_NIR_max\np0000,x0,3,2,0.5\n",
@@ -323,7 +337,8 @@ class TestStageCommands:
          FEATURE_HEADER + "p0000,x0,0,3,2,0.5\np0000,x1,0,3\n", "at row 2"),
     ], ids=["empty-scores", "empty-predictions", "short-score-row", "non-numeric-score",
             "short-prediction-row", "unknown-label", "unknown-group", "repeated-plot",
-            "call-not-0-or-1", "empty-features", "no-border-column",
+            "call-not-0-or-1", "nan-prediction-score", "inf-prediction-score",
+            "minus-inf-prediction-score", "empty-features", "no-border-column",
             "non-numeric-feature", "short-feature-row"])
     def test_malformed_input_csv_is_an_error(self, scene_dir, tmp_path, capsys,
                                              command, flag, name, text, message):
@@ -346,6 +361,17 @@ class TestStageCommands:
         assert main(["threshold", "--scores", str(path), "--out", str(out)]) == 1
         assert "NaN" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
+
+    def test_infinite_plot_vertex_is_an_error(self, scene_dir, tmp_path, capsys):
+        def edit(header, rows):
+            j = header.index("wkt_polygon")
+            first = rows[0][:j] + ["POLYGON ((0 0, inf 0, 9 9, 0 9))"] + rows[0][j + 1:]
+            return header, [first, *rows[1:]]
+        plots = edited_plots(scene_dir, tmp_path / "plots.csv", edit)
+        assert main(["ingest", "--manifest", str(scene_dir / "scene_manifest.json"),
+                     "--plots", str(plots), "--out", str(tmp_path / "out")]) == 1
+        assert ("plots.csv: data row 1: plot 'p0000': WKT coordinate 'inf 0' is not finite"
+                in capsys.readouterr().err)
 
 
 class TestRunCommand:

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from test_features import assert_same_table
 
 from plotburn import gridio
+from plotburn.cli import main
 from plotburn.features import build_feature_table
 from plotburn.indices import SWIR_SET
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
@@ -17,8 +19,7 @@ from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              write_scene_manifest)
 from plotburn.pipeline import PipelineError, RunConfig, run_pipeline
 from plotburn.resample import upsample_cubic
-from plotburn.scene import (SENSOR_BANDS, AlignmentError, EmptyPlotError, GridGeometry,
-                            SceneError, make_plot)
+from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry, SceneError, make_plot
 from plotburn.synth import (ScenarioConfig, default_endmembers, generate,
                             write_scenario)
 
@@ -429,20 +430,35 @@ class TestManifest:
         with pytest.raises(SceneError, match="B 2019-11-01: .*" + message):
             scan_scene_manifest(path)
 
-    @pytest.mark.parametrize("row, error, message", [
-        ('far,burned,none,"POLYGON ((900 900, 903 900, 903 903, 900 903))"', EmptyPlotError,
+    @pytest.mark.parametrize("row, message", [
+        ('far,burned,none,"POLYGON ((900 900, 903 900, 903 903, 900 903))"',
          "plot 'far': polygon lies outside the grid extent"),
-        ('p2,burnt,none,"POLYGON ((0 0, 9 0, 9 9, 0 9))"', SceneError,
-         "plot 'p2': bad label 'burnt'"),
-        ('p3,burned,none,"POLYGON ((0 0, 9 0, 9 9 9))"', FormatError,
-         "plot 'p3': bad WKT coordinate"),
-    ], ids=["outside-grid", "bad-label", "bad-wkt"])
-    def test_bad_plot_fails_naming_the_file_and_plot(self, tmp_path, row, error, message):
+        ('p2,burnt,none,"POLYGON ((0 0, 9 0, 9 9, 0 9))"', "plot 'p2': bad label 'burnt'"),
+        ('p3,burned,none,"POLYGON ((0 0, 9 0, 9 9 9))"', "plot 'p3': bad WKT coordinate"),
+        ('p4,burned,none,"POLYGON ((0 0, inf 0, 9 9, 0 9))"',
+         "plot 'p4': WKT coordinate 'inf 0' is not finite"),
+        ('p5,burned,none,"POLYGON ((0 0, 9 0, 9 nan, 0 9))"',
+         "plot 'p5': WKT coordinate '9 nan' is not finite"),
+        ('p6,burned,none,"POLYGON (0 0, 9 0, 9 9, 0 9)"',
+         r"plot 'p6': WKT polygon without its \(\(...\)\) ring"),
+    ], ids=["outside-grid", "bad-label", "bad-wkt", "inf-vertex", "nan-vertex", "no-ring"])
+    def test_bad_plot_fails_naming_the_file_and_plot(self, tmp_path, row, message):
         path = tmp_path / "plots.csv"
         path.write_text("plot_id,label,group,wkt_polygon\n"
                         f'p1,burned,none,"POLYGON ((0 0, 9 0, 9 9, 0 9))"\n{row}\n')
-        with pytest.raises(error, match=r"plots.csv: " + message):
+        with pytest.raises(FormatError, match=r"plots.csv: data row 2: " + message):
             read_plots_csv(path, FINE)
+
+    def test_one_pass_with_two_cloud_masks_rejected(self, tmp_path):
+        path, _ = write_two_sensor_manifest(tmp_path, mask=True)
+        doc = json.loads(path.read_text())
+        assert [e["band"] for e in doc["entries"][:2]] == ["Blue", "Green"]
+        doc["entries"][1]["mask"] = "other_cloud.grid"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(
+                "m.json: entries[1]: A 2019-10-20: cloud mask 'other_cloud.grid' "
+                "differs from entries[0]'s")):
+            scan_scene_manifest(path)
 
     def test_dn_scale_and_cloud_mask(self, tmp_path):
         geom = GridGeometry(6, 6, 0.0, 0.0, 3.0)
@@ -747,18 +763,18 @@ class TestSmallCsvs:
         (read_plots, "plot_id,label,wkt_polygon\n", FormatError,
          r"missing column\(s\) \['group'\]"),
         (read_plots, "", FormatError, r"missing column\(s\) \['plot_id', 'label'"),
-        (read_plots, "plot_id,label,group,wkt_polygon\np1,burned\n", SceneError,
-         r"plot 'p1': bad group ''"),
-        (read_plots, "plot_id,label,group,wkt_polygon\np1,burned,none\n", FormatError,
-         r"plot 'p1': not a WKT polygon"),
+        (read_plots, "plot_id,label,group,wkt_polygon\np1,burned\n", FormatError,
+         r"data row 1: 2 field\(s\), expected 4"),
+        (read_plots, "plot_id,label,group,wkt_polygon\np1,burned,none,\n", FormatError,
+         r"data row 1: plot 'p1': not a WKT polygon"),
         (read_events_csv, "plot_id,date\np1,2019-11-02\n", FormatError,
          r"missing column\(s\) \['event'\]"),
         (read_events_csv, "plot_id,event,date\np1,burnt,2019-11-02\n", FormatError,
-         r"plot 'p1': unknown event kind 'burnt'"),
+         r"data row 1: plot 'p1': unknown event kind 'burnt'"),
         (read_events_csv, "plot_id,event,date\np1,burn,2019-11-31\n", FormatError,
-         r"plot 'p1': day is out of range"),
+         r"data row 1: plot 'p1': day is out of range"),
         (read_events_csv, "plot_id,event,date\np1,burn\n", FormatError,
-         r"plot 'p1': Invalid isoformat"),
+         r"data row 1: 2 field\(s\), expected 3"),
         (read_endmembers_csv, "name," + BANDS_HEADER.replace(",SWIR2", "") + "\n",
          FormatError, r"missing column\(s\) \['SWIR2'\]"),
         (read_endmembers_csv, BANDS_HEADER + "\n", FormatError,
@@ -776,7 +792,8 @@ class TestSmallCsvs:
         path = tmp_path / "plots.csv"
         path.write_text("plot_id,label,group,wkt_polygon\n" + PLOT_ROW
                         + PLOT_ROW.replace("burned", "not_burned"))
-        with pytest.raises(FormatError, match=r"plots.csv: plot 'p1' is listed more than once"):
+        with pytest.raises(FormatError,
+                           match=r"plots.csv: data row 2: plot 'p1': listed more than once"):
             read_plots_csv(path, FINE)
 
     def test_endmember_value_not_a_number(self, tmp_path):
@@ -788,7 +805,20 @@ class TestSmallCsvs:
         values[1 + SWIR_SET.index(band)] = "x"
         path.write_text("\n".join([header, veg, ",".join(values), char]) + "\n")
         with pytest.raises(FormatError,
-                           match=rf"em.csv: endmember 'soil': {band} value 'x' is not a number"):
+                           match=rf"em.csv: data row 2: endmember 'soil': {band} value 'x' "
+                                 "is not a number"):
+            read_endmembers_csv(path)
+
+    @pytest.mark.parametrize("name, message", [
+        ("soil", "endmember 'soil': listed more than once"),
+        ("water", "unknown endmember 'water' (expected veg, soil, char)"),
+    ], ids=["repeated", "unknown"])
+    def test_endmember_name_is_known_and_listed_once(self, tmp_path, name, message):
+        path = tmp_path / "em.csv"
+        write_endmembers_csv(path, default_endmembers())
+        with open(path, "a") as fh:
+            fh.write(",".join([name] + ["0.9"] * len(SWIR_SET)) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"em.csv: data row 4: {message}")):
             read_endmembers_csv(path)
 
     def test_endmembers_round_trip(self, tmp_path):
@@ -814,3 +844,62 @@ class TestSmallCsvs:
         assert float(back[0][1]) == 0.1 + 0.2
         assert float(back[1][1]) == 1.0 / 3.0
         assert back[0][2] == ""
+
+
+def _endmember_rows():
+    em = default_endmembers()
+    return [[name, *map(repr, map(float, getattr(em, name)))] for name in ("veg", "soil", "char")]
+
+
+# Each CSV input: its header, two good data rows, a second row holding a
+# field that does not parse, and the reason that row fails with.
+CSV_INPUTS = {
+    "plots.csv": (["plot_id", "label", "group", "wkt_polygon"],
+                  [["p1", "burned", "none", "POLYGON ((0 0, 9 0, 9 9, 0 9))"],
+                   ["p2", "burned", "none", "POLYGON ((0 0, 9 0, 9 9, 0 9))"]],
+                  ["p2", "burned", "none", "POLYGON ((0 0, 9 0, x 9, 0 9))"],
+                  "plot 'p2': could not convert string to float: 'x'"),
+    "events.csv": (["plot_id", "event", "date"],
+                   [["p1", "burn", "2019-11-02"], ["p2", "till", "2019-11-05"]],
+                   ["p2", "till", "2019-13-05"], "plot 'p2': month must be in 1..12"),
+    "endmembers.csv": (["name", *SWIR_SET], _endmember_rows(),
+                       ["soil", "x", *_endmember_rows()[1][2:]],
+                       f"endmember 'soil': {SWIR_SET[0]} value 'x' is not a number"),
+    "scores.csv": (["plot_id", "mean_score", "label", "group"],
+                   [["p1", "0.8", "burned", "treatment"], ["p2", "0.2", "not_burned", "control"]],
+                   ["p2", "low", "not_burned", "control"],
+                   "plot 'p2': could not convert string to float: 'low'"),
+    "predictions.csv": (["plot_id", "mean_score", "call_max", "call_balanced", "label", "group"],
+                        [["p1", "0.8", "1", "1", "burned", "treatment"],
+                         ["p2", "0.2", "0", "0", "not_burned", "control"]],
+                        ["p2", "0.2", "no", "0", "not_burned", "control"],
+                        "plot 'p2': invalid literal for int() with base 10: 'no'"),
+}
+# The stage command that reads a file the pipeline's own stages pass on.
+STAGE_INPUTS = {"scores.csv": ("threshold", "--scores"),
+                "predictions.csv": ("report", "--predictions")}
+READERS = {"plots.csv": read_plots, "events.csv": read_events_csv,
+           "endmembers.csv": read_endmembers_csv}
+
+
+@pytest.mark.parametrize("name", CSV_INPUTS)
+@pytest.mark.parametrize("case", ["short", "long", "unparseable"])
+def test_malformed_row_fails_naming_the_file_and_data_row(tmp_path, capsys, name, case):
+    """Every CSV input goes through gridio.read_csv_rows, so a row with too few
+    fields, too many, or one that does not parse fails alike in each."""
+    header, rows, unparseable, reason = CSV_INPUTS[name]
+    n = len(header)
+    bad, reason = {"short": (rows[1][:-1], f"{n - 1} field(s), expected {n}"),
+                   "long": (rows[1] + ["extra"], f"{n + 1} field(s), expected {n}"),
+                   "unparseable": (unparseable, reason)}[case]
+    path = tmp_path / name
+    write_rows_csv(path, header, [rows[0], bad, *rows[2:]])
+    if name in STAGE_INPUTS:
+        command, flag = STAGE_INPUTS[name]
+        assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(FormatError) as info:
+            READERS[name](path)
+        message = str(info.value)
+    assert f"{name}: data row 2: {reason}" in message
