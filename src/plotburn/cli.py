@@ -13,18 +13,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
-from .gridio import PLOT_COLUMNS, read_plot_rows, write_rows_csv
+from .gridio import PLOT_COLUMNS, parse_wkt_polygon, read_plot_rows, write_rows_csv
 from .separability import CURVE_CSV_HEADER
-from .thresholds import PlotPrediction
 
 DEFAULT_OUT = os.environ.get("PLOTBURN_OUT", "runs")
+# The columns of scores.csv, which train writes and threshold reads.
+SCORE_COLUMNS = ["plot_id", "mean_score", "label", "group"]
 
 
 def _read_config(path) -> dict:
@@ -119,13 +119,15 @@ def cmd_separability(args) -> int:
 
 def cmd_train(args) -> int:
     state = _stage_state(args, _load_run_config(args))
-    for row in read_plot_rows(args.plots_path, PLOT_COLUMNS, dict):
+
+    def plot_row(row):
+        parse_wkt_polygon(row["wkt_polygon"])  # as ingest checks it
         state.labels[row["plot_id"]] = row["label"]
         state.groups[row["plot_id"]] = row["group"]
+    read_plot_rows(args.plots_path, PLOT_COLUMNS, plot_row)
     state.table = feats.read_feature_csv(args.features)
     pipe.stage_train(state)
-    write_rows_csv(os.path.join(args.out, "scores.csv"),
-                   ["plot_id", "mean_score", "label", "group"],
+    write_rows_csv(os.path.join(args.out, "scores.csv"), SCORE_COLUMNS,
                    [[pid, score, state.labels[pid], state.groups[pid]]
                     for pid, score in sorted(state.plot_scores.items())])
     print(f"trained on {len(state.cv_result.pixel_scores)} labeled plots; "
@@ -137,10 +139,10 @@ def cmd_threshold(args) -> int:
     state = _stage_state(args)
 
     def score_row(row):
-        state.plot_scores[row["plot_id"]] = float(row["mean_score"])
+        state.plot_scores[row["plot_id"]] = pipe.finite_score(row)
         state.labels[row["plot_id"]] = row["label"]
         state.groups[row["plot_id"]] = row["group"]
-    read_plot_rows(args.scores, ["plot_id", "mean_score", "label", "group"], score_row)
+    read_plot_rows(args.scores, SCORE_COLUMNS, score_row)
     pipe.stage_threshold(state)
     print(f"thresholds: max={state.choice_max.threshold!r} "
           f"(percentile {state.choice_max.percentile}), "
@@ -151,17 +153,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_report(args) -> int:
     state = _stage_state(args)
-
-    def prediction_row(row):
-        score = float(row["mean_score"])
-        calls = int(row["call_max"]), int(row["call_balanced"])
-        if not math.isfinite(score):
-            raise ValueError(f"mean_score {score!r} is not finite")
-        if not set(calls) <= {0, 1}:
-            raise ValueError(f"calls {calls} are not each 0 or 1")
-        return PlotPrediction(row["plot_id"], score, *calls, row["label"], row["group"])
-    state.predictions = read_plot_rows(args.predictions, [
-        "plot_id", "mean_score", "call_max", "call_balanced", "label", "group"], prediction_row)
+    state.predictions = pipe.read_predictions(args.predictions)
     pipe.stage_report(state)
     print(f"report tables in {args.out}")
     return 0
@@ -179,7 +171,7 @@ def cmd_ablate(args) -> int:
     for spec in args.run:
         label, _, path = spec.partition("=")
         if not path:
-            raise SystemExit(f"--run expects label=dir, got {spec!r}")
+            raise ValueError(f"--run expects label=dir, got {spec!r}")
         if label in runs:
             raise ValueError(f"--run label {label!r} is given more than once")
         runs[label] = path

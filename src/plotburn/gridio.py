@@ -597,12 +597,3 @@ def write_rows_csv(path, header: list[str], rows) -> None:
             w.writerow(["" if v is None else
                         (repr(float(v)) if isinstance(v, float) else v) for v in row])
 
-
-def read_rows_csv(path):
-    """(header, rows) of a CSV file; a file without a header line is an error."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: the file is empty")
-        return header, list(reader)

@@ -39,14 +39,14 @@ from .cv import (LABEL_TO_CLASS, fit_forest, loocv_plot, parse_cv_mode, row_clas
 from .forest import ForestParams, save_forest, top_k_features
 # Not called here: perfbench/worker.py rebinds them by name.
 from .forest import apply_impute, fit_impute_medians, predict_scores, train_forest  # noqa: F401
-from .gridio import (FormatError, read_endmembers_csv, read_events_csv, read_plots_csv,
-                     read_rows_csv, read_scene_manifest, scan_scene_manifest,
-                     write_rows_csv)
+from .gridio import (FormatError, read_csv_rows, read_endmembers_csv, read_events_csv,
+                     read_plot_rows, read_plots_csv, read_scene_manifest,
+                     scan_scene_manifest, write_rows_csv)
 from .scene import gap_statistics
 from .separability import CURVE_CSV_HEADER, plot_means, separability_curve
-from .thresholds import (aggregate_plot, balanced_accuracy_threshold,
-                         cohens_kappa, make_predictions, max_accuracy_threshold,
-                         prediction_summary)
+from .thresholds import (ConfusionCounts, PlotPrediction, aggregate_plot,
+                         balanced_accuracy_threshold, cohens_kappa, make_predictions,
+                         max_accuracy_threshold, prediction_summary)
 
 # The sensors each sensor_mode reads.
 SENSOR_MODES = {"combined": ("A", "B"), "A_only": ("A",), "B_only": ("B",)}
@@ -60,6 +60,12 @@ FILE_FIELDS = ("manifest_path", "plots_path", "events_path", "endmembers_path")
 ARTIFACTS = ("features.csv", "importance.csv", "cv_scores.csv", "predictions.csv",
              "confusion_max.csv", "confusion_balanced.csv", "gaps.csv",
              "run_manifest.json")
+PREDICTION_COLUMNS = [f.name for f in dataclasses.fields(PlotPrediction)]
+# An ablation table's columns: run, policy, then measures of the run's confusion
+# table; those after threshold are ConfusionCounts attributes.
+ABLATION_HEADER = ["run", "policy", "threshold", "false_burn", "false_no_burn",
+                   "true_burn", "true_no_burn", "no_burn_accuracy",
+                   "burn_accuracy", "mean_accuracy"]
 
 
 class PipelineError(RuntimeError):
@@ -251,20 +257,6 @@ def join_writers(state: RunState) -> PipelineError | None:
     return error
 
 
-def _confusion_rows(choice, kappa: float):
-    c = choice.counts
-    return [["threshold", choice.threshold],
-            ["threshold_percentile", choice.percentile],
-            ["false_burn", c.false_burn],
-            ["false_no_burn", c.false_no_burn],
-            ["true_burn", c.true_burn],
-            ["true_no_burn", c.true_no_burn],
-            ["no_burn_accuracy", c.no_burn_accuracy],
-            ["burn_accuracy", c.burn_accuracy],
-            ["mean_accuracy", c.mean_accuracy],
-            ["cohens_kappa", kappa]]
-
-
 def stage_ingest(state: RunState) -> None:
     cfg = state.config
     sensors = SENSOR_MODES[cfg.sensor_mode]
@@ -367,11 +359,12 @@ def curve_rows(state: RunState, sources) -> list[list]:
 
 
 def stage_separability(state: RunState) -> None:
-    if not any(kind == "burn" for _, kind, _ in state.events):
+    if any(kind == "burn" for _, kind, _ in state.events):
+        write_rows_csv(os.path.join(state.run_dir, "separability.csv"),
+                       CURVE_CSV_HEADER, curve_rows(state, DEFAULT_CURVE_SOURCES))
+    else:
         state.manifest["separability"] = "skipped: no burn events supplied"
-        return
-    write_rows_csv(os.path.join(state.run_dir, "separability.csv"),
-                   CURVE_CSV_HEADER, curve_rows(state, DEFAULT_CURVE_SOURCES))
+    state.cubes = {}  # no later stage reads them
 
 
 def _write_importance(path: str, model) -> None:
@@ -433,23 +426,43 @@ def stage_threshold(state: RunState) -> None:
     state.choice_max = max_accuracy_threshold(labeled)
     state.choice_balanced = balanced_accuracy_threshold(labeled)
     for name, choice in (("max", state.choice_max), ("balanced", state.choice_balanced)):
-        kappa = cohens_kappa(choice.counts)
         write_rows_csv(os.path.join(state.run_dir, f"confusion_{name}.csv"),
-                       ["measure", "value"], _confusion_rows(choice, kappa))
+                       ["measure", "value"],
+                       [["threshold", choice.threshold],
+                        ["threshold_percentile", choice.percentile],
+                        *([m, getattr(choice.counts, m)] for m in ABLATION_HEADER[3:]),
+                        ["cohens_kappa", cohens_kappa(choice.counts)]])
     state.predictions = make_predictions(state.plot_scores, state.choice_max,
                                          state.choice_balanced, state.labels,
                                          state.groups)
-    write_rows_csv(os.path.join(state.run_dir, "predictions.csv"),
-                   ["plot_id", "mean_score", "call_max", "call_balanced",
-                    "label", "group"],
-                   [[p.plot_id, p.mean_score, p.call_max, p.call_balanced,
-                     p.label, p.group] for p in state.predictions])
+    write_rows_csv(os.path.join(state.run_dir, "predictions.csv"), PREDICTION_COLUMNS,
+                   map(dataclasses.astuple, state.predictions))
     state.manifest["thresholds"] = {
         "max": {"score": state.choice_max.threshold,
                 "percentile": state.choice_max.percentile},
         "balanced": {"score": state.choice_balanced.threshold,
                      "percentile": state.choice_balanced.percentile},
     }
+
+
+def finite_score(row) -> float:
+    """The mean_score of a scores or predictions row, a finite number."""
+    score = float(row["mean_score"])
+    if not np.isfinite(score):
+        raise ValueError(f"mean_score {score!r} is not finite")
+    return score
+
+
+def read_predictions(path) -> list[PlotPrediction]:
+    """The rows of a predictions.csv stage_threshold wrote. Besides
+    read_plot_rows' checks, a score must be finite and a call 0 or 1."""
+    def prediction(row):
+        score = finite_score(row)
+        calls = int(row["call_max"]), int(row["call_balanced"])
+        if not set(calls) <= {0, 1}:
+            raise ValueError(f"calls {calls} are not each 0 or 1")
+        return PlotPrediction(row["plot_id"], score, *calls, row["label"], row["group"])
+    return read_plot_rows(path, PREDICTION_COLUMNS, prediction)
 
 
 def stage_report(state: RunState) -> None:
@@ -519,9 +532,25 @@ class AblationError(ValueError):
     pass
 
 
-def _read_confusion(run_dir: str, policy: str) -> dict[str, float]:
-    _, rows = read_rows_csv(os.path.join(run_dir, f"confusion_{policy}.csv"))
-    return {name: float(value) for name, value in rows}
+def _ablation_measures(run_dir: str, policy: str) -> list:
+    """ABLATION_HEADER's measures in the run's confusion_<policy>.csv, counts as
+    ints and the rest as floats; each must be there, and none may repeat."""
+    path = os.path.join(run_dir, f"confusion_{policy}.csv")
+    counts, stats = {f.name for f in dataclasses.fields(ConfusionCounts)}, {}
+
+    def measure(row):
+        name = row["measure"]
+        try:
+            if name in stats:
+                raise ValueError("listed more than once")
+            stats[name] = (int if name in counts else float)(row["value"])
+        except ValueError as exc:
+            raise ValueError(f"measure {name!r}: {exc}") from None
+    read_csv_rows(path, ["measure", "value"], measure)
+    missing = [m for m in ABLATION_HEADER[2:] if m not in stats]
+    if missing:
+        raise FormatError(f"{path}: missing measure(s) {missing}")
+    return [stats[m] for m in ABLATION_HEADER[2:]]
 
 
 def compare_ablations(runs: dict[str, str]) -> list[list]:
@@ -530,26 +559,11 @@ def compare_ablations(runs: dict[str, str]) -> list[list]:
     runs maps labels (e.g. combined, A_only, B_only) to run directories.
     Raises AblationError when the runs cover different plot sets.
     """
-    plot_sets = {}
+    reference = None
     for label, run_dir in runs.items():
-        _, rows = read_rows_csv(os.path.join(run_dir, "predictions.csv"))
-        plot_sets[label] = {r[0] for r in rows}
-    reference = next(iter(plot_sets.values()))
-    for label, ids in plot_sets.items():
-        if ids != reference:
+        ids = {p.plot_id for p in read_predictions(os.path.join(run_dir, "predictions.csv"))}
+        if reference is not None and ids != reference:
             raise AblationError(f"run {label!r} covers a different plot set")
-    table = []
-    for label in sorted(runs):
-        for policy in ("max", "balanced"):
-            stats = _read_confusion(runs[label], policy)
-            table.append([label, policy, stats["threshold"],
-                          int(stats["false_burn"]), int(stats["false_no_burn"]),
-                          int(stats["true_burn"]), int(stats["true_no_burn"]),
-                          stats["no_burn_accuracy"], stats["burn_accuracy"],
-                          stats["mean_accuracy"]])
-    return table
-
-
-ABLATION_HEADER = ["run", "policy", "threshold", "false_burn", "false_no_burn",
-                   "true_burn", "true_no_burn", "no_burn_accuracy",
-                   "burn_accuracy", "mean_accuracy"]
+        reference = ids
+    return [[label, policy, *_ablation_measures(runs[label], policy)]
+            for label in sorted(runs) for policy in ("max", "balanced")]

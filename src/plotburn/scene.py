@@ -225,8 +225,19 @@ def rasterize_plot(polygon, geom: GridGeometry):
 
     Returns (rows, cols, border) where border marks member pixels whose cell
     footprint intersects the polygon boundary. Raises EmptyPlotError when no
-    cell center falls inside the polygon.
+    cell center falls inside the polygon, and SceneError when its coordinates
+    overflow the float range in the arithmetic (a vertex at 1e308 on a grid
+    of cellsize 0.001).
     """
+    try:
+        with np.errstate(over="raise"):
+            return _rasterize(polygon, geom)
+    except (FloatingPointError, OverflowError):
+        raise SceneError("polygon coordinates overflow on a grid of cellsize "
+                         f"{geom.cellsize!r}") from None
+
+
+def _rasterize(polygon, geom: GridGeometry):
     if len(polygon) < 3:
         raise SceneError("polygon needs at least 3 vertices")
     if _polygon_area(polygon) <= 0.0:

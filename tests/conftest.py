@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -15,6 +16,13 @@ D0 = dt.date(2019, 10, 10)
 
 def day(offset: int) -> dt.date:
     return D0 + dt.timedelta(days=offset)
+
+
+def read_rows_csv(path):
+    """(header, rows) of a CSV file the program wrote, every field a string."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def make_obs(sensor, date, geom, levels=None, valid=None):

@@ -1,15 +1,17 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from conftest import read_rows_csv
 import plotburn
 from plotburn import features as feats
 from plotburn import pipeline as pipe
 from plotburn.cli import _load_run_config, build_parser, main
-from plotburn.gridio import read_rows_csv, write_rows_csv
+from plotburn.gridio import write_rows_csv
 from plotburn.synth import ScenarioConfig
 
 SCENARIO_DOC = {"n_plots": 12, "plot_area_mean_ha": 0.02,
@@ -25,6 +27,24 @@ def scene_dir(tmp_path_factory):
     out = tmp / "scene"
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+def scene_inputs(scene_dir):
+    """The input flags of the scene's files."""
+    return ["--manifest", str(scene_dir / "scene_manifest.json"),
+            "--plots", str(scene_dir / "plots.csv"),
+            "--events", str(scene_dir / "events.csv"),
+            "--endmembers", str(scene_dir / "endmembers.csv")]
+
+
+@pytest.fixture(scope="module")
+def file_run(scene_dir, tmp_path_factory):
+    """The run directory of a small run on the scene's files."""
+    out_root = tmp_path_factory.mktemp("file_run")
+    assert main(["run", *scene_inputs(scene_dir), "--n-trees", "5", "--cv-mode",
+                 "grouped:4", "--min-leaf", "2", "--out-root", str(out_root)]) == 0
+    (run_dir,) = out_root.iterdir()
+    return run_dir
 
 
 def edited_plots(scene_dir, path, edit):
@@ -181,6 +201,19 @@ class TestStageCommands:
         assert header == ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("source", ["A_CI", "B_BASMA"])
+    def test_separability_command_writes_the_runs_curve(self, scene_dir, file_run, tmp_path,
+                                                       source):
+        # The run reads its curves off the feature table's plot means; the
+        # command builds them with separability.plot_means.
+        out = tmp_path / "curve.csv"
+        assert main(["separability", *scene_inputs(scene_dir), "--source", source,
+                     "--out", str(out)]) == 0
+        header, rows = read_rows_csv(out)
+        run_header, run_rows = read_rows_csv(file_run / "separability.csv")
+        assert header == run_header
+        assert rows == [row for row in run_rows if row[0] == source]
+        assert len(rows) == 9 and any(row[2] != "nan" for row in rows)
 
     def test_separability_reads_only_the_source_sensor(self, scene_dir, tmp_path,
                                                        monkeypatch):
@@ -255,7 +288,10 @@ class TestStageCommands:
                                + rows[1:]),
          "data row 1: plot 'p0000': bad label 'burnt'"),
         (drop_column("group"), "missing column(s) ['group']"),
-    ], ids=["typo-label", "no-group-column"])
+        (lambda header, rows: (header, [r[:3] + ["not a polygon"] for r in rows[:1]]
+                               + rows[1:]),
+         "data row 1: plot 'p0000': not a WKT polygon: 'not a polygon'"),
+    ], ids=["typo-label", "no-group-column", "not-a-polygon"])
     def test_train_checks_the_plots_file(self, scene_dir, tmp_path, capsys, edit, message):
         feat_out = tmp_path / "features"
         assert main(["features", "--manifest", str(scene_dir / "scene_manifest.json"),
@@ -359,7 +395,9 @@ class TestStageCommands:
                         "p0002,0.2,not_burned,control\n")
         out = tmp_path / "out"
         assert main(["threshold", "--scores", str(path), "--out", str(out)]) == 1
-        assert "NaN" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"scores.csv: data row 2: plot 'p0001': mean_score {score} is not finite" in err
         assert not (out / "predictions.csv").exists()
 
     def test_infinite_plot_vertex_is_an_error(self, scene_dir, tmp_path, capsys):
@@ -372,6 +410,21 @@ class TestStageCommands:
                      "--plots", str(plots), "--out", str(tmp_path / "out")]) == 1
         assert ("plots.csv: data row 1: plot 'p0000': WKT coordinate 'inf 0' is not finite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_plot_vertex_is_an_error(self, scene_dir, tmp_path, capsys):
+        # Finite, but its products overflow the float range.
+        def edit(header, rows):
+            j = header.index("wkt_polygon")
+            first = rows[0][:j] + ["POLYGON ((0 0, 1e308 0, 1e308 9, 0 9))"] + rows[0][j + 1:]
+            return header, [first, *rows[1:]]
+        plots = edited_plots(scene_dir, tmp_path / "plots.csv", edit)
+        assert main(["ingest", "--manifest", str(scene_dir / "scene_manifest.json"),
+                     "--plots", str(plots), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "plots.csv: data row 1: plot 'p0000': polygon coordinates overflow" in err
+        assert not (tmp_path / "out" / "gaps.csv").exists()
 
 
 class TestRunCommand:
@@ -406,12 +459,58 @@ class TestRunCommand:
         _, rows = read_rows_csv(out)
         assert len(rows) == 4
 
+    def test_ablate_skips_blank_lines(self, file_run, tmp_path):
+        spaced = tmp_path / "spaced"
+        shutil.copytree(file_run, spaced)
+        for name in ("predictions.csv", "confusion_max.csv"):
+            (spaced / name).write_text((spaced / name).read_text().replace("\n", "\n\n"))
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--run", f"a={file_run}", "--run", f"b={spaced}",
+                     "--out", str(out)]) == 0
+        _, rows = read_rows_csv(out)
+        assert [row[1:] for row in rows[:2]] == [row[1:] for row in rows[2:]]
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("predictions.csv", lambda text: text.replace("\n", "\np9999,0.5,1\n", 1),
+         "data row 1: 3 field(s), expected 6"),
+        ("predictions.csv",
+         lambda text: text.replace("\n", "\np9999,nan,1,0,unlabeled,none\n", 1),
+         "data row 1: plot 'p9999': mean_score nan is not finite"),
+        ("confusion_max.csv", lambda text: text.replace("threshold,", "thresh,", 1),
+         "missing measure(s) ['threshold']"),
+        ("confusion_balanced.csv", lambda text: text + "true_burn,4\n",
+         "data row 11: measure 'true_burn': listed more than once"),
+        ("confusion_max.csv", lambda text: text.replace("\nfalse_burn,", "\nfalse_burn,x", 1),
+         "data row 3: measure 'false_burn': invalid literal for int()"),
+        ("confusion_max.csv",
+         lambda text: text.replace("\nburn_accuracy,", "\nburn_accuracy,x", 1),
+         "data row 8: measure 'burn_accuracy': could not convert string to float"),
+    ], ids=["short-prediction-row", "nan-prediction-score", "no-threshold",
+            "repeated-measure", "non-numeric-count", "non-numeric-accuracy"])
+    def test_ablate_checks_each_run(self, file_run, tmp_path, capsys, name, edit, message):
+        broken = tmp_path / "broken"
+        shutil.copytree(file_run, broken)
+        path = broken / name
+        path.write_text(edit(path.read_text()))
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--run", f"good={file_run}", "--run", f"bad={broken}",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: {message}" in err
+        assert not out.exists()
+
     def test_ablate_repeated_label_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "ablation.csv"
         rc = main(["ablate", "--run", f"a={tmp_path / 'x'}", "--run", f"a={tmp_path / 'y'}",
                    "--out", str(out)])
         assert rc == 1
         assert "label 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_run_without_a_label_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--run", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --run expects label=dir, got ")
         assert not out.exists()
 
     def test_missing_input_gives_nonzero_exit(self, tmp_path):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import read_rows_csv
 from test_features import assert_same_table
 
 from plotburn import gridio
@@ -13,7 +14,7 @@ from plotburn.features import build_feature_table
 from plotburn.indices import SWIR_SET
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_endmembers_csv, read_events_csv, read_grid,
-                             read_plots_csv, read_rows_csv, read_scene_manifest,
+                             read_plots_csv, read_scene_manifest,
                              scan_scene_manifest, write_endmembers_csv, write_events_csv,
                              write_grid, write_plots_csv, write_rows_csv,
                              write_scene_manifest)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import datetime as dt
 import json
 import os
 import subprocess
@@ -10,11 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import load_forest, oracle_plot_means
+from conftest import load_forest, oracle_plot_means, read_rows_csv
 from plotburn import cv, features, pipeline, synth
 from plotburn.features import FeatureTable, read_feature_csv, table_matrix
 from plotburn.forest import apply_impute, fit_impute_medians, predict_scores
-from plotburn.gridio import read_rows_csv, write_rows_csv
+from plotburn.gridio import write_rows_csv
 from plotburn.pipeline import (ARTIFACTS, AblationError, PipelineError, RunConfig,
                                RunState, allocate_run_dir, compare_ablations,
                                config_from_dict, run_pipeline, stage_ingest, stage_train)
@@ -465,6 +466,32 @@ class TestSeparabilityStage:
         assert read_bytes(path) == read_bytes(tmp_path / "oracle.csv")
         _, rows = read_rows_csv(path)
         assert {row[0] for row in rows if row[2] != "nan"} == set(pipeline.DEFAULT_CURVE_SOURCES)
+
+    def test_cubes_are_released_before_training(self, tmp_path, monkeypatch):
+        cubes_seen = {}
+
+        def tracked(name, fn):
+            def run(state):
+                cubes_seen[name] = sorted(state.cubes)
+                fn(state)
+            return run
+        monkeypatch.setattr(pipeline, "STAGES",
+                            tuple((name, tracked(name, fn)) for name, fn in pipeline.STAGES))
+        config = small_config(tmp_path / "runs")
+        run_dir = run_pipeline(config)
+        assert cubes_seen["separability"] == ["A", "B"]
+        assert cubes_seen["train"] == cubes_seen["threshold"] == cubes_seen["report"] == []
+        oracle_separability_csv(tmp_path / "oracle.csv", config)
+        assert (read_bytes(os.path.join(run_dir, "separability.csv"))
+                == read_bytes(tmp_path / "oracle.csv"))
+
+    def test_skipped_stage_releases_the_cubes(self, tmp_path):
+        state = RunState(small_config(tmp_path), str(tmp_path))
+        state.cubes, state.events = {"A": object()}, [("p1", "till", dt.date(2019, 11, 2))]
+        pipeline.stage_separability(state)
+        assert state.cubes == {}
+        assert state.manifest["separability"] == "skipped: no burn events supplied"
+        assert not os.path.exists(tmp_path / "separability.csv")
 
     def test_no_border_curves_use_interior_pixels(self, tmp_path):
         config = small_config(tmp_path / "runs", include_border=False)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from conftest import day, make_cube, make_obs, oracle_plot_observed, plot_scenes
 from plotburn.scene import (PLOT_VALID_FRACTION, EmptyPlotError, GridGeometry, Plot,
-                            SceneCube, gap_statistics, make_plot, plot_observed,
+                            SceneCube, SceneError, gap_statistics, make_plot, plot_observed,
                             rasterize_plot)
 
 
@@ -79,6 +79,16 @@ class TestRasterizePlot:
         rows, cols, border = rasterize_plot(square_polygon(2, 2, 5, geom), geom)
         assert border.shape == rows.shape
         assert border.sum() <= rows.size
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_max, y_max", [(1e308, 9.0), (1e306, 0.009)],
+                             ids=["area-overflows", "cell-offset-overflows"])
+    def test_overflowing_coordinates_raise(self, x_max, y_max):
+        geom = GridGeometry(10, 10, 0.0, 0.0, 0.001)
+        polygon = [(0.0, 0.0), (x_max, 0.0), (x_max, y_max), (0.0, y_max)]
+        with pytest.raises(SceneError, match="polygon coordinates overflow on a grid "
+                                             "of cellsize 0.001"):
+            rasterize_plot(polygon, geom)
 
     def test_labeled_plot_needs_pixels(self):
         with pytest.raises(EmptyPlotError):
