@@ -25,6 +25,25 @@ from .separability import CURVE_CSV_HEADER
 DEFAULT_OUT = os.environ.get("PLOTBURN_OUT", "runs")
 # The columns of scores.csv, which train writes and threshold reads.
 SCORE_COLUMNS = ["plot_id", "mean_score", "label", "group"]
+# Each RunConfig field but scenario, as its flag and add_argument options. A
+# stage command takes the flags of the fields it reads; run takes them all.
+RUN_FLAGS = {
+    "out_root": ("--out-root", {}),
+    "name": ("--name", {}),
+    "manifest_path": ("--manifest", {}),
+    "plots_path": ("--plots", {}),
+    "events_path": ("--events", {}),
+    "endmembers_path": ("--endmembers", {}),
+    "sensor_mode": ("--sensor-mode", {"choices": pipe.SENSOR_MODES}),
+    "include_border": ("--no-border", {"action": "store_false", "default": None}),
+    "top_k_features": ("--top-k-features", {"type": int}),
+    "selection": ("--selection", {"choices": pipe.SELECTION_MODES}),
+    "cv_mode": ("--cv-mode", {}),
+    "n_trees": ("--n-trees", {"type": int}),
+    "min_leaf": ("--min-leaf", {"type": int}),
+    "max_offset": ("--max-offset", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+}
 
 
 def _read_config(path) -> dict:
@@ -36,24 +55,21 @@ def _load_run_config(args) -> pipe.RunConfig:
     path = getattr(args, "config", None)
     doc = _read_config(path) if path else {}
     doc.setdefault("out_root", DEFAULT_OUT)
-    for f in dataclasses.fields(pipe.RunConfig):
-        value = getattr(args, f.name, None)
+    for name in RUN_FLAGS:
+        value = getattr(args, name, None)
         if value is not None:
-            doc[f.name] = value
+            doc[name] = value
     if getattr(args, "synth", False) and not doc.get("scenario"):
         doc["scenario"] = {}
-    if getattr(args, "no_border", False):
-        doc["include_border"] = False
     return pipe.config_from_dict(doc, path or "the run config")
 
 
 def _scenario_from_args(args) -> synthmod.ScenarioConfig:
-    doc = {}
-    if args.config:
-        loaded = _read_config(args.config)
-        doc = loaded.get("scenario", loaded)
-    cfg = pipe.config_from_dict({"out_root": ".", "scenario": doc},
-                                args.config or "the run config").scenario
+    path = args.config or "the run config"
+    doc = _read_config(args.config) if args.config else {}
+    if "scenario" in doc:  # a run config: synth needs its scenario, so null is an error
+        doc = pipe.json_object(doc["scenario"], f'{path}: "scenario"')
+    cfg = pipe.config_from_dict({"out_root": ".", "scenario": doc}, path).scenario
     overrides = {}
     if args.n_plots is not None:
         overrides["n_plots"] = args.n_plots
@@ -181,93 +197,54 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _command(sub, name, fn, summary, fields=(), required=(), out_help=None):
+    """Add subcommand name, which runs fn, with the RUN_FLAGS flags of fields
+    (required for those in required) and, unless it writes under --out-root,
+    a required --out."""
+    p = sub.add_parser(name, help=summary)
+    for f in fields:
+        flag, options = RUN_FLAGS[f]
+        p.add_argument(flag, dest=f, required=f in required, **options)
+    if "out_root" not in fields:
+        p.add_argument("--out", required=True, help=out_help)
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="plotburn",
                                  description="Plot-level burn detection pipeline")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    scene = ("manifest_path", "plots_path")
 
-    p = sub.add_parser("synth", help="generate a synthetic scenario to files")
+    p = _command(sub, "synth", cmd_synth, "generate a synthetic scenario to files")
     p.add_argument("--config", help="JSON file with scenario fields")
     p.add_argument("--n-plots", type=int, dest="n_plots")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate inputs and emit the gap report")
-    p.add_argument("--manifest", required=True, dest="manifest_path")
-    p.add_argument("--plots", required=True, dest="plots_path")
-    p.add_argument("--sensor-mode", choices=pipe.SENSOR_MODES, dest="sensor_mode")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("features", help="build the pixel feature table")
-    p.add_argument("--manifest", required=True, dest="manifest_path")
-    p.add_argument("--plots", required=True, dest="plots_path")
-    p.add_argument("--endmembers", dest="endmembers_path")
-    p.add_argument("--sensor-mode", choices=pipe.SENSOR_MODES, dest="sensor_mode")
-    p.add_argument("--no-border", action="store_true", dest="no_border")
-    p.add_argument("--out", required=True, help="directory for features.csv")
-    p.set_defaults(fn=cmd_features)
-
-    p = sub.add_parser("separability", help="emit an M-value decay curve")
-    p.add_argument("--manifest", required=True, dest="manifest_path")
-    p.add_argument("--plots", required=True, dest="plots_path")
-    p.add_argument("--events", required=True, dest="events_path")
-    p.add_argument("--endmembers", dest="endmembers_path")
-    p.add_argument("--source", default="A_CI",
-                   help="sensor_source, e.g. A_CI or B_MIRBI")
-    p.add_argument("--max-offset", type=int, dest="max_offset")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_separability)
-
-    p = sub.add_parser("train", help="train the forest with plot-holdout CV")
+    _command(sub, "ingest", cmd_ingest, "validate inputs and emit the gap report",
+             (*scene, "sensor_mode"), scene)
+    _command(sub, "features", cmd_features, "build the pixel feature table",
+             (*scene, "endmembers_path", "sensor_mode", "include_border"), scene,
+             out_help="directory for features.csv")
+    p = _command(sub, "separability", cmd_separability, "emit an M-value decay curve",
+                 (*scene, "events_path", "endmembers_path", "max_offset"),
+                 (*scene, "events_path"))
+    p.add_argument("--source", default="A_CI", help="sensor_source, e.g. A_CI or B_MIRBI")
+    p = _command(sub, "train", cmd_train, "train the forest with plot-holdout CV",
+                 ("plots_path", "top_k_features", "selection", "cv_mode", "n_trees",
+                  "min_leaf", "seed"), ("plots_path",))
     p.add_argument("--features", required=True)
-    p.add_argument("--plots", required=True, dest="plots_path")
-    p.add_argument("--n-trees", type=int, dest="n_trees")
-    p.add_argument("--top-k-features", type=int, dest="top_k_features")
-    p.add_argument("--cv-mode", dest="cv_mode")
-    p.add_argument("--selection", choices=pipe.SELECTION_MODES)
-    p.add_argument("--min-leaf", type=int, dest="min_leaf")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("threshold", help="select thresholds and emit predictions")
-    p.add_argument("--scores", required=True,
-                   help="CSV of plot_id, mean_score, label, group")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_threshold)
-
-    p = sub.add_parser("report", help="summaries, cross-tab and score densities")
+    p = _command(sub, "threshold", cmd_threshold, "select thresholds and emit predictions")
+    p.add_argument("--scores", required=True, help="CSV of plot_id, mean_score, label, group")
+    p = _command(sub, "report", cmd_report, "summaries, cross-tab and score densities")
     p.add_argument("--predictions", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("run", help="full pipeline into a fresh run directory")
+    p = _command(sub, "run", cmd_run, "full pipeline into a fresh run directory", RUN_FLAGS)
     p.add_argument("--config", help="JSON file with RunConfig fields")
     p.add_argument("--synth", action="store_true",
                    help="use the default synthetic scenario as input")
-    p.add_argument("--out-root", dest="out_root")
-    p.add_argument("--name")
-    p.add_argument("--manifest", dest="manifest_path")
-    p.add_argument("--plots", dest="plots_path")
-    p.add_argument("--events", dest="events_path")
-    p.add_argument("--endmembers", dest="endmembers_path")
-    p.add_argument("--sensor-mode", choices=pipe.SENSOR_MODES, dest="sensor_mode")
-    p.add_argument("--cv-mode", dest="cv_mode")
-    p.add_argument("--selection", choices=pipe.SELECTION_MODES)
-    p.add_argument("--no-border", action="store_true", dest="no_border")
-    p.add_argument("--n-trees", type=int, dest="n_trees")
-    p.add_argument("--top-k-features", type=int, dest="top_k_features")
-    p.add_argument("--min-leaf", type=int, dest="min_leaf")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("ablate", help="compare completed runs side by side")
+    p = _command(sub, "ablate", cmd_ablate, "compare completed runs side by side")
     p.add_argument("--run", action="append", required=True,
                    help="label=run_dir; repeat for each run")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_ablate)
     return ap
 
 

@@ -135,10 +135,10 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _check_keys(doc: dict, cls, what: str) -> None:
+def _check_keys(doc: dict, cls, what: str, source: str) -> None:
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {what} key(s) {unknown}")
+        raise ValueError(f"{source}: unknown {what} key(s) {unknown}")
 
 
 def json_object(value, what: str) -> dict:
@@ -151,10 +151,10 @@ def json_object(value, what: str) -> dict:
 def config_from_dict(doc: dict, source: str = "the run config") -> RunConfig:
     """The RunConfig of a JSON document, which source names; the document and
     its "scenario", when set, must be objects, and unknown keys are an error."""
-    _check_keys(json_object(doc, source), RunConfig, "run config")
+    _check_keys(json_object(doc, source), RunConfig, "run config", source)
     if doc.get("scenario") is not None:
         scenario = json_object(doc["scenario"], f'{source}: "scenario"')
-        _check_keys(scenario, synthmod.ScenarioConfig, "scenario")
+        _check_keys(scenario, synthmod.ScenarioConfig, "scenario", source)
         doc = dict(doc, scenario=synthmod.ScenarioConfig(**scenario))
     return RunConfig(**doc)
 

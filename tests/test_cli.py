@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -10,7 +12,7 @@ from conftest import read_rows_csv
 import plotburn
 from plotburn import features as feats
 from plotburn import pipeline as pipe
-from plotburn.cli import _load_run_config, build_parser, main
+from plotburn.cli import RUN_FLAGS, _load_run_config, build_parser, main
 from plotburn.gridio import write_rows_csv
 from plotburn.synth import ScenarioConfig
 
@@ -432,6 +434,38 @@ class TestRunCommand:
         config = _load_run_config(build_parser().parse_args(["run", "--synth"]))
         assert config.scenario == ScenarioConfig()
 
+    def test_run_takes_a_flag_for_every_config_field(self):
+        """run spells each RunConfig field but scenario as its RUN_FLAGS flag,
+        and every other command that reads a field spells it the same way."""
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        fields = [f.name for f in dataclasses.fields(pipe.RunConfig) if f.name != "scenario"]
+        for command, parser in subparsers.choices.items():
+            flags = {a.dest: a.option_strings for a in parser._actions if a.dest in fields}
+            if command == "run":
+                assert set(flags) == set(fields)
+            if command != "synth":  # synth's --seed is the scenario's
+                assert flags == {name: [RUN_FLAGS[name][0]] for name in flags}, command
+
+    def test_no_border_flag_and_config_record_the_same_config(self, tmp_path):
+        cfg = {"scenario": SCENARIO_DOC, "n_trees": 2, "cv_mode": "grouped:2",
+               "min_leaf": 2}
+        plain, unbordered = tmp_path / "plain.json", tmp_path / "unbordered.json"
+        plain.write_text(json.dumps(cfg))
+        unbordered.write_text(json.dumps(dict(cfg, include_border=False)))
+        runs = tmp_path / "runs"
+        for args in (["--config", str(plain), "--no-border"], ["--config", str(unbordered)]):
+            assert main(["run", *args, "--out-root", str(runs)]) == 0
+        manifests = [json.loads((run_dir / "run_manifest.json").read_text())
+                     for run_dir in runs.iterdir()]
+        assert len(manifests) == 2 and manifests[0]["config"]["include_border"] is False
+        assert (manifests[0]["config"] == manifests[1]["config"]
+                and manifests[0]["config_hash"] == manifests[1]["config_hash"])
+        feature_args = ["features", "--manifest", "m", "--plots", "p", "--out", "o"]
+        assert _load_run_config(build_parser().parse_args(feature_args)).include_border
+        assert not _load_run_config(
+            build_parser().parse_args([*feature_args, "--no-border"])).include_border
+
     def test_full_run_from_config_file(self, tmp_path):
         cfg = {"scenario": SCENARIO_DOC, "n_trees": 15, "cv_mode": "grouped:4",
                "min_leaf": 2, "name": "clitest"}
@@ -530,17 +564,20 @@ class TestRunCommand:
             capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("cfg, unknown", [
-        ({"bsi_exponent": 1.0, "max_features": "sqrt"},
+    @pytest.mark.parametrize("command, cfg, unknown", [
+        ("run", {"scenario": SCENARIO_DOC, "bsi_exponent": 1.0, "max_features": "sqrt"},
          "run config key(s) ['bsi_exponent', 'max_features']"),
-        ({"scenario": dict(SCENARIO_DOC, plots=3)}, "scenario key(s) ['plots']"),
-    ], ids=["run-config", "scenario"])
-    def test_unknown_config_key_is_an_error(self, tmp_path, capsys, cfg, unknown):
+        ("run", {"scenario": dict(SCENARIO_DOC, plots=3)}, "scenario key(s) ['plots']"),
+        ("synth", {"scenario": {"n_plotz": 3}}, "scenario key(s) ['n_plotz']"),
+        ("synth", dict(SCENARIO_DOC, plots=3), "scenario key(s) ['plots']"),
+    ], ids=["run-config", "scenario", "synth-run-config", "synth-scenario"])
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys, command, cfg, unknown):
         cfg_path = tmp_path / "old.json"
-        cfg_path.write_text(json.dumps(dict({"scenario": SCENARIO_DOC}, **cfg)))
-        rc = main(["run", "--config", str(cfg_path), "--out-root", str(tmp_path / "runs")])
+        cfg_path.write_text(json.dumps(cfg))
+        out = ["--out-root" if command == "run" else "--out", str(tmp_path / "runs")]
+        rc = main([command, "--config", str(cfg_path), *out])
         assert rc == 1
-        assert f"error: unknown {unknown}" in capsys.readouterr().err
+        assert f"error: {cfg_path}: unknown {unknown}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command, text, message", [
@@ -548,7 +585,10 @@ class TestRunCommand:
         ("synth", "[1, 2]", "bad.json must be a JSON object, got list"),
         ("run", '{"scenario": 5}', 'bad.json: "scenario" must be a JSON object, got int'),
         ("synth", '{"scenario": 5}', 'bad.json: "scenario" must be a JSON object, got int'),
-    ], ids=["run-array", "synth-array", "run-scenario-number", "synth-scenario-number"])
+        ("synth", '{"scenario": null}',
+         'bad.json: "scenario" must be a JSON object, got NoneType'),
+    ], ids=["run-array", "synth-array", "run-scenario-number", "synth-scenario-number",
+            "synth-scenario-null"])
     def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys, command, text,
                                                       message):
         cfg_path = tmp_path / "bad.json"

@@ -1,7 +1,10 @@
-"""The README's library sketch imports only names the package provides, and its
-command-line usage block only flags the parser accepts."""
+"""The README's library sketch imports only names the package provides, its
+command-line usage block only flags the parser accepts, and its run config
+table lists RunConfig's fields with their defaults."""
 
 import argparse
+import dataclasses
+import json
 import pathlib
 import re
 
@@ -36,3 +39,21 @@ def test_usage_block_flags_are_accepted():
     for command, used in flags.items():
         accepted = set(subparsers.choices[command]._option_string_actions)
         assert used <= accepted, (command, sorted(used - accepted))
+
+
+def test_config_table_lists_the_run_config_fields():
+    """The field table under "The fields:" names each RunConfig field once,
+    with its default: (required), none, or the JSON value."""
+    from plotburn.pipeline import RunConfig
+
+    table = README.read_text().split("The fields:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        names, default = row.split(" | ")[:2]
+        for name in re.findall(r"`(\w+)`", names):
+            assert name not in listed, name
+            listed[name] = default
+    expected = {f.name: "(required)" if f.default is dataclasses.MISSING
+                else "none" if f.default is None else f"`{json.dumps(f.default)}`"
+                for f in dataclasses.fields(RunConfig)}
+    assert listed == expected
