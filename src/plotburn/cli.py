@@ -20,6 +20,8 @@ from . import features as feats
 from . import pipeline as pipe
 from . import synth as synthmod
 from .gridio import PLOT_COLUMNS, parse_wkt_polygon, read_plot_rows, write_rows_csv
+from .indices import INDEX_REGISTRY, indices_for_bands
+from .scene import SENSOR_BANDS
 from .separability import CURVE_CSV_HEADER
 
 DEFAULT_OUT = os.environ.get("PLOTBURN_OUT", "runs")
@@ -67,9 +69,11 @@ def _load_run_config(args) -> pipe.RunConfig:
 def _scenario_from_args(args) -> synthmod.ScenarioConfig:
     path = args.config or "the run config"
     doc = _read_config(args.config) if args.config else {}
-    if "scenario" in doc:  # a run config: synth needs its scenario, so null is an error
-        doc = pipe.json_object(doc["scenario"], f'{path}: "scenario"')
-    cfg = pipe.config_from_dict({"out_root": ".", "scenario": doc}, path).scenario
+    if "scenario" in doc:  # a run config, checked as run checks it; null is an error
+        pipe.json_object(doc["scenario"], f'{path}: "scenario"')
+    else:
+        doc = {"scenario": doc}
+    cfg = pipe.config_from_dict({"out_root": ".", **doc}, path).scenario
     overrides = {}
     if args.n_plots is not None:
         overrides["n_plots"] = args.n_plots
@@ -117,17 +121,30 @@ def cmd_features(args) -> int:
 
 
 def cmd_separability(args) -> int:
-    # Only the --source sensor's grids are read.
+    # Only the --source sensor's grids are read, and the curve is the run's
+    # curve_rows over a feature table of the burned plots and that source.
     modes = {sensors[0]: mode for mode, sensors in pipe.SENSOR_MODES.items()
              if len(sensors) == 1}
-    sensor = args.source.partition("_")[0]
+    sensor, _, source = args.source.partition("_")
     if sensor not in modes:
         raise ValueError(f"--source {args.source}: sensor {sensor!r} is not one of "
                          f"{', '.join(modes)}")
+    bands = SENSOR_BANDS[sensor]
+    indices = [] if source in bands else [source]
+    if indices and (source not in INDEX_REGISTRY or not indices_for_bands(bands, indices)):
+        raise ValueError(f"--source {args.source}: {source!r} is neither a band of sensor "
+                         f"{sensor} nor an index of its bands")
     args.sensor_mode = modes[sensor]
     state = pipe.RunState(_load_run_config(args),
                           os.path.dirname(os.path.abspath(args.out)))
     pipe.stage_ingest(state)
+    burned = {pid for pid, kind, _ in state.events if kind == "burn"}
+    if not burned:
+        raise ValueError(f"{args.events_path}: the events file lists no burn event")
+    state.table = feats.build_feature_table(
+        state.cubes.get("A"), state.cubes.get("B"),
+        [p for p in state.plots if p.plot_id in burned], indices,
+        endmembers=state.endmembers)
     write_rows_csv(args.out, CURVE_CSV_HEADER, pipe.curve_rows(state, [args.source]))
     print(f"wrote separability curve for {args.source} to {args.out}")
     return 0

@@ -35,7 +35,8 @@ class FeatureTable:
     """Design matrix X, one row per (plot, pixel) and one column per schema
     name (features, n_obs_<sensor>, the 0/1 border flag); NaN marks missing.
     plot_means maps each "<sensor>_<source>" built to its (n_plots, n_obs)
-    block_plot_means, plots in plot_rows() order; a CSV table has none.
+    block_plot_means, plots in plot_rows() order: the one source of the plot
+    means that pipeline.curve_rows reads. A CSV table has none.
     """
     X: np.ndarray
     schema: list[str]

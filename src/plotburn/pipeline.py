@@ -5,14 +5,17 @@ reruns with the same configuration produce byte-identical CSV artifacts. CSV
 and model files carry full-precision floats, and all orderings are explicit,
 so determinism only depends on the seed in the configuration.
 
-No later stage reads features.csv; separability reads the curve sources'
-plot means off the table (FeatureTable.plot_means) and evaluates none again.
-So the features stage hands its write to a forked child (write_in_child), and
-separability, training, thresholds and the report run while it writes.
-run_pipeline joins the child (join_writers) before it calls the run complete:
-a failed write fails the features stage, and the manifest records under
-writers["features.csv"] the child's CPU seconds, its peak RSS and how long
-the run waited for it. Without os.fork the file is written inline.
+No later stage reads features.csv. So the features stage hands its write to
+a forked child (write_in_child), and separability, training, thresholds and
+the report run while it writes. run_pipeline joins the child (join_writers)
+before it calls the run complete: a failed write fails the features stage,
+and the manifest records under writers["features.csv"] the child's CPU
+seconds, its peak RSS and how long the run waited for it. Without os.fork the
+file is written inline.
+
+The separability curves, a run's and `plotburn separability`'s alike, are
+curve_rows over a feature table's plot means (FeatureTable.plot_means), so
+no band or index is evaluated for them again.
 
 The manifest also records each stage's cost under stage_costs[stage]: its
 wall seconds, its CPU seconds (this process and its reaped children) and the
@@ -43,7 +46,7 @@ from .gridio import (FormatError, read_csv_rows, read_endmembers_csv, read_event
                      read_plot_rows, read_plots_csv, read_scene_manifest,
                      scan_scene_manifest, write_rows_csv)
 from .scene import gap_statistics
-from .separability import CURVE_CSV_HEADER, plot_means, separability_curve
+from .separability import CURVE_CSV_HEADER, separability_curve
 from .thresholds import (ConfusionCounts, PlotPrediction, aggregate_plot,
                          balanced_accuracy_threshold, cohens_kappa, make_predictions,
                          max_accuracy_threshold, prediction_summary)
@@ -335,24 +338,16 @@ DEFAULT_CURVE_SOURCES = ("A_CI", "A_NIR", "B_MIRBI", "B_NBR", "B_BASMA")
 
 def curve_rows(state: RunState, sources) -> list[list]:
     """Separability-curve CSV rows of each "<sensor>_<source>" of sources whose
-    sensor is loaded: over the table's plot_means, or without one plot_means."""
-    table = state.table
-    # An event's plot: its row of the table's plot_means, or its Plot.
-    at = ({pid: i for i, pid in enumerate(dict.fromkeys(table.plot_id))}
-          if table is not None else {p.plot_id: p for p in state.plots})
+    sensor is loaded, over the burned plots' rows of state.table.plot_means."""
+    at = {pid: i for i, pid in enumerate(dict.fromkeys(state.table.plot_id))}
     events = [(at[pid], date) for pid, kind, date in state.events
               if kind == "burn" and pid in at]
     rows = []
     for name in sources:
-        sensor, _, source = name.partition("_")
-        cube = state.cubes.get(sensor)
+        cube = state.cubes.get(name.partition("_")[0])
         if cube is None:
             continue
-        if table is not None:
-            means = table.plot_means[name][[i for i, _ in events]]
-        else:
-            means = plot_means(cube, [plot for plot, _ in events], source,
-                               endmembers=state.endmembers)
+        means = state.table.plot_means[name][[i for i, _ in events]]
         rows += separability_curve(name, means, cube.dates, [d for _, d in events],
                                    state.config.max_offset).rows()
     return rows

@@ -1,8 +1,9 @@
 """Class separability of bands and indices, and its decay with time since burning.
 
 separability_curve is statistics over a plots x passes table of plot means,
-NaN where scene.plot_observed says a plot is unobserved. A run reads that
-table off its FeatureTable; plot_means builds it where there is none.
+NaN where scene.plot_observed says a plot is unobserved: the rows of the
+burned plots in a FeatureTable's plot_means, which features.build_feature_table
+fills for every source it evaluates.
 """
 
 from __future__ import annotations
@@ -12,11 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import features
-from .indices import EndmemberSet
-from .scene import (Plot, SceneCube, block_plot_means, observed_from_valid, plot_blocks,
-                    plot_pixels)
 
 
 @dataclass(frozen=True)
@@ -61,26 +57,6 @@ class SeparabilityCurve:
 
 
 CURVE_CSV_HEADER = ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
-
-
-def plot_means(cube: SceneCube, plots: list[Plot], source: str, *,
-               endmembers: EndmemberSet | None = None) -> np.ndarray:
-    """(len(plots), n_obs) plot means of one band or index; NaN marks missing.
-
-    One pixel stack, source evaluation and block_plot_means per block of
-    whole plots, the blocks of build_feature_table.
-    """
-    means = np.full((len(plots), len(cube.observations)), np.nan)
-    rows, cols, bounds = plot_pixels(plots)
-    for lo, hi in plot_blocks(bounds, features.BLOCK_ROWS):
-        pixels = slice(bounds[lo], bounds[hi])
-        if cube.observations and pixels.stop > pixels.start:
-            valid, bands = features.pixel_stack(cube, rows[pixels], cols[pixels])
-            values = features.source_values(valid, bands, source, endmembers)
-            local = bounds[lo:hi + 1] - bounds[lo]
-            means[lo:hi] = block_plot_means(values, observed_from_valid(valid, local), local)
-    return means
-
 
 MIN_BUCKET_N = 3
 

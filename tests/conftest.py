@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from plotburn.features import pixel_stack, source_values
+from plotburn.features import build_feature_table, pixel_stack, source_values
 from plotburn.forest import FOREST_MAGIC, ForestError, ForestModel, ForestParams, Tree
 from plotburn.scene import (MASKED_FILL, PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
                             GridGeometry, Plot, SceneCube)
@@ -157,7 +157,7 @@ def oracle_plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:
 
 def oracle_plot_means(cube: SceneCube, plots: list[Plot], source: str,
                       endmembers=None) -> np.ndarray:
-    """separability.plot_means one plot at a time: a pixel stack per plot and
+    """FeatureTable.plot_means one plot at a time: a pixel stack per plot and
     the mean() of its finite values per observed pass."""
     observed = oracle_plot_observed(cube, plots)
     means = np.full(observed.shape, np.nan)
@@ -169,6 +169,18 @@ def oracle_plot_means(cube: SceneCube, plots: list[Plot], source: str,
             if vals.size:
                 means[i, t] = vals.mean()
     return means
+
+
+def table_plot_means(cube: SceneCube, plots: list[Plot], source: str,
+                     endmembers=None) -> np.ndarray:
+    """The (len(plots), n_obs) plot means of one band or index of cube's sensor,
+    read off the FeatureTable that build_feature_table makes of that sensor
+    alone; each plot must have a pixel, or the table would drop its row."""
+    assert all(plot.n_pixels for plot in plots)
+    cubes = (cube, None) if cube.sensor == "A" else (None, cube)
+    indices = [] if source in SENSOR_BANDS[cube.sensor] else [source]
+    table = build_feature_table(*cubes, plots, indices, endmembers=endmembers)
+    return table.plot_means[f"{cube.sensor}_{source}"]
 
 
 def load_forest(path) -> ForestModel:

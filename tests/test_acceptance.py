@@ -25,7 +25,7 @@ from plotburn.forest import ForestParams
 from plotburn.indices import ALL_INDICES, SWIR_SET, EndmemberSet, compute_index
 from plotburn.pipeline import RunConfig, compare_ablations, run_pipeline
 from plotburn.scene import gap_statistics
-from plotburn.separability import SampleStats, m_statistic, plot_means, separability_curve
+from plotburn.separability import SampleStats, m_statistic, separability_curve
 from plotburn.synth import ScenarioConfig, generate
 from plotburn.thresholds import (balanced_accuracy_threshold,
                                  max_accuracy_threshold)
@@ -238,7 +238,8 @@ def test_criterion_4_char_index_separability_decay():
     burned = [(p, scenario.truth.burn_date[p.plot_id])
               for p in scenario.plots if scenario.truth.burned[p.plot_id]]
     assert len(burned) >= 200
-    means = plot_means(scenario.cube_a, [plot for plot, _ in burned], "CI")
+    table = build_feature_table(scenario.cube_a, None, [plot for plot, _ in burned], ["CI"])
+    means = table.plot_means["A_CI"]
     curve = separability_curve("CI", means, scenario.cube_a.dates,
                                [date for _, date in burned], 8)
     elapsed = time.monotonic() - t0

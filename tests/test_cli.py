@@ -203,11 +203,12 @@ class TestStageCommands:
         assert header == ["index", "offset_days", "m_value", "n_burn", "n_unburn"]
         assert len(rows) == 5
 
-    @pytest.mark.parametrize("source", ["A_CI", "B_BASMA"])
+    @pytest.mark.parametrize("source", ["A_CI", "A_NIR", "B_BASMA"])
     def test_separability_command_writes_the_runs_curve(self, scene_dir, file_run, tmp_path,
                                                        source):
-        # The run reads its curves off the feature table's plot means; the
-        # command builds them with separability.plot_means.
+        # Both read the curve off a feature table's plot means: the run's of
+        # every source, the command's of the burned plots, the source and
+        # its sensor's bands.
         out = tmp_path / "curve.csv"
         assert main(["separability", *scene_inputs(scene_dir), "--source", source,
                      "--out", str(out)]) == 0
@@ -250,6 +251,23 @@ class TestStageCommands:
                    "--source", "C_CI", "--out", str(tmp_path / "curve.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_separability_without_a_burn_event_is_an_error(self, scene_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        header, rows = read_rows_csv(scene_dir / "events.csv")
+        events = tmp_path / "events.csv"
+        write_rows_csv(events, header, [r for r in rows if r[header.index("event")] != "burn"])
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("built a feature table")
+        monkeypatch.setattr(feats, "build_feature_table", no_table)
+        rc = main(["separability", "--manifest", str(scene_dir / "scene_manifest.json"),
+                   "--plots", str(scene_dir / "plots.csv"), "--events", str(events),
+                   "--out", str(tmp_path / "curve.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {events}: the events file lists "
+                                           "no burn event\n")
         assert not (tmp_path / "curve.csv").exists()
 
     @pytest.mark.parametrize("source, name", [("A_Foo", "Foo"), ("A_NBR", "NBR")])
@@ -569,8 +587,10 @@ class TestRunCommand:
          "run config key(s) ['bsi_exponent', 'max_features']"),
         ("run", {"scenario": dict(SCENARIO_DOC, plots=3)}, "scenario key(s) ['plots']"),
         ("synth", {"scenario": {"n_plotz": 3}}, "scenario key(s) ['n_plotz']"),
+        ("synth", {"scenario": {"n_plots": 4}, "n_treez": 5}, "run config key(s) ['n_treez']"),
         ("synth", dict(SCENARIO_DOC, plots=3), "scenario key(s) ['plots']"),
-    ], ids=["run-config", "scenario", "synth-run-config", "synth-scenario"])
+    ], ids=["run-config", "scenario", "synth-run-config", "synth-run-config-key",
+            "synth-scenario"])
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys, command, cfg, unknown):
         cfg_path = tmp_path / "old.json"
         cfg_path.write_text(json.dumps(cfg))

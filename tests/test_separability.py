@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import day, oracle_plot_means, plot_scenes
+from conftest import day, oracle_plot_means, plot_scenes, table_plot_means
 from plotburn import features
 from plotburn.features import build_feature_table
 from plotburn.indices import SWIR_SET, unmix_char_fraction
@@ -14,8 +14,7 @@ from plotburn.pipeline import DEFAULT_CURVE_SOURCES
 from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
                             GridGeometry, SceneCube, make_plot, plot_blocks, plot_observed,
                             segment_means)
-from plotburn.separability import (MIN_BUCKET_N, SampleStats, m_statistic, plot_means,
-                                   separability_curve)
+from plotburn.separability import MIN_BUCKET_N, SampleStats, m_statistic, separability_curve
 from plotburn.synth import ScenarioConfig, default_endmembers, generate
 
 
@@ -81,8 +80,8 @@ def build_plot_scene(n_plots, days, value_fn, band="Red", sensor="A", plot_size=
 
 
 def curve_of(events, cube, source, max_offset, endmembers=None):
-    """The curve of (plot, burn date) events over their plot_means."""
-    means = plot_means(cube, [plot for plot, _ in events], source, endmembers=endmembers)
+    """The curve of (plot, burn date) events over their feature table's plot means."""
+    means = table_plot_means(cube, [plot for plot, _ in events], source, endmembers)
     return separability_curve(source, means, cube.dates, [date for _, date in events],
                               max_offset)
 
@@ -145,7 +144,7 @@ class TestPlotMeans:
         plot = plots[0]
         obs = cube.observations[1]
         obs.valid[plot.rows, plot.cols] = False
-        values = plot_means(cube, [plot], "Red")[0]
+        values = table_plot_means(cube, [plot], "Red")[0]
         assert np.isfinite(values[0]) and np.isfinite(values[2])
         assert np.isnan(values[1])
 
@@ -182,7 +181,7 @@ class TestPlotMeans:
             return unmix_char_fraction(v[swir], endmembers)[2]
 
         for source, fn in (("NDVI", ndvi), ("BASMA", basma)):
-            values = plot_means(cube, [plot], source, endmembers=endmembers)[0]
+            values = table_plot_means(cube, [plot], source, endmembers)[0]
             assert values.shape == (len(cube.dates),)
             for d, mask in enumerate(masks):
                 if np.mean(mask) < PLOT_VALID_FRACTION:
@@ -195,23 +194,25 @@ class TestPlotMeans:
 
     def test_several_plots_equal_each_plot_alone(self, cloudy_scene):
         scenario, endmembers = cloudy_scene
-        for cube in (scenario.cube_a, scenario.cube_b):
-            for source in ("Red", "NDVI", "BASMA"):
-                if source == "BASMA" and cube.sensor != "B":
-                    continue
-                together = plot_means(cube, scenario.plots, source, endmembers=endmembers)
-                alone = np.concatenate([plot_means(cube, [p], source, endmembers=endmembers)
-                                        for p in scenario.plots])
-                assert together.tobytes() == alone.tobytes()
+
+        def tables(plots):
+            return build_feature_table(scenario.cube_a, scenario.cube_b, plots,
+                                       ["NDVI", "BASMA"], endmembers=endmembers)
+
+        together = tables(scenario.plots).plot_means
+        alone = [tables([p]).plot_means for p in scenario.plots]
+        assert {"A_Red", "A_NDVI", "B_Red", "B_NDVI", "B_BASMA"} <= together.keys()
+        for name, means in together.items():
+            assert means.tobytes() == np.concatenate([a[name] for a in alone]).tobytes()
 
     def test_unobserved_entries_are_nan(self, cloudy_scene):
         scenario, _ = cloudy_scene
         cube = scenario.cube_a
         observed = plot_observed(cube, scenario.plots)
-        means = plot_means(cube, scenario.plots, "NIR")
+        means = table_plot_means(cube, scenario.plots, "NIR")
         assert not observed.all()  # the scene has cloud losses
         assert np.array_equal(np.isfinite(means), observed)
-        assert plot_means(cube, [], "NIR").shape == (0, len(cube.dates))
+        assert table_plot_means(cube, [], "NIR").shape == (0, len(cube.dates))
 
     @settings(max_examples=80, deadline=None)
     @given(scene=plot_scenes(min_obs=1),
@@ -220,26 +221,17 @@ class TestPlotMeans:
     def test_means_equal_the_per_plot_oracle(self, scene, source, block_rows):
         # A block holds whole plots of up to block_rows pixels: a small
         # block_rows puts a plot in a block alone, and neighbours in
-        # different blocks. The feature table keeps the same means.
+        # different blocks. The table drops the plots without a pixel.
         cube, plots = scene
         endmembers = default_endmembers()
         with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
             patch.setattr(features, "BLOCK_ROWS", block_rows)
             warnings.simplefilter("ignore")  # plots without a valid observation
-            means = plot_means(cube, plots, source, endmembers=endmembers)
             indices = [] if source in SENSOR_BANDS["B"] else [source]
             table = build_feature_table(None, cube, plots, indices, endmembers=endmembers)
         oracle = oracle_plot_means(cube, plots, source, endmembers)
-        assert means.tobytes() == oracle.tobytes()
         with_pixels = [i for i, plot in enumerate(plots) if plot.n_pixels]
         assert table.plot_means[f"B_{source}"].tobytes() == oracle[with_pixels].tobytes()
-
-    def test_cube_without_observations(self, cloudy_scene):
-        scenario, _ = cloudy_scene
-        cube = SceneCube([], scenario.cube_a.geom)
-        means = plot_means(cube, scenario.plots, "NIR")
-        assert means.shape == (len(scenario.plots), 0)
-        assert plot_means(cube, [], "NIR").shape == (0, 0)
 
 
 class TestSegmentMeans:

@@ -5,9 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import gap_table, inject_gaps
+from conftest import gap_table, inject_gaps, table_plot_means
 from plotburn.scene import SENSOR_BANDS, gap_statistics
-from plotburn.separability import plot_means
 from plotburn import synth
 from plotburn.synth import ScenarioConfig, generate
 
@@ -190,7 +189,7 @@ class TestSignalModel:
         truth = scenario.truth
         late_b, late_u = [], []
         dates = scenario.cube_a.dates
-        means = plot_means(scenario.cube_a, scenario.plots, "NIR")
+        means = table_plot_means(scenario.cube_a, scenario.plots, "NIR")
         for plot, values in zip(scenario.plots, means):
             event = (truth.burn_date[plot.plot_id] if truth.burned[plot.plot_id]
                      else truth.till_date[plot.plot_id])
@@ -205,7 +204,7 @@ class TestSignalModel:
         truth = small_scenario.truth
         fresh, tilled = [], []
         dates = small_scenario.cube_a.dates
-        means = plot_means(small_scenario.cube_a, small_scenario.plots, "CI")
+        means = table_plot_means(small_scenario.cube_a, small_scenario.plots, "CI")
         for plot, values in zip(small_scenario.plots, means):
             if truth.burned[plot.plot_id]:
                 burn = truth.burn_date[plot.plot_id]
