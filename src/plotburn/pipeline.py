@@ -19,7 +19,9 @@ no band or index is evaluated for them again.
 
 The manifest also records each stage's cost under stage_costs[stage]: its
 wall seconds, its CPU seconds (this process and its reaped children) and the
-process's peak RSS when the stage ended, for a failed stage too.
+process's peak RSS when the stage ended, for a failed stage too. Under
+fold_workers it lists the forked workers cv.loocv_plot trained CV folds in,
+each with its folds, CPU seconds, peak RSS and the run's wait for it.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import os
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import features as feats
 from . import synth as synthmod
+from .child import fork_call, join_child
 from .cv import (LABEL_TO_CLASS, fit_forest, loocv_plot, parse_cv_mode, row_classes,
                  score_plots)
 from .forest import ForestParams, save_forest, top_k_features
@@ -196,44 +198,21 @@ class RunState:
     choice_balanced: object = None
     predictions: list = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
-    # File name -> the _Writer writing it, from write_in_child to join_writers.
+    # File name -> (stage, child.Child writing it), from write_in_child to
+    # join_writers.
     writers: dict = field(default_factory=dict)
 
 
-class _Writer(NamedTuple):
-    stage: str
-    pid: int
-    errors: int  # read end of the pipe the child sends its error text through
-
-
 def write_in_child(state: RunState, stage: str, name: str, write, *args) -> None:
-    """write(<run_dir>/<name>, *args) in a forked child, on its copy-on-write
-    snapshot of args, while the caller goes on; join_writers reaps it and
-    fails stage if the write failed. Without os.fork, write inline.
-
-    The child holds only the forking thread, so write must take no lock that
-    another thread could hold. The pipeline starts no threads of its own, and
-    write_feature_csv makes no BLAS call, so numpy's threads never matter."""
+    """write(<run_dir>/<name>, *args) in a forked child (child.fork_call), on
+    its copy-on-write snapshot of args, while the caller goes on; join_writers
+    reaps it and fails stage if the write failed. Without os.fork, write
+    inline."""
     path = os.path.join(state.run_dir, name)
     if not hasattr(os, "fork"):
         write(path, *args)
         return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # The child never returns into the caller's code, and never flushes
-        # the buffered files it shares with the parent.
-        code = 1
-        try:
-            os.close(read_end)
-            write(path, *args)
-            code = 0
-        except BaseException as exc:
-            os.write(write_end, (str(exc) or type(exc).__name__).encode())
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    state.writers[name] = _Writer(stage, pid, read_end)
+    state.writers[name] = (stage, fork_call(write, path, *args))
 
 
 def join_writers(state: RunState) -> PipelineError | None:
@@ -242,20 +221,14 @@ def join_writers(state: RunState) -> PipelineError | None:
     waiting for it here. A failed write marks its stage failed; the error of
     the first is returned."""
     error = None
-    for name, writer in state.writers.items():
-        t0 = time.perf_counter()
-        with os.fdopen(writer.errors, "rb") as pipe:
-            message = pipe.read().decode(errors="replace")
-        _, status, usage = os.wait4(writer.pid, 0)
-        state.manifest.setdefault("writers", {})[name] = {
-            "cpu_s": usage.ru_utime + usage.ru_stime,
-            "peak_rss_mb": usage.ru_maxrss / 1024,
-            "wait_s": time.perf_counter() - t0}
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            cause = RuntimeError(f"writing {name}: {message or f'exit status {code}'}")
-            state.manifest.setdefault("stages", {})[writer.stage] = f"failed: {cause}"
-            error = error or PipelineError(writer.stage, cause)
+    for name, (stage, writer) in state.writers.items():
+        joined = join_child(writer)
+        state.manifest.setdefault("writers", {})[name] = joined.cost
+        if joined.error is not None:
+            cause = RuntimeError(f"writing {name}: "
+                                 f"{str(joined.error) or type(joined.error).__name__}")
+            state.manifest.setdefault("stages", {})[stage] = f"failed: {cause}"
+            error = error or PipelineError(stage, cause)
     state.writers.clear()
     return error
 
@@ -386,8 +359,10 @@ def stage_train(state: RunState) -> None:
     else:
         state.selected = list(table.schema)
 
-    state.cv_result = loocv_plot(table, state.labels, params,
-                                 mode=cfg.cv_mode, schema=state.selected)
+    state.manifest["fold_workers"] = []
+    state.cv_result = loocv_plot(table, state.labels, params, mode=cfg.cv_mode,
+                                 schema=state.selected,
+                                 fold_workers=state.manifest["fold_workers"])
     border = table.border
     cv_rows = []
     for plot_id in sorted(state.cv_result.pixel_scores):

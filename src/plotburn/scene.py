@@ -287,15 +287,28 @@ def plot_pixels(plots: list[Plot]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, bounds
 
 
+def segment_counts(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(..., n_plots) count of True in each plot's pixels of a (..., n_px)
+    bool stack, plot i holding pixels bounds[i]:bounds[i + 1].
+
+    reduceat sums from each start to the next, so it gets only the starts of
+    plots with pixels: at an empty plot's start it would return that one
+    element, and the start of an empty last plot can be out of range."""
+    sizes = np.diff(bounds)
+    counts = np.zeros(mask.shape[:-1] + sizes.shape, dtype=np.intp)
+    if bounds[-1] > bounds[0]:
+        counts[..., sizes > 0] = np.add.reduceat(mask[..., :bounds[-1]], bounds[:-1][sizes > 0],
+                                                 axis=-1, dtype=np.intp)
+    return counts
+
+
 def observed_from_valid(valid: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """(..., n_plots) bool of a (..., n_px) valid stack whose plot i holds
     pixels bounds[i]:bounds[i + 1]: the plot_observed rule.
 
     A plot's valid count over its pixel count is the float its bool array's
     mean() gives, so the rule reads alike for one plot and for many."""
-    counts = np.zeros(valid.shape[:-1] + (valid.shape[-1] + 1,), dtype=np.intp)
-    np.cumsum(valid, axis=-1, out=counts[..., 1:])
-    counts = counts[..., bounds[1:]] - counts[..., bounds[:-1]]
+    counts = segment_counts(valid, bounds)
     sizes = np.diff(bounds)
     return (sizes > 0) & (counts / np.maximum(sizes, 1) >= PLOT_VALID_FRACTION)
 
@@ -322,9 +335,7 @@ def segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     differently from the 9th value on.
     """
     finite = np.isfinite(values)
-    counts = np.zeros((values.shape[0], values.shape[1] + 1), dtype=np.intp)
-    np.cumsum(finite, axis=1, out=counts[:, 1:])
-    counts = counts[:, bounds[1:]] - counts[:, bounds[:-1]]
+    counts = segment_counts(finite, bounds)
     # The finite values run row by row and plot by plot; each run gets its 0.0.
     n = counts.ravel()
     summed = np.insert(values[finite], np.cumsum(n) - n, 0.0)

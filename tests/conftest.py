@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ D0 = dt.date(2019, 10, 10)
 
 def day(offset: int) -> dt.date:
     return D0 + dt.timedelta(days=offset)
+
+
+def assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_rows_csv(path):

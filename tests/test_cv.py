@@ -1,12 +1,17 @@
+import json
+import os
+import time
+
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left
 from plotburn import cv
 from plotburn.cv import (LeakageError, check_fold_leakage, fit_forest, grouped_plot_folds,
                          loocv_plot, row_classes, score_plots)
 from plotburn.features import FeatureTable
 from plotburn.forest import ForestParams
-from plotburn.pipeline import RunConfig
+from plotburn.pipeline import PipelineError, RunConfig, run_pipeline
 from plotburn.synth import ScenarioConfig
 
 
@@ -120,6 +125,132 @@ class TestLoocv:
         result = loocv_plot(table, labels, PARAMS, mode="grouped:3")
         assert len(calls) == len(result.folds) == 3
         assert sum(calls) == len(table)
+
+
+def fork_folds(monkeypatch, cores):
+    """Fork the folds of any size into `cores` processes."""
+    monkeypatch.setattr(cv, "FORK_ROW_TREES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def on_folds(monkeypatch, actions):
+    """Make cv.fit_forest call actions[p]() first in each fold holding out
+    plot p; the fork inherits the patch."""
+    def fit(table, rows, *args, _fit=cv.fit_forest):
+        for plot_id, action in actions.items():
+            if table.plot_rows()[plot_id][0] not in rows:
+                action()
+        return _fit(table, rows, *args)
+    monkeypatch.setattr(cv, "fit_forest", fit)
+
+
+def raising(exc):
+    def action():
+        raise exc
+    return action
+
+
+def same_result(a, b):
+    return (a.folds == b.folds and a.plot_means == b.plot_means
+            and list(a.pixel_scores) == list(b.pixel_scores)
+            and all(a.pixel_scores[p].tobytes() == b.pixel_scores[p].tobytes()
+                    for p in a.pixel_scores))
+
+
+class TestForkedFolds:
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_forked_folds_equal_folds_run_inline(self, monkeypatch, cores):
+        table, labels = toy_rows(n_plots=10)
+        table.X[::7, 2] = np.nan
+        fork_folds(monkeypatch, cores)
+        workers = []
+        forked = loocv_plot(table, labels, PARAMS, mode="grouped:5", fold_workers=workers)
+        assert_no_child_left()
+        assert [w["folds"] for w in workers] == [list(range(w, 5, cores))
+                                                 for w in range(1, cores)]
+        for record in workers:
+            assert sorted(record) == ["cpu_s", "folds", "peak_rss_mb", "wait_s"]
+            assert record["peak_rss_mb"] > 0
+        monkeypatch.delattr(os, "fork")
+        inline = []
+        assert same_result(forked, loocv_plot(table, labels, PARAMS, mode="grouped:5",
+                                              fold_workers=inline))
+        assert inline == []
+
+    def test_folds_fork_from_fork_row_trees_on(self, monkeypatch):
+        rows = np.arange(cv.FORK_ROW_TREES // 4)
+        folds = [((str(i),), rows) for i in range(4)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert cv.fold_processes(folds[:2], n_trees=1) == 1
+        assert cv.fold_processes(folds[:2], n_trees=2) == 2
+        assert cv.fold_processes(folds, n_trees=2) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cv.fold_processes(folds, n_trees=2) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.delattr(os, "fork")
+        assert cv.fold_processes(folds, n_trees=2) == 1
+
+    def test_fold_order_holds_when_the_worker_finishes_last(self, monkeypatch):
+        table, labels = toy_rows(n_plots=8)
+        inline = loocv_plot(table, labels, PARAMS, mode="loocv")
+        fork_folds(monkeypatch, 2)
+        on_folds(monkeypatch, {"plot001": lambda: time.sleep(0.3)})  # the worker's first
+        workers = []
+        forked = loocv_plot(table, labels, PARAMS, mode="loocv", fold_workers=workers)
+        assert_no_child_left()
+        assert workers[0]["folds"] == [1, 3, 5, 7] and workers[0]["wait_s"] > 0.1
+        assert same_result(forked, inline)
+
+    def test_worker_fold_error_is_raised_with_its_type_and_message(self, monkeypatch,
+                                                                   tmp_path):
+        scene = ScenarioConfig(n_plots=8, plot_area_mean_ha=0.01, plot_area_median_ha=0.01,
+                               burn_probability=0.5, seed=2)
+        config = RunConfig(out_root=str(tmp_path), scenario=scene, n_trees=3,
+                           cv_mode="loocv")
+        fork_folds(monkeypatch, 2)
+        on_folds(monkeypatch, {"p0003": raising(KeyError("no such column"))})  # fold 3
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert_no_child_left()
+        assert err.value.stage == "train"
+        assert type(err.value.cause) is KeyError and str(err.value.cause) == "'no such column'"
+        (run_dir,) = os.listdir(tmp_path)
+        with open(os.path.join(tmp_path, run_dir, "run_manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["incomplete"] is True
+        assert manifest["stages"]["train"] == "failed: 'no such column'"
+        assert [w["folds"] for w in manifest["fold_workers"]] == [[1, 3, 5, 7]]
+        assert manifest["fold_workers"][0]["error"] == "fold 3: 'no such column'"
+
+    def test_unpicklable_error_arrives_as_a_runtime_error(self, monkeypatch):
+        class Unbuildable(ValueError):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        table, labels = toy_rows(n_plots=6)
+        fork_folds(monkeypatch, 2)
+        on_folds(monkeypatch, {"plot003": raising(Unbuildable("x", "y"))})
+        workers = []
+        with pytest.raises(RuntimeError, match=r"^Unbuildable: x and y$"):
+            loocv_plot(table, labels, PARAMS, mode="loocv", fold_workers=workers)
+        assert_no_child_left()
+        assert workers[0]["error"] == "fold 3: Unbuildable: x and y"
+
+    def test_first_failing_fold_is_raised_after_every_worker_is_reaped(self, monkeypatch):
+        table, labels = toy_rows(n_plots=6)
+        fork_folds(monkeypatch, 2)
+        actions = {"plot002": raising(ValueError("parent's fold")),
+                   "plot001": raising(TypeError("worker's"))}
+        on_folds(monkeypatch, actions)
+        workers = []
+        with pytest.raises(TypeError, match="worker's"):
+            loocv_plot(table, labels, PARAMS, mode="loocv", fold_workers=workers)
+        assert_no_child_left()
+        assert workers[0]["error"] == "fold 1: worker's"
+        del actions["plot001"]
+        with pytest.raises(ValueError, match="parent's fold"):
+            loocv_plot(table, labels, PARAMS, mode="loocv")
+        assert_no_child_left()
 
 
 class TestForestInputs:

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import load_forest, oracle_plot_means, read_rows_csv
+from conftest import assert_no_child_left, load_forest, oracle_plot_means, read_rows_csv
 from plotburn import cv, features, pipeline, synth
 from plotburn.features import FeatureTable, read_feature_csv, table_matrix
 from plotburn.forest import apply_impute, fit_impute_medians, predict_scores
@@ -371,11 +371,6 @@ def read_manifest(out_root):
     (run_dir,) = os.listdir(out_root)
     with open(os.path.join(out_root, run_dir, "run_manifest.json")) as fh:
         return json.load(fh)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestStageCosts:

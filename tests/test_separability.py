@@ -12,8 +12,8 @@ from plotburn.features import build_feature_table
 from plotburn.indices import SWIR_SET, unmix_char_fraction
 from plotburn.pipeline import DEFAULT_CURVE_SOURCES
 from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
-                            GridGeometry, SceneCube, make_plot, plot_blocks, plot_observed,
-                            segment_means)
+                            GridGeometry, SceneCube, make_plot, observed_from_valid,
+                            plot_blocks, plot_observed, segment_means)
 from plotburn.separability import MIN_BUCKET_N, SampleStats, m_statistic, separability_curve
 from plotburn.synth import ScenarioConfig, default_endmembers, generate
 
@@ -263,6 +263,18 @@ class TestSegmentMeans:
         want = [values[0, a:b].mean() if b > a else np.nan
                 for a, b in zip(bounds[:-1], bounds[1:])]
         assert segment_means(values, bounds).tobytes() == np.asarray([want]).tobytes()
+
+    def test_empty_plots_first_in_the_middle_and_last(self):
+        lengths = [0, 0, 3, 0, 5, 1, 0, 0]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        values = np.arange(1.0, 19.0).reshape(2, 9)
+        values[1, 3] = np.nan
+        nan = np.nan
+        want = [[nan, nan, 2.0, nan, 6.0, 9.0, nan, nan],
+                [nan, nan, 11.0, nan, 15.5, 18.0, nan, nan]]
+        assert segment_means(values, bounds).tobytes() == np.asarray(want).tobytes()
+        observed = observed_from_valid(np.isfinite(values), bounds)
+        assert observed.tolist() == [[False, False, True, False, True, True, False, False]] * 2
 
 
 @given(sizes=st.lists(st.integers(0, 50), max_size=12), max_pixels=st.integers(1, 80))
