@@ -6,22 +6,21 @@ correlated, so every fold holds out whole plots. A leakage guard re-derives
 the training rows' plot ids per fold and refuses any overlap with the holdout.
 
 The folds are independent, so loocv_plot trains them on up to every core of
-the process's affinity set once their work reaches FORK_ROW_TREES: the other
-cores run forked workers (child.fork_call), each on its copy-on-write view of
-the table, and the parent puts their plot scores in fold order, so the
-results are those of one process running the folds in turn. Below that, with
-one core, or without os.fork, the parent runs every fold itself.
+the process's affinity set once their work reaches FORK_ROW_TREES, through
+child.fan_out: forked workers train on their copy-on-write view of the table,
+and the plot scores come back in fold order, those of one process running
+the folds in turn. Below that, with one core, or without os.fork, the parent
+runs every fold itself.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .child import fork_call, join_child, portable
+from .child import fan_out, processes
 from .features import FeatureTable, table_matrix
 from .forest import (ForestModel, ForestParams, apply_impute, fit_impute_medians,
                      predict_scores, train_forest)
@@ -107,25 +106,10 @@ def grouped_plot_folds(plot_ids: list[str], n_groups: int, seed: int) -> list[tu
 
 
 def fold_processes(folds: list[tuple[tuple[str, ...], np.ndarray]], n_trees: int) -> int:
-    """How many processes train the folds: one below FORK_ROW_TREES
-    row-trees, without os.fork or with one core; else one per core of the
-    affinity set, and at most one per fold."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or sum(train_idx.size for _, train_idx in folds) * n_trees < FORK_ROW_TREES):
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(folds))
-
-
-def _run_folds(fold_scores, indices) -> tuple[list, tuple[int, Exception] | None]:
-    """(fold_scores(i) for each i of indices up to the first that raises,
-    and (i, exception) of that fold, or None)."""
-    done = []
-    for i in indices:
-        try:
-            done.append(fold_scores(i))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
+    """How many processes train the folds (child.processes): their work is
+    their training rows times n_trees, in row-trees, against FORK_ROW_TREES."""
+    row_trees = sum(train_idx.size for _, train_idx in folds) * n_trees
+    return processes(len(folds), row_trees, FORK_ROW_TREES)
 
 
 def loocv_plot(table: FeatureTable, labels: dict[str, str],
@@ -146,13 +130,12 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
     its out-of-fold scores, border pixels excluded.
 
     Every fold passes both checks before any forest is trained. The folds
-    then run in fold_processes(folds, params.n_trees) processes, fold i in
-    process i % k; the parent is process 0. fold_workers, when given, gets
-    one record per forked worker: its "folds", the child's "cpu_s" and
-    "peak_rss_mb", and the parent's "wait_s" for it, plus "error" ("fold
-    <i>: <message>") when it failed. A failing fold raises its own exception
-    whichever process ran it, the first failing fold's when several fail,
-    and only after every worker has been reaped.
+    then run in fold_processes(folds, params.n_trees) processes through
+    child.fan_out, which appends its worker records ("folds", "cpu_s",
+    "peak_rss_mb", "wait_s" and "error": "fold <i>: <message>") to
+    fold_workers. A failing fold raises its own exception whichever process
+    ran it, the first failing fold's when several fail, and only after every
+    worker has been reaped.
     """
     plot_rows = table.plot_rows()
 
@@ -194,35 +177,8 @@ def loocv_plot(table: FeatureTable, labels: dict[str, str],
         return score_plots(model, medians, table, plot_rows,
                            [p for p in holdout if p in plot_rows])
 
-    def in_worker(indices):
-        done, failed = _run_folds(fold_scores, indices)
-        return done, failed and (failed[0], portable(failed[1]))
-
-    k = fold_processes(folds, params.n_trees)
-    workers = []
-    try:
-        for w in range(1, k):
-            workers.append(fork_call(in_worker, range(w, len(folds), k)))
-        done, failed = _run_folds(fold_scores, range(0, len(folds), k))
-    finally:
-        joined = [join_child(worker) for worker in workers]
-    scores = dict(zip(range(0, len(folds), k), done))
-    failures = [failed] if failed else []
-    for w, (value, error, cost) in enumerate(joined, start=1):
-        record = {"folds": list(range(w, len(folds), k)), **cost}
-        if error is not None:  # the worker failed outside its folds
-            failures.append((w, error))
-            record["error"] = str(error)
-        else:
-            done, failed = value
-            scores.update(zip(range(w, len(folds), k), done))
-            if failed:
-                failures.append(failed)
-                record["error"] = f"fold {failed[0]}: {failed[1]}"
-        if fold_workers is not None:
-            fold_workers.append(record)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    scores = fan_out(fold_scores, len(folds), fold_processes(folds, params.n_trees),
+                     fold_workers, noun="fold", nouns="folds")
 
     border = table.border
     result = CvResult()

@@ -19,7 +19,10 @@ string or null, one cloud mask per pass), then reads only the grid headers
 and checks the geometry; read_scene_manifest then reads each grid once,
 converting only the cells a window of the common grid is computed from (for
 a coarser sensor, the cells under their cubic taps), and holds each pass as
-window-sized arrays.
+window-sized arrays. The passes are independent, so once their grid files
+reach FORK_GRID_BYTES they are read on up to every core of the process's
+affinity set (child.fan_out): forked workers send back each pass's arrays,
+and the cubes are those of one process reading the passes in turn.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .child import fan_out, processes
 from .indices import SWIR_SET, EndmemberSet
 from .resample import cubic_taps, upsample_cubic
 from .scene import (GROUPS, LABELS, MASKED_FILL, SENSOR_BANDS, AlignmentError,
@@ -98,6 +102,15 @@ _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 # read_grid reads and checks a grid this many bytes at a time, rounded to
 # whole lines.
 GRID_BLOCK_BYTES = 1 << 20
+# read_scene_manifest reads the passes in forked workers (pass_processes)
+# only once their grid files hold this many bytes. On a 2-vCPU Xeon host at
+# 2.1 GHz read_grid reads about 3.9 ms per MB on one core, and a fork and
+# join of a worker from a 32 MB process costs about 2 ms; but a read on one
+# vCPU ran up to 1.6x slower while the other was busy. Reading the first n
+# sensor-A passes of the files bench scene, 21 alternating pairs in each of
+# four sessions, forked won every pair at 7.0 and 8.4 MiB, and lost most
+# pairs at 4.2 and 5.6 MiB in two of the sessions.
+FORK_GRID_BYTES = 8 << 20
 
 
 def _parse_rows(lines: list[str], cols=None) -> np.ndarray:
@@ -246,6 +259,11 @@ class GridPass(NamedTuple):
     mask: str | None
     geom: GridGeometry
 
+    @property
+    def paths(self) -> list[str]:
+        """The pass's grid files: its bands', then its cloud mask's."""
+        return [*self.bands.values(), *filter(None, [self.mask])]
+
 
 class SceneLayout(NamedTuple):
     """A scene manifest checked against its grid headers; no cell read yet.
@@ -275,7 +293,7 @@ class SceneLayout(NamedTuple):
         plans = self.taps(rows, cols)
         counts = {"grids": 0, "cells": 0, "cells_converted": 0}
         for grid in self.passes:
-            n = len(grid.bands) + (grid.mask is not None)
+            n = len(grid.paths)
             plan = plans[grid.sensor]
             counts["grids"] += n
             counts["cells"] += n * grid.geom.nrows * grid.geom.ncols
@@ -401,7 +419,14 @@ def _check_alignment(geom: GridGeometry, target: GridGeometry, label: str) -> No
                          "upsample; cubic convolution needs at least 4x4 cells")
 
 
-def read_scene_manifest(manifest, rows=None, cols=None):
+def pass_processes(layout: SceneLayout) -> int:
+    """How many processes read layout's passes (child.processes): their work
+    is the bytes of their grid files, against FORK_GRID_BYTES."""
+    size = sum(os.path.getsize(path) for grid in layout.passes for path in grid.paths)
+    return processes(len(layout.passes), size, FORK_GRID_BYTES)
+
+
+def read_scene_manifest(manifest, rows=None, cols=None, workers: list | None = None):
     """Load a manifest into one SceneCube per sensor, all on one common grid.
 
     manifest is a manifest path or the SceneLayout scan_scene_manifest made
@@ -419,6 +444,13 @@ def read_scene_manifest(manifest, rows=None, cols=None):
     grid file is still read and checked once, but only the cells the listed
     ones are computed from are converted, and every other window cell is
     invalid.
+
+    The passes are read in pass_processes(layout) processes through
+    child.fan_out, pass j in process j % k; each sends back only its
+    passes' listed cells, and the caller places them in the window. workers,
+    when given, gets fan_out's worker records ("passes", "cpu_s",
+    "peak_rss_mb", "wait_s" and "error": "pass <j>: <message>"). A failing
+    pass raises what a serial read raises: the first failing pass's error.
     """
     layout = (manifest if isinstance(manifest, SceneLayout)
               else scan_scene_manifest(manifest))
@@ -432,8 +464,10 @@ def read_scene_manifest(manifest, rows=None, cols=None):
     window = target.window(*origin, *shape)
     at = np.ix_(rows - origin[0], cols - origin[1])
     plans = layout.taps(rows, cols)
-    cubes: dict[str, list[BandObservation]] = defaultdict(list)
-    for grid in layout.passes:
+
+    def load(j):
+        """Pass j's band stack and validity on its listed cells."""
+        grid = layout.passes[j]
         plan = plans[grid.sensor]
         source = (rows, cols) if plan is None else (plan[0].source, plan[1].source)
         stack = np.empty((len(grid.bands), source[0].size, source[1].size))
@@ -450,6 +484,12 @@ def read_scene_manifest(manifest, rows=None, cols=None):
             stack, valid = upsample_cubic(stack, valid, *plan)
             np.clip(stack, 0.0, 1.0, out=stack)
         stack[:, ~valid] = MASKED_FILL
+        return stack, valid
+
+    loaded = fan_out(load, len(layout.passes), pass_processes(layout), workers,
+                     noun="pass", nouns="passes")
+    cubes: dict[str, list[BandObservation]] = defaultdict(list)
+    for grid, (stack, valid) in zip(layout.passes, loaded):
         if stack.shape[1:] != shape:
             # Rows (or columns) inside the window that were not asked for.
             held, held_ok = np.full((len(stack), *shape), MASKED_FILL), np.zeros(shape, bool)

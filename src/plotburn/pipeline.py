@@ -21,7 +21,9 @@ The manifest also records each stage's cost under stage_costs[stage]: its
 wall seconds, its CPU seconds (this process and its reaped children) and the
 process's peak RSS when the stage ended, for a failed stage too. Under
 fold_workers it lists the forked workers cv.loocv_plot trained CV folds in,
-each with its folds, CPU seconds, peak RSS and the run's wait for it.
+each with its folds, CPU seconds, peak RSS and the run's wait for it, and
+under ingest.workers, for a run from files, those gridio.read_scene_manifest
+read grid passes in, each with its passes.
 """
 
 from __future__ import annotations
@@ -265,13 +267,14 @@ def stage_ingest(state: RunState) -> None:
         rows = np.unique(np.concatenate([p.rows for p in state.plots]))
         cols = np.concatenate([p.cols for p in state.plots])
         cols = np.arange(cols.min(), cols.max() + 1)
-        state.cubes = read_scene_manifest(layout, rows, cols)
-        state.manifest["ingest"] = {
-            **layout.ingest_counts(rows, cols),
-            "window": {"rows": [int(rows[0]), int(rows[-1]) + 1],
-                       "cols": [int(cols[0]), int(cols[-1]) + 1]},
-            "cells_held": sum(len(o.bands) * o.valid.size for cube in state.cubes.values()
-                              for o in cube.observations)}
+        ingest = state.manifest["ingest"] = {"workers": []}
+        state.cubes = read_scene_manifest(layout, rows, cols, workers=ingest["workers"])
+        ingest.update(layout.ingest_counts(rows, cols),
+                      window={"rows": [int(rows[0]), int(rows[-1]) + 1],
+                              "cols": [int(cols[0]), int(cols[-1]) + 1]},
+                      cells_held=sum(len(o.bands) * o.valid.size
+                                     for cube in state.cubes.values()
+                                     for o in cube.observations))
         if cfg.events_path:
             state.events = read_events_csv(cfg.events_path)
         state.endmembers = (read_endmembers_csv(cfg.endmembers_path)

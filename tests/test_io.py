@@ -1,11 +1,12 @@
 import json
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import read_rows_csv
+from conftest import assert_no_child_left, read_rows_csv
 from test_features import assert_same_table
 
 from plotburn import gridio
@@ -18,7 +19,7 @@ from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              scan_scene_manifest, write_endmembers_csv, write_events_csv,
                              write_grid, write_plots_csv, write_rows_csv,
                              write_scene_manifest)
-from plotburn.pipeline import PipelineError, RunConfig, run_pipeline
+from plotburn.pipeline import PipelineError, RunConfig, RunState, run_pipeline, stage_ingest
 from plotburn.resample import upsample_cubic
 from plotburn.scene import SENSOR_BANDS, AlignmentError, GridGeometry, SceneError, make_plot
 from plotburn.synth import (ScenarioConfig, default_endmembers, generate,
@@ -705,6 +706,142 @@ class TestMalformedRowsOutsidePlots:
         assert name in str(err.value)
         (run_dir,) = (tmp_path / "runs").iterdir()
         assert json.loads((run_dir / "run_manifest.json").read_text())["incomplete"] is True
+
+
+def fork_passes(monkeypatch, cores):
+    """Read the passes of any scene in `cores` processes."""
+    monkeypatch.setattr(gridio, "FORK_GRID_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def five_pass_scene(root):
+    """Three sensor-A passes (passes 0-2) and two 2x coarser sensor-B passes
+    (3-4), each with a cloud mask; returns the manifest path."""
+    path, _ = write_two_sensor_manifest(root, dates_a=3, mask=True, dates_b=2)
+    return path
+
+
+def pass_grid(root, j):
+    """A band grid of pass j of five_pass_scene."""
+    return root / ("A_2019-10-2{}_Red.grid".format(j) if j < 3
+                   else "B_2019-11-0{}_SWIR1.grid".format(j - 2))
+
+
+def read_serially(monkeypatch, *args):
+    """read_scene_manifest(*args) with os.fork deleted, or the error it raises."""
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        try:
+            return read_scene_manifest(*args)
+        except FormatError as exc:
+            return exc
+
+
+def assert_same_cubes(got, want):
+    assert list(got) == list(want)
+    for sensor in want:
+        assert got[sensor].geom == want[sensor].geom
+        assert got[sensor].origin == want[sensor].origin
+        assert got[sensor].dates == want[sensor].dates
+        for a, b in zip(got[sensor].observations, want[sensor].observations):
+            assert (a.sensor, a.date, a.geom) == (b.sensor, b.date, b.geom)
+            assert a.valid.tobytes() == b.valid.tobytes()
+            assert list(a.bands) == list(b.bands)
+            for band in b.bands:
+                assert a.bands[band].dtype == b.bands[band].dtype
+                assert a.bands[band].tobytes() == b.bands[band].tobytes()
+
+
+class TestForkedIngest:
+    """Passes read in forked workers give the cubes, and the errors, of one
+    process reading them in turn."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("window", [False, True])
+    def test_forked_cubes_equal_cubes_read_inline(self, tmp_path, monkeypatch, cores, window):
+        path = five_pass_scene(tmp_path)
+        args = (scan_scene_manifest(path), [1, 2, 5, 6], np.arange(3, 9)) if window else (path,)
+        fork_passes(monkeypatch, cores)
+        workers = []
+        forked = read_scene_manifest(*args, workers=workers)
+        assert_no_child_left()
+        assert [w["passes"] for w in workers] == [list(range(w, 5, cores))
+                                                  for w in range(1, cores)]
+        for record in workers:
+            assert sorted(record) == ["cpu_s", "passes", "peak_rss_mb", "wait_s"]
+            assert record["peak_rss_mb"] > 0
+        assert_same_cubes(forked, read_serially(monkeypatch, *args))
+        inline = []
+        monkeypatch.delattr(os, "fork")
+        read_scene_manifest(*args, workers=inline)
+        assert inline == []
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_bad_token_in_a_worker_pass_raises_the_serial_error(self, tmp_path,
+                                                                  monkeypatch, cores):
+        path = five_pass_scene(tmp_path)
+        corrupt_line(pass_grid(tmp_path, 1), 4, "token")  # pass 1: worker 1's
+        serial = read_serially(monkeypatch, path)
+        assert isinstance(serial, FormatError) and "A_2019-10-21_Red.grid" in str(serial)
+        fork_passes(monkeypatch, cores)
+        workers = []
+        with pytest.raises(FormatError) as err:
+            read_scene_manifest(path, workers=workers)
+        assert_no_child_left()
+        assert str(err.value) == str(serial)
+        assert workers[0]["error"] == f"pass 1: {serial}"
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (3, 4)])
+    def test_the_lower_of_two_failing_passes_wins(self, tmp_path, monkeypatch, cores, failing):
+        path = five_pass_scene(tmp_path)
+        for j in failing:
+            corrupt_line(pass_grid(tmp_path, j), 2, "ragged")
+        serial = read_serially(monkeypatch, path)
+        assert pass_grid(tmp_path, failing[0]).name in str(serial)
+        fork_passes(monkeypatch, cores)
+        with pytest.raises(FormatError) as err:
+            read_scene_manifest(path)
+        assert_no_child_left()
+        assert str(err.value) == str(serial)
+
+    def test_passes_fork_from_fork_grid_bytes_on(self, tmp_path, monkeypatch):
+        layout = scan_scene_manifest(five_pass_scene(tmp_path))
+        size = sum(os.path.getsize(p) for grid in layout.passes for p in grid.paths)
+        assert sum(len(grid.paths) for grid in layout.passes) == 3 * (4 + 1) + 2 * (9 + 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(gridio, "FORK_GRID_BYTES", size + 1)
+        assert gridio.pass_processes(layout) == 1
+        monkeypatch.setattr(gridio, "FORK_GRID_BYTES", size)
+        assert gridio.pass_processes(layout) == 3
+        assert gridio.pass_processes(layout._replace(passes=layout.passes[:2])) == 1
+        monkeypatch.setattr(gridio, "FORK_GRID_BYTES", 0)
+        assert gridio.pass_processes(layout._replace(passes=layout.passes[:2])) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert gridio.pass_processes(layout) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert gridio.pass_processes(layout) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert gridio.pass_processes(layout) == 1
+
+    def test_the_run_manifest_lists_the_ingest_workers(self, tmp_path, monkeypatch):
+        path = write_tile_scene(tmp_path)
+        write_plots_csv(tmp_path / "plots.csv", [rows_plot(4, 9)])
+        config = RunConfig(out_root=str(tmp_path), manifest_path=str(path),
+                           plots_path=str(tmp_path / "plots.csv"))
+        fork_passes(monkeypatch, 2)
+        state = RunState(config, str(tmp_path))
+        stage_ingest(state)
+        assert_no_child_left()
+        (worker,) = state.manifest["ingest"]["workers"]
+        assert worker["passes"] == [1] and worker["cpu_s"] >= 0
+        monkeypatch.delattr(os, "fork")
+        inline = RunState(config, str(tmp_path))
+        stage_ingest(inline)
+        assert inline.manifest["ingest"]["workers"] == []
+        assert_same_cubes(state.cubes, inline.cubes)
 
 
 def write_masked_scene(root, prob, mask_geom, cloud_threshold=0.5):

@@ -229,7 +229,7 @@ class TestRunPipeline:
         # The window's cubic taps reach rows 2..5 and columns 0..4 of sensor
         # B's 6 m grid.
         assert state.manifest["ingest"] == {
-            "grids": 20, "cells": 10 * 12 * 12 + 10 * 6 * 6,
+            "workers": [], "grids": 20, "cells": 10 * 12 * 12 + 10 * 6 * 6,
             "cells_converted": 10 * 4 * 4 + 10 * 4 * 5,
             "window": {"rows": [7, 11], "cols": [1, 5]},
             "cells_held": (2 * 4 + 9) * 4 * 4}

@@ -97,3 +97,37 @@ def test_the_check_finds_a_stale_import():
     source = ("import os\nimport sys  # noqa: F401\nfrom math import inf, pi\n"
               "from . import cv as crossval\nprint(pi, crossval)\n")
     assert unused_imports(source) == ["1: os", "3: inf"]
+
+
+# Only child.py starts, pipes to and reaps processes: one fork helper, whose
+# parent reaps its own pids and never a child another part of a run tracks.
+PROCESS_CALLS = ("fork", "pipe", "wait4")
+
+
+def process_calls(source: str) -> list[str]:
+    """Each os.fork, os.pipe and os.wait4 the source names, by attribute or
+    by import, as "<line>: os.<name>", in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{alias.name}") for alias in node.names
+                      if alias.name in PROCESS_CALLS]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_child_forks_pipes_and_reaps(path):
+    calls = process_calls(path.read_text())
+    if path.name == "child.py":
+        assert {call.split(": ")[1] for call in calls} == {f"os.{n}" for n in PROCESS_CALLS}
+    else:
+        assert calls == []
+
+
+def test_the_check_finds_a_fork_outside_child():
+    source = ("import os\nfrom os import pipe, getpid\nif hasattr(os, 'fork'):\n"
+              "    pid = os.fork()\nos.wait4(pid, 0)\n")
+    assert process_calls(source) == ["2: os.pipe", "4: os.fork", "5: os.wait4"]
