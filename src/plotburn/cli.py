@@ -102,7 +102,7 @@ def cmd_ingest(args) -> int:
     state = _stage_state(args, _load_run_config(args))
     pipe.stage_ingest(state)
     pipe.stage_gaps(state)
-    n_obs = {s: len(c.observations) for s, c in state.cubes.items()}
+    n_obs = {s: len(c.dates) for s, c in state.cubes.items()}
     print(f"ingested {len(state.plots)} plots; observations per sensor: {n_obs}")
     print(f"gap report: {os.path.join(args.out, 'gaps.csv')}")
     return 0

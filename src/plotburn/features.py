@@ -73,11 +73,9 @@ def pixel_stack(cube: SceneCube, rows, cols):
     the cube's dtype, because index formulas compute in it and upcasting
     changes values.
     """
-    obs = cube.observations
-    at = cube.index(rows, cols)
-    valid = np.stack([o.valid[at] for o in obs])
-    bands = {b: np.stack([o.bands[b][at] for o in obs]) for b in obs[0].bands}
-    return valid, bands
+    r, c = cube.index(rows, cols)
+    return cube.valid[:, r, c], dict(zip(SENSOR_BANDS[cube.sensor],
+                                         cube.values[:, :, r, c].swapaxes(0, 1)))
 
 
 def source_values(valid, bands, source: str, endmembers) -> np.ndarray:
@@ -190,7 +188,7 @@ def build_feature_table(cube_a: SceneCube | None, cube_b: SceneCube | None,
     X = np.full((rows.size, len(schema)), np.nan)
     if has_border:
         X[:, col["border"]] = np.concatenate([p.border for p in plots])
-    plot_means = {f"{c.sensor}_{source}": np.full((len(plots), len(c.observations)), np.nan)
+    plot_means = {f"{c.sensor}_{source}": np.full((len(plots), len(c.dates)), np.nan)
                   for c in cubes for source in _sources(c.sensor, indices)}
     for lo, hi in plot_blocks(bounds, BLOCK_ROWS):
         block = slice(bounds[lo], bounds[hi])

@@ -43,8 +43,8 @@ import numpy as np
 from .child import fan_out, processes
 from .indices import SWIR_SET, EndmemberSet
 from .resample import cubic_taps, upsample_cubic
-from .scene import (GROUPS, LABELS, MASKED_FILL, SENSOR_BANDS, AlignmentError,
-                    BandObservation, GridGeometry, Plot, SceneCube, SceneError, make_plot)
+from .scene import (GROUPS, LABELS, MASKED_FILL, SENSOR_BANDS, AlignmentError, GridGeometry,
+                    Plot, SceneCube, SceneError, make_plot)
 
 DEFAULT_NODATA = -9999.0
 DEFAULT_SCALE = 10000.0
@@ -447,10 +447,11 @@ def read_scene_manifest(manifest, rows=None, cols=None, workers: list | None = N
 
     The passes are read in pass_processes(layout) processes through
     child.fan_out, pass j in process j % k; each sends back only its
-    passes' listed cells, and the caller places them in the window. workers,
-    when given, gets fan_out's worker records ("passes", "cpu_s",
-    "peak_rss_mb", "wait_s" and "error": "pass <j>: <message>"). A failing
-    pass raises what a serial read raises: the first failing pass's error.
+    passes' listed cells, and the caller places them in its sensor's window
+    arrays. workers, when given, gets fan_out's worker records ("passes",
+    "cpu_s", "peak_rss_mb", "wait_s" and "error": "pass <j>: <message>").
+    A failing pass raises what a serial read raises: the first failing
+    pass's error.
     """
     layout = (manifest if isinstance(manifest, SceneLayout)
               else scan_scene_manifest(manifest))
@@ -488,16 +489,22 @@ def read_scene_manifest(manifest, rows=None, cols=None, workers: list | None = N
 
     loaded = fan_out(load, len(layout.passes), pass_processes(layout), workers,
                      noun="pass", nouns="passes")
-    cubes: dict[str, list[BandObservation]] = defaultdict(list)
-    for grid, (stack, valid) in zip(layout.passes, loaded):
-        if stack.shape[1:] != shape:
-            # Rows (or columns) inside the window that were not asked for.
-            held, held_ok = np.full((len(stack), *shape), MASKED_FILL), np.zeros(shape, bool)
-            held[:, at[0], at[1]], held_ok[at] = stack, valid
-            stack, valid = held, held_ok
-        cubes[grid.sensor].append(BandObservation(
-            grid.sensor, grid.date, dict(zip(grid.bands, stack)), valid, window))
-    return {sensor: SceneCube(obs, window, origin) for sensor, obs in cubes.items()}
+    cubes = {}
+    for sensor in sorted({grid.sensor for grid in layout.passes}):
+        js = [j for j, grid in enumerate(layout.passes) if grid.sensor == sensor]
+        values = np.empty((len(js), len(SENSOR_BANDS[sensor]), *shape))
+        valid = np.zeros((len(js), *shape), dtype=bool)
+        for t, j in enumerate(js):
+            # Each pass is dropped once placed, so the cube is never held twice.
+            (stack, ok), loaded[j] = loaded[j], None
+            if stack.shape[1:] == shape:
+                values[t], valid[t] = stack, ok
+            else:  # rows (or columns) inside the window that were not asked for
+                values[t] = MASKED_FILL
+                values[t][:, at[0], at[1]], valid[t][at] = stack, ok
+        cubes[sensor] = SceneCube(sensor, [layout.passes[j].date for j in js], values, valid,
+                                  window, origin)
+    return cubes
 
 
 def format_wkt_polygon(polygon) -> str:

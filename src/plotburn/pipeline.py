@@ -272,9 +272,7 @@ def stage_ingest(state: RunState) -> None:
         ingest.update(layout.ingest_counts(rows, cols),
                       window={"rows": [int(rows[0]), int(rows[-1]) + 1],
                               "cols": [int(cols[0]), int(cols[-1]) + 1]},
-                      cells_held=sum(len(o.bands) * o.valid.size
-                                     for cube in state.cubes.values()
-                                     for o in cube.observations))
+                      cells_held=sum(cube.values.size for cube in state.cubes.values()))
         if cfg.events_path:
             state.events = read_events_csv(cfg.events_path)
         state.endmembers = (read_endmembers_csv(cfg.endmembers_path)

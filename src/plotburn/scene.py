@@ -1,4 +1,4 @@
-"""Raster/plot data model: observations, scene cubes, plot rasterization, masks, gaps.
+"""Raster/plot data model: scene cubes, plot rasterization, masks, gaps.
 
 plot_observed owns the rule for when a plot is observed on a pass; the gap
 report reads its table, and block_plot_means the plot x pass means under it.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +79,9 @@ class GridGeometry:
         return x, y
 
 
-@dataclass
-class BandObservation:
-    """One sensor pass: per-band reflectance grids plus a shared validity mask."""
+class BandObservation(NamedTuple):
+    """One pass of a SceneCube as views of its arrays; SceneCube.observations
+    makes them, and they check nothing of their own."""
 
     sensor: str
     date: dt.date
@@ -88,45 +89,44 @@ class BandObservation:
     valid: np.ndarray
     geom: GridGeometry
 
-    def __post_init__(self):
-        if self.sensor not in SENSOR_BANDS:
-            raise SceneError(f"unknown sensor {self.sensor!r}")
-        expected = SENSOR_BANDS[self.sensor]
-        missing = [b for b in expected if b not in self.bands]
-        if missing:
-            raise SceneError(f"sensor {self.sensor} observation missing bands {missing}")
-        for name, grid in self.bands.items():
-            if grid.shape != self.geom.shape:
-                raise AlignmentError(f"band {name} shape {grid.shape} != {self.geom.shape}")
-        if self.valid.shape != self.geom.shape:
-            raise AlignmentError("valid mask shape mismatch")
-        if self.valid.dtype != bool:
-            raise SceneError("valid mask must be boolean")
-
 
 @dataclass
 class SceneCube:
-    """Time-ordered observation stack for one sensor on a window of the common grid.
+    """Time-ordered pass stack for one sensor on a window of the common grid.
 
-    geom is the window's geometry and origin the (row, col) of its top-left
-    cell on the common grid: (0, 0) when the window is the whole grid. Plots
-    address cells on the common grid; index maps them into the arrays.
+    values is (passes, bands, rows, cols) in SENSOR_BANDS[sensor] order and
+    the producer's dtype; valid is the (passes, rows, cols) bool mask every
+    band of a pass shares. geom is the window's geometry and origin the
+    (row, col) of its top-left cell on the common grid: (0, 0) when the
+    window is the whole grid. Plots address cells on the common grid; index
+    maps them into the arrays.
     """
 
-    observations: list[BandObservation]
+    sensor: str
+    dates: list[dt.date]
+    values: np.ndarray
+    valid: np.ndarray
     geom: GridGeometry
     origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        dates = [o.date for o in self.observations]
-        if any(b <= a for a, b in zip(dates, dates[1:])):
+        if self.sensor not in SENSOR_BANDS:
+            raise SceneError(f"unknown sensor {self.sensor!r}")
+        n_bands = len(SENSOR_BANDS[self.sensor])
+        if self.values.ndim != 4 or self.values.shape[1] != n_bands:
+            raise SceneError(f"sensor {self.sensor} values need an axis of {n_bands} "
+                             f"bands second, got shape {self.values.shape}")
+        shape = (len(self.dates), *self.geom.shape)
+        if self.values.shape != (shape[0], n_bands, *shape[1:]) or self.valid.shape != shape:
+            raise AlignmentError(f"values {self.values.shape} and valid {self.valid.shape} "
+                                 f"do not hold {shape[0]} passes of {self.geom.shape}")
+        if self.valid.dtype != bool:
+            raise SceneError("valid mask must be boolean")
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise SceneError("observation dates must be strictly increasing")
-        for o in self.observations:
-            if o.geom != self.geom:
-                raise AlignmentError("observation geometry differs from cube geometry")
 
     def index(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Indices into the observations' arrays of common-grid cells (rows, cols)."""
+        """Indices into the arrays' last two axes of common-grid cells (rows, cols)."""
         r = np.asarray(rows) - self.origin[0]
         c = np.asarray(cols) - self.origin[1]
         if r.size and (min(r.min(), c.min()) < 0 or r.max() >= self.geom.nrows
@@ -136,12 +136,12 @@ class SceneCube:
         return r, c
 
     @property
-    def sensor(self) -> str:
-        return self.observations[0].sensor if self.observations else "?"
-
-    @property
-    def dates(self) -> list[dt.date]:
-        return [o.date for o in self.observations]
+    def observations(self) -> list[BandObservation]:
+        """Each pass as views of values and valid; nothing is copied. The
+        benchmark's files workload writes its grid tiles from these."""
+        bands = SENSOR_BANDS[self.sensor]
+        return [BandObservation(self.sensor, date, dict(zip(bands, stack)), ok, self.geom)
+                for date, stack, ok in zip(self.dates, self.values, self.valid)]
 
 
 @dataclass
@@ -352,14 +352,10 @@ def block_plot_means(values: np.ndarray, observed: np.ndarray, bounds: np.ndarra
 def plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:
     """(len(plots), n_obs) bool: at least PLOT_VALID_FRACTION of the plot's
     pixels are valid in that pass; never true for a plot without pixels.
-    Each pass gathers every plot's pixels at once."""
-    observed = np.zeros((len(plots), len(cube.observations)), dtype=bool)
+    One gather reads every plot's pixels on every pass."""
     rows, cols, bounds = plot_pixels(plots)
-    if rows.size:
-        at = cube.index(rows, cols)
-        for t, o in enumerate(cube.observations):
-            observed[:, t] = observed_from_valid(o.valid[at], bounds)
-    return observed
+    r, c = cube.index(rows, cols)
+    return observed_from_valid(cube.valid[:, r, c], bounds).T
 
 
 @dataclass

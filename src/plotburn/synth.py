@@ -20,8 +20,8 @@ import numpy as np
 from .gridio import (write_endmembers_csv, write_events_csv, write_grid,
                      write_plots_csv, write_rows_csv, write_scene_manifest)
 from .indices import EndmemberSet
-from .scene import (MASKED_FILL, SENSOR_BANDS, BandObservation, GridGeometry,
-                    Plot, SceneCube, make_plot, plot_pixels)
+from .scene import (MASKED_FILL, SENSOR_BANDS, GridGeometry, Plot, SceneCube, make_plot,
+                    plot_pixels)
 
 HA_IN_M2 = 10000.0
 
@@ -301,9 +301,9 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     # The flat cell indices are int32 where the grid allows, and one float64
     # grid is refilled for every band. On the default scene, intp indices
     # raised generate's peak RSS by 4 MB, and a fresh grid per band by 6 MB.
-    # A sensor's bands are views of one (passes, bands, rows, cols) float32
-    # array: at the default scene's size it is mapped whole, so dropping the
-    # cubes returns its pages, where 2 MB grids stay in the heap.
+    # A sensor's cube is one (passes, bands, rows, cols) float32 array: at
+    # the default scene's size it is mapped whole, so dropping the cubes
+    # returns its pages, where 2 MB grids stay in the heap.
     rows, cols, bounds = plot_pixels(plots)
     cells, sizes = np.ravel_multi_index((rows, cols), geom.shape), np.diff(bounds)
     if geom.nrows * geom.ncols <= np.iinfo(np.int32).max:
@@ -315,16 +315,14 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         rng_drop = np.random.Generator(np.random.PCG64(drop_ss))
         bands = SENSOR_BANDS[sensor]
         noise_sd = cfg.noise_sd_a if sensor == "A" else NOISE_SD_B
-        observations = []
         truth.valid_obs[sensor] = {p.plot_id: [] for p in plots}
+        dates = [SEASON_START + dt.timedelta(days=day) for day in days]
         values = np.empty((len(days), len(bands), *geom.shape), dtype=np.float32)
-        for day, day_values in zip(days, values):
-            date = SEASON_START + dt.timedelta(days=day)
+        valid = np.ones((len(days), *geom.shape), dtype=bool)
+        for day, date, day_values, day_valid in zip(days, dates, values, valid):
             lost = masked_plots(sensor, day, rng_drop)
             rng_noise = np.random.Generator(np.random.PCG64(ss_noise.spawn(1)[0]))
-            grids = dict(zip(bands, day_values))
-            valid = np.ones(geom.shape, dtype=bool)
-            for band in bands:
+            for band, band_values in zip(bands, day_values):
                 rng_noise.standard_normal(out=grid)    # TILL + noise_sd * z
                 grid *= noise_sd
                 grid += TILL_LEVELS[band]
@@ -339,16 +337,14 @@ def generate(cfg: ScenarioConfig) -> Scenario:
                     deltas.append(level - TILL_LEVELS[band])
                 # Plots are disjoint, so each cell gets its plot's level once.
                 np.add.at(grid.reshape(-1), cells, np.repeat(deltas, sizes))
-                grids[band][...] = np.clip(grid, 0.0, 1.0, out=grid)
+                band_values[...] = np.clip(grid, 0.0, 1.0, out=grid)
             for plot, is_lost in zip(plots, lost):
                 if not is_lost:
                     truth.valid_obs[sensor][plot.plot_id].append(date)
             masked = cells[np.repeat(lost, sizes)]
-            valid.reshape(-1)[masked] = False
-            for band in bands:
-                grids[band].reshape(-1)[masked] = MASKED_FILL
-            observations.append(BandObservation(sensor, date, grids, valid, geom))
-        cube_by_sensor[sensor] = SceneCube(observations, geom)
+            day_valid.reshape(-1)[masked] = False
+            day_values.reshape(len(bands), -1)[:, masked] = MASKED_FILL
+        cube_by_sensor[sensor] = SceneCube(sensor, dates, values, valid, geom)
 
     return Scenario(cube_by_sensor["A"], cube_by_sensor["B"], plots, truth,
                     default_endmembers())
@@ -373,12 +369,12 @@ def write_scenario(out_dir, scenario: Scenario) -> dict[str, str]:
     os.makedirs(grids_dir, exist_ok=True)
     entries = []
     for cube in (scenario.cube_a, scenario.cube_b):
-        for obs in cube.observations:
-            for band, grid in obs.bands.items():
-                name = f"{obs.sensor}_{obs.date.isoformat()}_{band}.grid"
+        for date, stack, valid in zip(cube.dates, cube.values, cube.valid):
+            for band, grid in zip(SENSOR_BANDS[cube.sensor], stack):
+                name = f"{cube.sensor}_{date.isoformat()}_{band}.grid"
                 write_grid(os.path.join(grids_dir, name),
-                           np.asarray(grid, dtype=float), obs.geom, obs.valid)
-                entries.append({"sensor": obs.sensor, "date": obs.date.isoformat(),
+                           np.asarray(grid, dtype=float), cube.geom, valid)
+                entries.append({"sensor": cube.sensor, "date": date.isoformat(),
                                 "band": band, "grid": f"grids/{name}", "mask": None})
     paths = {
         "manifest": os.path.join(out_dir, "scene_manifest.json"),

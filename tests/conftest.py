@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from plotburn.features import build_feature_table, pixel_stack, source_values
 from plotburn.forest import FOREST_MAGIC, ForestError, ForestModel, ForestParams, Tree
-from plotburn.scene import (MASKED_FILL, PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
-                            GridGeometry, Plot, SceneCube)
+from plotburn.scene import (MASKED_FILL, PLOT_VALID_FRACTION, SENSOR_BANDS, GridGeometry, Plot,
+                            SceneCube)
 from plotburn.synth import GroundTruth
 
 D0 = dt.date(2019, 10, 10)
@@ -32,29 +32,25 @@ def read_rows_csv(path):
     return header, rows
 
 
-def make_obs(sensor, date, geom, levels=None, valid=None):
-    """Observation with constant band levels (dict or scalar) and a full mask."""
-    if valid is None:
-        valid = np.ones(geom.shape, dtype=bool)
-    bands = {}
-    for band in SENSOR_BANDS[sensor]:
-        if isinstance(levels, dict):
-            level = levels.get(band, 0.2)
-        else:
-            level = 0.2 if levels is None else levels
-        grid = np.full(geom.shape, float(level))
-        grid[~valid] = MASKED_FILL
-        bands[band] = grid
-    return BandObservation(sensor, date, bands, valid.copy(), geom)
-
-
 def make_cube(sensor, geom, dated_levels, valid_by_date=None):
-    """Cube from {day_offset: levels}; valid_by_date maps offsets to masks."""
-    obs = []
-    for off in sorted(dated_levels):
-        valid = None if valid_by_date is None else valid_by_date.get(off)
-        obs.append(make_obs(sensor, day(off), geom, dated_levels[off], valid))
-    return SceneCube(obs, geom)
+    """Cube from {day_offset: levels}, levels one band level for every band
+    (0.2 when None) or a dict of them (0.2 for a band it leaves out);
+    valid_by_date maps offsets to masks, every cell valid otherwise."""
+    offsets = sorted(dated_levels)
+    bands = SENSOR_BANDS[sensor]
+    values = np.empty((len(offsets), len(bands), *geom.shape))
+    valid = np.ones((len(offsets), *geom.shape), dtype=bool)
+    for t, off in enumerate(offsets):
+        levels = dated_levels[off]
+        for i, band in enumerate(bands):
+            if isinstance(levels, dict):
+                values[t, i] = levels.get(band, 0.2)
+            else:
+                values[t, i] = 0.2 if levels is None else levels
+        if valid_by_date is not None and off in valid_by_date:
+            valid[t] = valid_by_date[off]
+    values = np.where(valid[:, None], values, MASKED_FILL)
+    return SceneCube(sensor, [day(off) for off in offsets], values, valid, geom)
 
 
 def gap_table(truth) -> dict[str, dict[str, tuple[int, float, float]]]:
@@ -80,26 +76,22 @@ def inject_gaps(cube: SceneCube, schedule, plots: list[Plot],
     table is given, a copy updated to match.
     """
     by_id = {p.plot_id: p for p in plots}
-    observations = []
+    values, valid = cube.values.copy(), cube.valid.copy()
     newly_masked: dict[dt.date, set[str]] = {}
-    for obs in cube.observations:
+    for t, date in enumerate(cube.dates):
         relevant = [(pid, start, end) for pid, start, end in schedule
-                    if start <= obs.date < end]
+                    if start <= date < end]
         if not relevant:
-            observations.append(obs)
             continue
-        valid = obs.valid.copy()
         touched = set()
         for pid, _, _ in relevant:
             targets = [by_id[pid]] if pid is not None else plots
             for plot in targets:
-                valid[cube.index(plot.rows, plot.cols)] = False
+                valid[t][cube.index(plot.rows, plot.cols)] = False
                 touched.add(plot.plot_id)
-        bands = {name: np.where(valid, grid, MASKED_FILL)
-                 for name, grid in obs.bands.items()}
-        observations.append(BandObservation(obs.sensor, obs.date, bands, valid, obs.geom))
-        newly_masked[obs.date] = touched
-    new_cube = SceneCube(observations, cube.geom, cube.origin)
+        values[t] = np.where(valid[t], values[t], MASKED_FILL)
+        newly_masked[date] = touched
+    new_cube = SceneCube(cube.sensor, cube.dates, values, valid, cube.geom, cube.origin)
 
     if truth is None:
         return new_cube, None
@@ -138,17 +130,15 @@ def plot_scenes(draw, min_obs=0):
         plots.append(Plot(f"p{i}", [], cells // ncols, cells % ncols, np.zeros(size, bool)))
     if twice and plots:
         plots.append(plots[0])
-    observations = []
+    values = np.empty((len(rates), len(SENSOR_BANDS["B"]), *geom.shape), dtype=np.float32)
+    valid = np.empty((len(rates), *geom.shape), dtype=bool)
     for t, rate in enumerate(rates):
-        valid = rng.random(geom.shape) < rate
-        bands = {}
-        for band in SENSOR_BANDS["B"]:
-            grid = rng.uniform(0.0, 0.5, geom.shape).astype(np.float32)
+        valid[t] = rng.random(geom.shape) < rate
+        for grid in values[t]:
+            grid[...] = rng.uniform(0.0, 0.5, geom.shape)
             grid[rng.random(geom.shape) < zero_rate] = 0.0
-            grid[~valid] = MASKED_FILL
-            bands[band] = grid
-        observations.append(BandObservation("B", day(t), bands, valid, geom))
-    return SceneCube(observations, geom), plots
+            grid[~valid[t]] = MASKED_FILL
+    return SceneCube("B", [day(t) for t in range(len(rates))], values, valid, geom), plots
 
 
 def oracle_plot_observed(cube: SceneCube, plots: list[Plot]) -> np.ndarray:

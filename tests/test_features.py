@@ -13,8 +13,7 @@ from plotburn.features import (FEATURE_CSV_FIXED, STAT_NAMES, TEMPORAL_NAMES, Fe
                                table_matrix, table_schema, temporal_columns,
                                write_feature_csv)
 from plotburn.indices import ALL_INDICES
-from plotburn.scene import (SENSOR_BANDS, BandObservation, GridGeometry, SceneCube, make_plot,
-                            plot_blocks)
+from plotburn.scene import SENSOR_BANDS, GridGeometry, SceneCube, make_plot, plot_blocks
 
 
 # Scalar references for temporal_columns, one series at a time.
@@ -167,13 +166,12 @@ def one_pixel_cubes(series_a, series_b):
                      geom, label="burned")
     cubes = []
     for sensor, series in (("A", series_a), ("B", series_b)):
-        observations = []
-        for i, value in enumerate(series):
-            grids = {b: np.full(geom.shape, 0.3) for b in SENSOR_BANDS[sensor]}
-            grids["Red"][plot.rows, plot.cols] = value
-            valid = np.ones(geom.shape, dtype=bool)
-            observations.append(BandObservation(sensor, day(i), grids, valid, geom))
-        cubes.append(SceneCube(observations, geom))
+        values = np.full((len(series), len(SENSOR_BANDS[sensor]), *geom.shape), 0.3)
+        for grid, value in zip(values[:, SENSOR_BANDS[sensor].index("Red")], series):
+            grid[plot.rows, plot.cols] = value
+        valid = np.ones((len(series), *geom.shape), dtype=bool)
+        cubes.append(SceneCube(sensor, [day(i) for i in range(len(series))], values, valid,
+                               geom))
     return cubes[0], cubes[1], plot
 
 

@@ -11,7 +11,7 @@ from test_features import assert_same_table
 
 from plotburn import gridio
 from plotburn.cli import main
-from plotburn.features import build_feature_table
+from plotburn.features import build_feature_table, pixel_stack
 from plotburn.indices import SWIR_SET
 from plotburn.gridio import (FormatError, format_wkt_polygon, parse_wkt_polygon,
                              read_endmembers_csv, read_events_csv, read_grid,
@@ -286,6 +286,11 @@ class TestManifest:
                     want = np.asarray(mo.bands[band], dtype=float)
                     got = fo.bands[band]
                     assert np.array_equal(got[fo.valid], want[mo.valid])
+            plot = scenario.plots[0]
+            for cube, dtype in ((mem_cube, np.float32), (file_cube, np.float64)):
+                valid, bands = pixel_stack(cube, plot.rows, plot.cols)
+                assert cube.values.dtype == dtype and valid.dtype == bool
+                assert [b.dtype for b in bands.values()] == [dtype] * len(SENSOR_BANDS[sensor])
         plots = read_plots_csv(paths["plots"], scenario.cube_a.geom)
         assert [p.plot_id for p in plots] == [p.plot_id for p in scenario.plots]
         for a, b in zip(plots, scenario.plots):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import day, make_cube, make_obs, oracle_plot_observed, plot_scenes
-from plotburn.scene import (PLOT_VALID_FRACTION, EmptyPlotError, GridGeometry, Plot,
-                            SceneCube, SceneError, gap_statistics, make_plot, plot_observed,
-                            rasterize_plot)
+from conftest import day, make_cube, oracle_plot_observed, plot_scenes
+from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, AlignmentError, EmptyPlotError,
+                            GridGeometry, Plot, SceneCube, SceneError, gap_statistics, make_plot,
+                            plot_observed, rasterize_plot)
 
 
 def square_polygon(col0, row0, size, geom):
@@ -156,7 +156,8 @@ class TestGapStatistics:
 
     def test_cube_without_observations(self, geom10):
         plot = _single_plot(geom10)
-        cube = SceneCube([], geom10)
+        cube = SceneCube("A", [], np.empty((0, 4, *geom10.shape)),
+                         np.empty((0, *geom10.shape), dtype=bool), geom10)
         assert plot_observed(cube, [plot, plot]).shape == (2, 0)
         assert plot_observed(cube, []).shape == (0, 0)
 
@@ -180,31 +181,58 @@ class TestGapStatistics:
 
 class TestSceneInvariants:
     def test_dates_strictly_increasing(self, geom10):
-        from plotburn.scene import SceneCube, SceneError
-
-        obs = [make_obs("A", day(0), geom10), make_obs("A", day(0), geom10)]
-        with pytest.raises(SceneError):
-            SceneCube(obs, geom10)
+        cube = make_cube("A", geom10, {0: 0.2, 1: 0.2})
+        with pytest.raises(SceneError, match="strictly increasing"):
+            SceneCube("A", [day(0), day(0)], cube.values, cube.valid, geom10)
 
     def test_reflectance_values_masked_under_invalid(self, geom10):
         valid = np.ones(geom10.shape, dtype=bool)
         valid[0, 0] = False
-        obs = make_obs("A", day(0), geom10, 0.4, valid)
-        assert np.isnan(obs.bands["Blue"][0, 0])
+        cube = make_cube("A", geom10, {0: 0.4}, valid_by_date={0: valid})
+        assert np.isnan(cube.values[0, :, 0, 0]).all()
+
+    @pytest.mark.parametrize("change, error, match", [
+        ({"sensor": "C"}, SceneError, "unknown sensor"),
+        ({"sensor": "B"}, SceneError, "9 bands"),
+        ({"values": np.zeros((2, 10, 10))}, SceneError, "4 bands"),
+        ({"values": np.zeros((2, 4, 10, 9))}, AlignmentError, "2 passes of"),
+        ({"values": np.zeros((3, 4, 10, 10))}, AlignmentError, "2 passes of"),
+        ({"valid": np.ones((2, 10, 9), dtype=bool)}, AlignmentError, "2 passes of"),
+        ({"valid": np.ones((10, 10), dtype=bool)}, AlignmentError, "2 passes of"),
+        ({"valid": np.ones((2, 10, 10))}, SceneError, "boolean"),
+        ({"dates": [day(1), day(0)]}, SceneError, "strictly increasing"),
+    ], ids=["sensor", "bands", "band-axis", "values-cols", "values-passes", "valid-cols",
+            "valid-passes", "valid-dtype", "dates"])
+    def test_cube_checks(self, geom10, change, error, match):
+        fields = {"sensor": "A", "dates": [day(0), day(1)], "values": np.zeros((2, 4, 10, 10)),
+                  "valid": np.ones((2, 10, 10), dtype=bool), "geom": geom10}
+        SceneCube(**fields)
+        with pytest.raises(error, match=match) as raised:
+            SceneCube(**{**fields, **change})
+        assert raised.type is error
+
+    def test_observations_are_views_of_the_arrays(self, geom10):
+        valid = np.ones(geom10.shape, dtype=bool)
+        valid[0, 0] = False
+        cube = make_cube("B", geom10, {0: 0.2, 3: {"Red": 0.4}}, valid_by_date={3: valid})
+        for t, obs in enumerate(cube.observations):
+            assert (obs.sensor, obs.date, obs.geom) == ("B", cube.dates[t], geom10)
+            assert list(obs.bands) == list(SENSOR_BANDS["B"])
+            assert np.shares_memory(obs.valid, cube.valid)
+            assert all(np.shares_memory(grid, cube.values) for grid in obs.bands.values())
+            assert np.array_equal(obs.valid, cube.valid[t])
+            assert np.array_equal(obs.bands["Red"], cube.values[t, 2], equal_nan=True)
 
     def test_window_cube_reads_common_grid_cells(self, geom10):
         from plotburn.features import pixel_stack
-        from plotburn.scene import BandObservation, SceneCube, SceneError
 
         plot = _single_plot(geom10)  # rows and columns 1..4
         valid = np.ones(geom10.shape, dtype=bool)
         valid[plot.rows[:9], plot.cols[:9]] = False
         full = make_cube("A", geom10, {0: 0.2, 1: 0.3, 2: 0.4}, valid_by_date={1: valid})
         part = geom10.window(1, 0, 5, 5)
-        window = SceneCube([BandObservation(o.sensor, o.date,
-                                            {b: g[1:6, :5] for b, g in o.bands.items()},
-                                            o.valid[1:6, :5], part)
-                            for o in full.observations], part, (1, 0))
+        window = SceneCube("A", full.dates, full.values[..., 1:6, :5], full.valid[:, 1:6, :5],
+                           part, (1, 0))
         assert part == GridGeometry(5, 5, 0.0, 4.0, 1.0)
         assert np.array_equal(plot_observed(window, [plot]), plot_observed(full, [plot]))
         want = pixel_stack(full, plot.rows, plot.cols)

@@ -11,9 +11,9 @@ from plotburn import features
 from plotburn.features import build_feature_table
 from plotburn.indices import SWIR_SET, unmix_char_fraction
 from plotburn.pipeline import DEFAULT_CURVE_SOURCES
-from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, BandObservation,
-                            GridGeometry, SceneCube, make_plot, observed_from_valid,
-                            plot_blocks, plot_observed, segment_means)
+from plotburn.scene import (PLOT_VALID_FRACTION, SENSOR_BANDS, GridGeometry, SceneCube,
+                            make_plot, observed_from_valid, plot_blocks, plot_observed,
+                            segment_means)
 from plotburn.separability import MIN_BUCKET_N, SampleStats, m_statistic, separability_curve
 from plotburn.synth import ScenarioConfig, default_endmembers, generate
 
@@ -69,14 +69,13 @@ def build_plot_scene(n_plots, days, value_fn, band="Red", sensor="A", plot_size=
         y0, y1 = 1.0, 1.0 + plot_size
         plots.append(make_plot(f"p{i:02d}", [(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
                                geom, label="burned"))
-    observations = []
-    for d in days:
-        grids = {b: np.full(geom.shape, 0.2) for b in SENSOR_BANDS[sensor]}
+    values = np.full((len(days), len(SENSOR_BANDS[sensor]), *geom.shape), 0.2)
+    grids = values[:, SENSOR_BANDS[sensor].index(band)]
+    for grid, d in zip(grids, days):
         for i, plot in enumerate(plots):
-            grids[band][plot.rows, plot.cols] = value_fn(i, d)
-        valid = np.ones(geom.shape, dtype=bool)
-        observations.append(BandObservation(sensor, day(d), grids, valid, geom))
-    return SceneCube(observations, geom), plots
+            grid[plot.rows, plot.cols] = value_fn(i, d)
+    valid = np.ones((len(days), *geom.shape), dtype=bool)
+    return SceneCube(sensor, [day(d) for d in days], values, valid, geom), plots
 
 
 def curve_of(events, cube, source, max_offset, endmembers=None):
@@ -158,19 +157,17 @@ class TestPlotMeans:
         assert plot.n_pixels == 5
         rng = np.random.default_rng(3)
         masks = [[1, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 0, 0, 0]]
-        observations, spectra = [], []
+        values = np.full((len(masks), len(bands), *geom.shape), 0.2)
+        valid = np.ones((len(masks), *geom.shape), dtype=bool)
+        spectra = []
         for d, mask in enumerate(masks):
-            grids = {b: np.full(geom.shape, 0.2) for b in bands}
             px = rng.uniform(0.02, 0.5, size=(plot.n_pixels, len(bands)))
             if d == 1:
                 px[2, [bands.index("NIR"), bands.index("Red")]] = 0.0
-            for j, band in enumerate(bands):
-                grids[band][plot.rows, plot.cols] = px[:, j]
-            valid = np.ones(geom.shape, dtype=bool)
-            valid[plot.rows, plot.cols] = np.asarray(mask, dtype=bool)
-            observations.append(BandObservation("B", day(d), grids, valid, geom))
+            values[d][:, plot.rows, plot.cols] = px.T
+            valid[d][plot.rows, plot.cols] = np.asarray(mask, dtype=bool)
             spectra.append(px)
-        cube = SceneCube(observations, geom)
+        cube = SceneCube("B", [day(d) for d in range(len(masks))], values, valid, geom)
         nir, red = bands.index("NIR"), bands.index("Red")
         swir = [bands.index(b) for b in SWIR_SET]
 

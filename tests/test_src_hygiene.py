@@ -131,3 +131,39 @@ def test_the_check_finds_a_fork_outside_child():
     source = ("import os\nfrom os import pipe, getpid\nif hasattr(os, 'fork'):\n"
               "    pid = os.fork()\nos.wait4(pid, 0)\n")
     assert process_calls(source) == ["2: os.pipe", "4: os.fork", "5: os.wait4"]
+
+
+# A SceneCube holds its passes as arrays. BandObservation is the view of one
+# pass that SceneCube.observations makes, not a second way to build a cube.
+def observation_calls(source: str) -> list[str]:
+    """Each call of BandObservation the source makes, by name or attribute,
+    as "<line>: <where>", where the dotted class and function names around
+    the call ("<module>" outside any), in line order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "BandObservation" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((child.lineno, where))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"{line}: {where}" for line, where in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cube_view_makes_observations(path):
+    where = {call.split(": ")[1] for call in observation_calls(path.read_text())}
+    assert where == ({"SceneCube.observations"} if path.name == "scene.py" else set())
+
+
+def test_the_check_finds_an_observation_outside_the_view():
+    source = ("from plotburn import scene\nobs = scene.BandObservation('A', None, {}, None, None)\n"
+              "class Cube:\n    def observations(self):\n"
+              "        return [BandObservation(*o) for o in self.passes]\n"
+              "def build():\n    return Cube(sorted(BandObservation(), key=len))\n")
+    assert observation_calls(source) == ["2: <module>", "5: Cube.observations", "7: build"]
